@@ -146,63 +146,49 @@ class BnState:
         )
 
 
-def pooled_batch_stats(groups: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-channel mean and population variance over a list of [b, ch, T_g]
-    arrays, pooled across batch and time of every group."""
-    n_total = sum(g.shape[0] * g.shape[2] for g in groups)
+def pooled_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-channel mean and population variance of a [b, ch, T] array,
+    pooled across batch and time."""
+    n_total = x.shape[0] * x.shape[2]
     if n_total < 2:
         raise ConfigError("batch normalization needs at least 2 elements per channel")
-    channels = groups[0].shape[1]
-    total = np.zeros(channels)
-    for g in groups:
-        total += g.sum(axis=(0, 2))
-    mean = total / n_total
-    sq = np.zeros(channels)
-    for g in groups:
-        sq += ((g - mean[None, :, None]) ** 2).sum(axis=(0, 2))
-    var = sq / n_total
+    mean = x.sum(axis=(0, 2)) / n_total
+    var = ((x - mean[None, :, None]) ** 2).sum(axis=(0, 2)) / n_total
     return mean, var, n_total
 
 
 def bn_apply(
-    groups: list[np.ndarray],
+    x: np.ndarray,
     gamma: np.ndarray,
     beta: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Normalize each group with the given statistics. Returns (outputs, xhats)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize [b, ch, T] with the given statistics. Returns (y, xhat)."""
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhats = [(g - mean[None, :, None]) * inv[None, :, None] for g in groups]
-    ys = [gamma[None, :, None] * xh + beta[None, :, None] for xh in xhats]
-    return ys, xhats
+    xhat = (x - mean[None, :, None]) * inv[None, :, None]
+    return gamma[None, :, None] * xhat + beta[None, :, None], xhat
 
 
 def bn_backward_pooled(
-    upstreams: list[np.ndarray],
-    xhats: list[np.ndarray],
+    upstream: np.ndarray,
+    xhat: np.ndarray,
     var: np.ndarray,
     gamma: np.ndarray,
     n_total: int,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Reverse-mode through train-mode batch norm with pooled statistics.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reverse-mode through train-mode batch norm: (dx, dgamma, dbeta).
 
-    Returns per-group input gradients plus (dgamma, dbeta). The batch mean and
-    variance are treated as functions of the inputs, which yields the usual
-    centering terms.
+    The batch mean and variance are treated as functions of the inputs,
+    which yields the usual centering terms.
     """
-    channels = gamma.shape[0]
-    dbeta = np.zeros(channels)
-    dgamma = np.zeros(channels)
-    for g, xh in zip(upstreams, xhats):
-        dbeta += g.sum(axis=(0, 2))
-        dgamma += (g * xh).sum(axis=(0, 2))
+    dbeta = upstream.sum(axis=(0, 2))
+    dgamma = (upstream * xhat).sum(axis=(0, 2))
     inv = 1.0 / np.sqrt(var + BN_EPS)
     coeff = (gamma * inv)[None, :, None]
     mean_dy = (dbeta / n_total)[None, :, None]
     mean_dy_xhat = (dgamma / n_total)[None, :, None]
-    dxs = [coeff * (g - mean_dy - xh * mean_dy_xhat) for g, xh in zip(upstreams, xhats)]
-    return dxs, dgamma, dbeta
+    return coeff * (upstream - mean_dy - xhat * mean_dy_xhat), dgamma, dbeta
 
 
 def batchnorm_forward(
@@ -225,17 +211,15 @@ def batchnorm_forward(
     if gamma.shape != (xb.shape[1],) or beta.shape != (xb.shape[1],):
         raise ConfigError("gamma/beta must be per-channel vectors")
     if mode == "train":
-        mean, var, n_total = pooled_batch_stats([xb])
-        ys, xhats = bn_apply([xb], gamma, beta, mean, var)
-        cache = {"xhat": xhats[0], "var": var, "n_total": n_total, "squeeze": squeeze}
-        y = ys[0][0] if squeeze else ys[0]
-        return y, state.update(mean, var), cache
+        mean, var, n_total = pooled_batch_stats(xb)
+        y, xhat = bn_apply(xb, gamma, beta, mean, var)
+        cache = {"xhat": xhat, "var": var, "n_total": n_total, "squeeze": squeeze}
+        return (y[0] if squeeze else y), state.update(mean, var), cache
     if mode == "infer":
         if state.updates == 0:
             raise UsageError("batch norm infer mode before any running-stat update")
-        ys, _ = bn_apply([xb], gamma, beta, state.mean, state.var)
-        y = ys[0][0] if squeeze else ys[0]
-        return y, state, None
+        y, _ = bn_apply(xb, gamma, beta, state.mean, state.var)
+        return (y[0] if squeeze else y), state, None
     raise ConfigError(f"unknown batch norm mode {mode!r}")
 
 
@@ -244,11 +228,10 @@ def batchnorm_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of train-mode :func:`batchnorm_forward`: (dx, dgamma, dbeta)."""
     gb, _ = _as_batched(upstream)
-    dxs, dgamma, dbeta = bn_backward_pooled(
-        [gb], [cache["xhat"]], cache["var"], gamma, cache["n_total"]
+    dx, dgamma, dbeta = bn_backward_pooled(
+        gb, cache["xhat"], cache["var"], gamma, cache["n_total"]
     )
-    dx = dxs[0][0] if cache["squeeze"] else dxs[0]
-    return dx, dgamma, dbeta
+    return (dx[0] if cache["squeeze"] else dx), dgamma, dbeta
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ exactly when the block changes the channel count (only the first block,
 output into a fixed-size embedding; there is no feedforward head and the
 embedding is not L2-normalized.
 
-Batches may mix series lengths: each series is convolved at its own length
-and train-mode BN statistics are pooled across the concatenated time axes
-of the whole batch.
+A train batch is one [batch, 1, T] array: every series in it has the same
+length, and train-mode BN statistics are pooled over batch and time. Infer
+mode embeds one series at a time, so lengths may differ between calls.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,67 +223,63 @@ def _layer_weights(model: ResNetModel, block: int, conv: int) -> list[np.ndarray
 
 
 def _bn_forward_site(
-    model: ResNetModel,
-    site: str,
-    groups: list[np.ndarray],
-    mode: str,
-    update_buffers: bool,
-) -> tuple[list[np.ndarray], dict | None]:
-    gamma = model.params.get(f"{site}.gamma")
-    beta = model.params.get(f"{site}.beta")
-    if mode == "train":
-        mean, var, n_total = kernels.pooled_batch_stats(groups)
-        ys, xhats = kernels.bn_apply(groups, gamma, beta, mean, var)
-        if update_buffers:
-            model.bn[site] = model.bn[site].update(mean, var)
-        return ys, {"xhats": xhats, "var": var, "n": n_total}
+    model: ResNetModel, site: str, x: np.ndarray, mode: str, update_buffers: bool
+) -> tuple[np.ndarray, dict | None]:
     state = model.bn[site]
-    if state.updates == 0:
+    if mode == "infer" and state.updates == 0:
         raise UsageError(f"BN site {site!r}: infer mode before any running-stat update")
-    ys, _ = kernels.bn_apply(groups, gamma, beta, state.mean, state.var)
-    return ys, None
+    y, state, cache = kernels.batchnorm_forward(
+        x, model.params.get(f"{site}.gamma"), model.params.get(f"{site}.beta"), state, mode
+    )
+    if update_buffers:
+        model.bn[site] = state
+    return y, cache
 
 
-def _forward_groups(
-    model: ResNetModel,
-    groups: list[np.ndarray],
-    mode: str,
-    update_buffers: bool,
-) -> tuple[list[np.ndarray], list[dict]]:
-    """Run the conv blocks over per-length groups ([g, ch, T] arrays).
+def _bn_backward_site(
+    model: ResNetModel, grads: ParamSet, site: str, upstream: np.ndarray, cache: dict
+) -> np.ndarray:
+    dx, dgamma, dbeta = kernels.batchnorm_backward(
+        upstream, model.params.get(f"{site}.gamma"), cache
+    )
+    grads.get(f"{site}.gamma")[:] += dgamma
+    grads.get(f"{site}.beta")[:] += dbeta
+    return dx
 
-    Returns the post-block activations per group and a per-block cache
+
+def _forward(
+    model: ResNetModel, x: np.ndarray, mode: str, update_buffers: bool
+) -> tuple[np.ndarray, list[dict]]:
+    """Run the conv blocks over a [b, 1, T] batch.
+
+    Returns the last block's output [b, ch, T] and a per-block cache
     sufficient for the backward pass.
     """
-    h = groups
+    h = x
     block_caches = []
+    last = model.spec.convs_per_block - 1
     for bi in range(model.spec.blocks):
         x_in = h
         conv_caches = []
         cur = x_in
-        pre_relu = None
         for j in range(model.spec.convs_per_block):
             weights = _layer_weights(model, bi, j)
             bias = model.params.get(f"b{bi}.c{j}.bias")
-            pre_bn = [_multi_conv_forward(g, weights, bias) for g in cur]
-            ys, bn_cache = _bn_forward_site(model, f"b{bi}.c{j}", pre_bn, mode, update_buffers)
-            conv_caches.append({"x": cur, "bn": bn_cache, "bn_out": ys})
-            if j < model.spec.convs_per_block - 1:
-                cur = [kernels.relu_forward(y) for y in ys]
-            else:
-                pre_relu = ys
+            pre_bn = _multi_conv_forward(cur, weights, bias)
+            y, bn_cache = _bn_forward_site(model, f"b{bi}.c{j}", pre_bn, mode, update_buffers)
+            conv_caches.append({"x": cur, "bn": bn_cache, "bn_out": y})
+            cur = kernels.relu_forward(y) if j < last else y
         proj_cache = None
         if _block_input_channels(model.spec, bi) != model.spec.channels:
             pw = model.params.get(f"b{bi}.proj.w")
-            pre_bn_p = [kernels.conv1d_forward(g, pw, np.zeros(pw.shape[0])) for g in x_in]
-            shortcut, bn_cache_p = _bn_forward_site(
+            pre_bn_p = kernels.conv1d_forward(x_in, pw, np.zeros(pw.shape[0]))
+            shortcut, proj_cache = _bn_forward_site(
                 model, f"b{bi}.proj", pre_bn_p, mode, update_buffers
             )
-            proj_cache = {"bn": bn_cache_p}
         else:
             shortcut = x_in
-        pre_act = [m + s for m, s in zip(pre_relu, shortcut)]
-        h = [kernels.relu_forward(p) for p in pre_act]
+        pre_act = cur + shortcut
+        h = kernels.relu_forward(pre_act)
         block_caches.append(
             {"x_in": x_in, "convs": conv_caches, "proj": proj_cache, "pre_act": pre_act}
         )
@@ -308,13 +305,14 @@ def embed_batch(
     return_cache: bool = False,
     update_buffers: bool = True,
 ):
-    """Embed a batch of series (lengths may differ) into [batch, dim] rows.
+    """Embed a batch of series into [batch, dim] rows.
 
-    Train mode needs at least 2 series, pools BN statistics across the whole
-    batch and (by default) updates the model's running stats; pass
-    ``return_cache=True`` to get the cache :func:`backward_batch` needs.
-    Infer mode processes each series independently with frozen statistics,
-    so batched rows are bit-identical to single :func:`embed` calls.
+    Train mode needs at least 2 series of one length, pools BN statistics
+    across the whole batch and (by default) updates the model's running
+    stats; pass ``return_cache=True`` to get the cache :func:`backward_batch`
+    needs. Infer mode processes each series independently with frozen
+    statistics, so lengths may differ and batched rows are bit-identical to
+    single :func:`embed` calls.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -327,36 +325,24 @@ def embed_batch(
             raise UsageError("backward caches exist only in train mode")
         rows = []
         for s in series:
-            outs, _ = _forward_groups(model, [s[None, None, :]], "infer", False)
-            rows.append(kernels.gap_forward(outs[0])[0])
+            out, _ = _forward(model, s[None, None, :], "infer", False)
+            rows.append(kernels.gap_forward(out)[0])
         return np.vstack(rows)
 
     if len(series) < 2:
         raise ConfigError("train mode needs a batch of >= 2 series")
-    # Group by length, keeping first-appearance order; remember where each
-    # row came from so outputs line up with the input order.
-    lengths: list[int] = []
-    members: dict[int, list[int]] = {}
-    for i, s in enumerate(series):
-        t = s.shape[0]
-        if t not in members:
-            members[t] = []
-            lengths.append(t)
-        members[t].append(i)
-    groups = [np.stack([series[i] for i in members[t]])[:, None, :] for t in lengths]
-
-    outs, block_caches = _forward_groups(model, groups, "train", update_buffers)
-    dim = model.embedding_dim
-    z = np.empty((len(series), dim))
-    for t, out in zip(lengths, outs):
-        z[members[t]] = kernels.gap_forward(out)
+    length = series[0].shape[0]
+    if any(s.shape[0] != length for s in series):
+        lengths = sorted({s.shape[0] for s in series})
+        raise ConfigError(f"train mode needs series of one length, got lengths {lengths}")
+    out, block_caches = _forward(model, np.stack(series)[:, None, :], "train", update_buffers)
+    z = kernels.gap_forward(out)
     if not return_cache:
         return z
     cache = {
         "uid": model._uid,
         "revision": model._revision,
-        "lengths": lengths,
-        "members": members,
+        "length": length,
         "blocks": block_caches,
         "n_series": len(series),
     }
@@ -386,34 +372,19 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
             f"upstream must be [{cache['n_series']}, {model.embedding_dim}], got {upstream.shape}"
         )
     grads = ParamSet(model.params.layout)
+    last = model.spec.convs_per_block - 1
 
-    # Scatter rows back to their length groups and undo the average pooling.
-    d_groups = []
-    for t in cache["lengths"]:
-        rows = upstream[cache["members"][t]]
-        d_groups.append(kernels.gap_backward(rows, t))
-
+    d = kernels.gap_backward(upstream, cache["length"])
     for bi in reversed(range(model.spec.blocks)):
         bc = cache["blocks"][bi]
-        d_pre = [g * (p > 0) for g, p in zip(d_groups, bc["pre_act"])]
+        d_pre = d * (bc["pre_act"] > 0)
 
         # Shortcut branch.
         if bc["proj"] is not None:
-            bn_c = bc["proj"]["bn"]
-            gamma_p = model.params.get(f"b{bi}.proj.gamma")
-            dxs, dgamma, dbeta = kernels.bn_backward_pooled(
-                d_pre, bn_c["xhats"], bn_c["var"], gamma_p, bn_c["n"]
-            )
-            grads.get(f"b{bi}.proj.gamma")[:] += dgamma
-            grads.get(f"b{bi}.proj.beta")[:] += dbeta
+            d_bn = _bn_backward_site(model, grads, f"b{bi}.proj", d_pre, bc["proj"])
             pw = model.params.get(f"b{bi}.proj.w")
-            d_short = []
-            dw_total = np.zeros_like(pw)
-            for x_g, d_g in zip(bc["x_in"], dxs):
-                dx_g, dw_g, _ = kernels.conv1d_backward(x_g, pw, d_g)
-                d_short.append(dx_g)
-                dw_total += dw_g
-            grads.get(f"b{bi}.proj.w")[:] += dw_total
+            d_short, dw, _ = kernels.conv1d_backward(bc["x_in"], pw, d_bn)
+            grads.get(f"b{bi}.proj.w")[:] += dw
         else:
             d_short = d_pre
 
@@ -422,31 +393,16 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
         d_cur = d_pre
         for j in reversed(range(model.spec.convs_per_block)):
             cc = bc["convs"][j]
-            if j < model.spec.convs_per_block - 1:
-                d_cur = [g * (y > 0) for g, y in zip(d_cur, cc["bn_out"])]
-            bn_c = cc["bn"]
-            gamma = model.params.get(f"b{bi}.c{j}.gamma")
-            dxs, dgamma, dbeta = kernels.bn_backward_pooled(
-                d_cur, bn_c["xhats"], bn_c["var"], gamma, bn_c["n"]
-            )
-            grads.get(f"b{bi}.c{j}.gamma")[:] += dgamma
-            grads.get(f"b{bi}.c{j}.beta")[:] += dbeta
+            if j < last:
+                d_cur = d_cur * (cc["bn_out"] > 0)
+            d_bn = _bn_backward_site(model, grads, f"b{bi}.c{j}", d_cur, cc["bn"])
             weights = _layer_weights(model, bi, j)
-            dws_total = [np.zeros_like(w) for w in weights]
-            dbias_total = np.zeros(model.spec.channels)
-            d_prev = []
-            for x_g, d_g in zip(cc["x"], dxs):
-                dx_g, dws_g, dbias_g = _multi_conv_backward(x_g, weights, d_g)
-                d_prev.append(dx_g)
-                for acc, dw in zip(dws_total, dws_g):
-                    acc += dw
-                dbias_total += dbias_g
-            for f, dw in zip(model.spec.filter_lengths, dws_total):
+            d_cur, dws, dbias = _multi_conv_backward(cc["x"], weights, d_bn)
+            for f, dw in zip(model.spec.filter_lengths, dws):
                 grads.get(f"b{bi}.c{j}.w{f}")[:] += dw
-            grads.get(f"b{bi}.c{j}.bias")[:] += dbias_total
-            d_cur = d_prev
+            grads.get(f"b{bi}.c{j}.bias")[:] += dbias
 
-        d_groups = [a + b for a, b in zip(d_cur, d_short)]
+        d = d_cur + d_short
 
     if model.freeze_mask is not None:
         grads.values[model.freeze_mask] = 0.0
@@ -525,8 +481,16 @@ def checkpoint_bytes(model: ResNetModel) -> bytes:
 
 
 def save_checkpoint(model: ResNetModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(model))
+    """Write the checkpoint to a temporary file beside ``path`` and rename it
+    into place, so a failed write never destroys an existing checkpoint."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(checkpoint_bytes(model))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path) -> ResNetModel:

@@ -429,7 +429,8 @@ def classify_1nn(model: ResNetModel, train_set: LabeledSet, queries) -> np.ndarr
     """Label queries by the nearest train embedding (squared Euclidean).
 
     Ties resolve to the smallest training-sample index. A single 1-D query
-    returns a scalar label.
+    returns a scalar label. Non-finite embeddings raise ConfigError rather
+    than picking an arbitrary neighbour.
     """
     if train_set.n == 0:
         raise ConfigError("1NN needs a nonempty train split")
@@ -438,6 +439,13 @@ def classify_1nn(model: ResNetModel, train_set: LabeledSet, queries) -> np.ndarr
         queries = [queries]
     anchors = embed_batch(model, train_set.values, mode="infer")
     z = embed_batch(model, queries, mode="infer")
+    bad_z = int((~np.isfinite(z).all(axis=1)).sum())
+    bad_anchors = int((~np.isfinite(anchors).all(axis=1)).sum())
+    if bad_z or bad_anchors:
+        raise ConfigError(
+            f"1NN over non-finite embeddings: {bad_z} of {len(z)} query rows and "
+            f"{bad_anchors} of {len(anchors)} anchor rows"
+        )
     d2 = ((z[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
     picked = train_set.labels[np.argmin(d2, axis=1)]
     return picked[0] if single else picked

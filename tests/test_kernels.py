@@ -7,15 +7,12 @@ from fewts.kernels import (
     BnState,
     batchnorm_backward,
     batchnorm_forward,
-    bn_apply,
-    bn_backward_pooled,
     conv1d_backward,
     conv1d_forward,
     conv_padding,
     gap_backward,
     gap_forward,
     orthogonal_init,
-    pooled_batch_stats,
     relu_backward,
     relu_forward,
 )
@@ -175,17 +172,6 @@ def test_bn_train_needs_two_elements():
         batchnorm_forward(np.ones((1, 2, 1)), np.ones(2), np.zeros(2), BnState.fresh(2), "train")
 
 
-def test_bn_pooled_stats_match_concatenation():
-    rng = np.random.default_rng(5)
-    whole = rng.standard_normal((4, 3, 6))
-    split = [whole[:2], whole[2:]]
-    m1, v1, n1 = pooled_batch_stats([whole])
-    m2, v2, n2 = pooled_batch_stats(split)
-    assert n1 == n2 == 24
-    assert np.allclose(m1, m2, atol=1e-12)
-    assert np.allclose(v1, v2, atol=1e-12)
-
-
 def test_bn_gradients_finite_difference():
     rng = np.random.default_rng(11)
     b, c, t = 3, 2, 4
@@ -205,33 +191,6 @@ def test_bn_gradients_finite_difference():
     assert max_rel_err(dx.ravel(), numeric_grad(lambda v: loss_from(v, gamma, beta), x.ravel())) < 1e-5
     assert max_rel_err(dgamma, numeric_grad(lambda v: loss_from(x.ravel(), v, beta), gamma)) < 1e-5
     assert max_rel_err(dbeta, numeric_grad(lambda v: loss_from(x.ravel(), gamma, v), beta)) < 1e-5
-
-
-def test_bn_pooled_backward_mixed_lengths_finite_difference():
-    # Two groups with different T: the gradient must flow through the pooled
-    # statistics of both.
-    rng = np.random.default_rng(13)
-    c = 2
-    g1 = rng.standard_normal((2, c, 3))
-    g2 = rng.standard_normal((1, c, 5))
-    gamma = rng.standard_normal(c) + 1.2
-    beta = rng.standard_normal(c)
-    p1 = rng.standard_normal(g1.shape)
-    p2 = rng.standard_normal(g2.shape)
-
-    def loss_from(flat):
-        a = flat[: g1.size].reshape(g1.shape)
-        b = flat[g1.size :].reshape(g2.shape)
-        mean, var, n = pooled_batch_stats([a, b])
-        ys, _ = bn_apply([a, b], gamma, beta, mean, var)
-        return float((ys[0] * p1).sum() + (ys[1] * p2).sum())
-
-    mean, var, n = pooled_batch_stats([g1, g2])
-    ys, xhats = bn_apply([g1, g2], gamma, beta, mean, var)
-    dxs, _, _ = bn_backward_pooled([p1, p2], xhats, var, gamma, n)
-    flat = np.concatenate([g1.ravel(), g2.ravel()])
-    analytic = np.concatenate([dxs[0].ravel(), dxs[1].ravel()])
-    assert max_rel_err(analytic, numeric_grad(loss_from, flat)) < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from fewts import (
     triplet_loss,
     triplet_loss_grad,
 )
+from fewts import network
 from fewts.kernels import BnState
 from fewts.network import build_layout, bn_site_names, checkpoint_bytes, freeze_mask_for
 
@@ -119,13 +120,13 @@ def test_embedding_shape_and_batch_consistency():
         assert batched[i].tobytes() == embed(model, s).tobytes()
 
 
-def test_mixed_length_batch():
+def test_train_mode_rejects_mixed_lengths():
     model = tiny_model(3)
     rng = np.random.default_rng(4)
     series = [rng.standard_normal(7), rng.standard_normal(12), rng.standard_normal(7)]
-    z = embed_batch(model, series, mode="train")
-    assert z.shape == (3, 4)
-    assert np.isfinite(z).all()
+    with pytest.raises(ConfigError, match="one length"):
+        embed_batch(model, series, mode="train")
+    assert all(st.updates == 0 for st in model.bn.values())
 
 
 def test_train_mode_duplicated_series_identical_rows():
@@ -216,19 +217,6 @@ def test_end_to_end_gradient_uniform_lengths():
     series = [rng.standard_normal(8) for _ in range(4)]
     labels = np.array([0, 0, 1, 1])
     cfg = TripletLossConfig(margin=0.5)
-    g = analytic_grad(model, series, labels, cfg)
-    num = numeric_grad(embedding_loss_for_fd(model, series, labels, cfg),
-                       model.params.values)
-    assert max_rel_err(g.values, num) < 1e-4
-
-
-def test_end_to_end_gradient_mixed_lengths():
-    rng = np.random.default_rng(23)
-    model = tiny_model(22)
-    series = [rng.standard_normal(6), rng.standard_normal(9),
-              rng.standard_normal(6), rng.standard_normal(9)]
-    labels = np.array([0, 1, 1, 0])
-    cfg = TripletLossConfig(margin=1.0)
     g = analytic_grad(model, series, labels, cfg)
     num = numeric_grad(embedding_loss_for_fd(model, series, labels, cfg),
                        model.params.values)
@@ -364,3 +352,20 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    model = tiny_model(43)
+    path = tmp_path / "iter_1.ckpt"
+    save_checkpoint(model, path)
+    before = path.read_bytes()
+
+    def fail(_model):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(network, "checkpoint_bytes", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).params.values.tobytes() == model.params.values.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["iter_1.ckpt"]

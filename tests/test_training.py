@@ -425,6 +425,14 @@ def test_classify_1nn_self_match_and_tie_rule():
     assert classify_1nn(est, dup, dup.values[0]) == 1
 
 
+def test_classify_1nn_rejects_non_finite_embeddings():
+    train = level_task_set(per_class=3, jitter=0.2, seed=4)
+    tuned = finetune(tiny_model(), train, FineTuneConfig(epochs=0))
+    tuned.params.values[:] = np.nan
+    with pytest.raises(ConfigError, match="6 of 6 query rows and 6 of 6 anchor rows"):
+        classify_1nn(tuned, train, train.values)
+
+
 def test_evaluate_task_overlapping_test_is_perfect():
     bundle = toy_bundle()
     task = sample_task_seeded(bundle, 3, 0, seed=11)
