@@ -2,168 +2,4 @@
 convolutional embeddings, plus the 1NN baselines and rank statistics used to
 compare them."""
 
-from .baselines import (
-    DTWConfig,
-    band_width,
-    dtw_1nn,
-    dtw_distance,
-    dtw_loocv_window,
-    euclidean_1nn,
-)
-from .config import ExperimentConfig, load_experiment_config
-from .data import (
-    Dataset,
-    DatasetBundle,
-    FewShotTask,
-    LabeledSet,
-    load_dataset,
-    parse_ucr_file,
-    sample_task,
-    sample_task_seeded,
-    split_classes,
-    split_meta_sets,
-    task_seed,
-    znormalize,
-)
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    FewtsError,
-    ParseError,
-    SamplingError,
-    TaskDegenerateError,
-    UsageError,
-)
-from .kernels import BnState
-from .network import (
-    ArchSpec,
-    ResNetModel,
-    apply_freeze,
-    build_model,
-    embed,
-    embed_batch,
-    backward_batch,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .gradcheck import gradient_check
-from .optim import AdamState, adam_step, sgd_step
-from .params import Layout, ParamSet
-from .protocol import (
-    TaskResult,
-    emit_report,
-    read_records,
-    report_from_records,
-    run_protocol,
-    write_records,
-)
-from .stats import (
-    RankTable,
-    aggregate,
-    cd_cliques,
-    friedman_statistic,
-    nemenyi_cd,
-    rank_accuracies,
-    wtl_counts,
-)
-from .synthetic import synthetic_domains
-from .training import (
-    FineTuneConfig,
-    MetaConfig,
-    TrainResult,
-    classify_1nn,
-    evaluate_task,
-    finetune,
-    fs1_train,
-    fs2_train,
-    inner_solve,
-    iterations_for_task,
-    make_validation_hook,
-    meta_task_stream,
-    meta_update,
-)
-from .triplet import (
-    TripletLossConfig,
-    enumerate_valid_triplets,
-    triplet_loss,
-    triplet_loss_grad,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArchSpec",
-    "AdamState",
-    "BnState",
-    "CheckpointError",
-    "ConfigError",
-    "DTWConfig",
-    "Dataset",
-    "DatasetBundle",
-    "ExperimentConfig",
-    "FewShotTask",
-    "FewtsError",
-    "FineTuneConfig",
-    "LabeledSet",
-    "Layout",
-    "MetaConfig",
-    "ParamSet",
-    "ParseError",
-    "RankTable",
-    "ResNetModel",
-    "SamplingError",
-    "TaskDegenerateError",
-    "TaskResult",
-    "TrainResult",
-    "TripletLossConfig",
-    "UsageError",
-    "adam_step",
-    "aggregate",
-    "apply_freeze",
-    "backward_batch",
-    "band_width",
-    "build_model",
-    "cd_cliques",
-    "classify_1nn",
-    "dtw_1nn",
-    "dtw_distance",
-    "dtw_loocv_window",
-    "embed",
-    "embed_batch",
-    "emit_report",
-    "enumerate_valid_triplets",
-    "euclidean_1nn",
-    "evaluate_task",
-    "finetune",
-    "friedman_statistic",
-    "fs1_train",
-    "fs2_train",
-    "gradient_check",
-    "inner_solve",
-    "iterations_for_task",
-    "load_checkpoint",
-    "load_dataset",
-    "load_experiment_config",
-    "make_validation_hook",
-    "meta_task_stream",
-    "meta_update",
-    "nemenyi_cd",
-    "parse_ucr_file",
-    "rank_accuracies",
-    "read_records",
-    "report_from_records",
-    "run_protocol",
-    "sample_task",
-    "sample_task_seeded",
-    "save_checkpoint",
-    "sgd_step",
-    "split_classes",
-    "split_meta_sets",
-    "synthetic_domains",
-    "task_seed",
-    "triplet_loss",
-    "triplet_loss_grad",
-    "wtl_counts",
-    "write_records",
-    "znormalize",
-]

@@ -30,16 +30,6 @@ MAX_LENGTH = 512
 STD_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """One labeled series. ``label`` is the dense id, ``label_name`` the
-    original class token from the source file."""
-
-    values: np.ndarray
-    label: int
-    label_name: str
-
-
 @dataclass
 class Dataset:
     """One provenance split (original train or original test) of a dataset."""
@@ -72,10 +62,6 @@ class Dataset:
     @property
     def length(self) -> int:
         return self.values.shape[1]
-
-    def series(self, i: int) -> TimeSeries:
-        label = int(self.labels[i])
-        return TimeSeries(self.values[i], label, self.label_names[label])
 
     def class_indices(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)
@@ -275,11 +261,6 @@ class LabeledSet:
     def n(self) -> int:
         return len(self.values)
 
-    def class_counts(self) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.bincount(self.labels)
-
 
 @dataclass
 class FewShotTask:
@@ -295,7 +276,6 @@ class FewShotTask:
     test: LabeledSet
     train_refs: list[tuple[str, int]]
     test_refs: list[tuple[str, int]]
-    source_policy: str = "split"
     seed: int | None = None
 
     @property
@@ -310,11 +290,8 @@ def task_seed(run_seed: int, dataset: str, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _draw_for_class(pool: Dataset, label: int, count: int, rng: np.random.Generator,
-                    exclude: set[int] | None = None) -> list[int]:
+def _draw_for_class(pool: Dataset, label: int, count: int, rng: np.random.Generator) -> list[int]:
     idx = pool.class_indices(label)
-    if exclude:
-        idx = np.array([i for i in idx if i not in exclude], dtype=np.int64)
     if idx.size == 0:
         return []
     if idx.size <= count:
@@ -328,19 +305,15 @@ def sample_task(
     k: int,
     k_prime: int,
     rng: np.random.Generator,
-    source_policy: str = "split",
     classes=None,
     seed: int | None = None,
 ) -> FewShotTask:
-    """Draw one episode. ``source_policy`` "split" takes D^tr from the
-    original-train pool and D^te from the original-test pool; "train-only"
-    carves both, disjointly, out of the train pool."""
+    """Draw one episode: D^tr from the original-train pool and D^te from the
+    original-test pool, over ``classes`` (default: every class)."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if k_prime < 0:
         raise ConfigError(f"k_prime must be >= 0, got {k_prime}")
-    if source_policy not in ("split", "train-only"):
-        raise ConfigError(f"unknown source policy {source_policy!r}")
     if classes is None:
         classes = range(bundle.n_classes)
     class_ids = tuple(sorted(int(c) for c in classes))
@@ -355,33 +328,18 @@ def sample_task(
     test_labels: list[int] = []
     for task_label, c in enumerate(class_ids):
         name = bundle.train.label_names[c]
-        if source_policy == "split":
-            tr = _draw_for_class(bundle.train, c, k, rng)
-            if not tr:
-                raise SamplingError(
-                    f"dataset {bundle.name!r}: class {name!r} has no original-train samples"
-                )
-            te = _draw_for_class(bundle.test, c, k_prime, rng) if k_prime else []
-            if k_prime and not te:
-                raise SamplingError(
-                    f"dataset {bundle.name!r}: class {name!r} has no original-test samples"
-                )
-            train_rows += [("train", i) for i in tr]
-            test_rows += [("test", i) for i in te]
-        else:
-            tr = _draw_for_class(bundle.train, c, k, rng)
-            if not tr:
-                raise SamplingError(
-                    f"dataset {bundle.name!r}: class {name!r} has no original-train samples"
-                )
-            te = _draw_for_class(bundle.train, c, k_prime, rng, exclude=set(tr)) if k_prime else []
-            if k_prime and not te:
-                raise SamplingError(
-                    f"dataset {bundle.name!r}: class {name!r} has no train samples left "
-                    "for the test half"
-                )
-            train_rows += [("train", i) for i in tr]
-            test_rows += [("train", i) for i in te]
+        tr = _draw_for_class(bundle.train, c, k, rng)
+        if not tr:
+            raise SamplingError(
+                f"dataset {bundle.name!r}: class {name!r} has no original-train samples"
+            )
+        te = _draw_for_class(bundle.test, c, k_prime, rng) if k_prime else []
+        if k_prime and not te:
+            raise SamplingError(
+                f"dataset {bundle.name!r}: class {name!r} has no original-test samples"
+            )
+        train_rows += [("train", i) for i in tr]
+        test_rows += [("test", i) for i in te]
         train_labels += [task_label] * len(tr)
         test_labels += [task_label] * len(te)
 
@@ -397,15 +355,14 @@ def sample_task(
         test=LabeledSet(gather(test_rows), np.array(test_labels)),
         train_refs=train_rows,
         test_refs=test_rows,
-        source_policy=source_policy,
         seed=seed,
     )
 
 
 def sample_task_seeded(bundle: DatasetBundle, k: int, k_prime: int, seed: int,
-                       source_policy: str = "split", classes=None) -> FewShotTask:
+                       classes=None) -> FewShotTask:
     rng = np.random.default_rng(seed)
-    return sample_task(bundle, k, k_prime, rng, source_policy, classes, seed=seed)
+    return sample_task(bundle, k, k_prime, rng, classes, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +427,6 @@ class ClassPartition:
     validation: tuple[int, ...]
     test: tuple[int, ...]
 
-    def section(self, name: str) -> tuple[int, ...]:
-        if name not in ("train", "validation", "test"):
-            raise ConfigError(f"unknown partition section {name!r}")
-        return getattr(self, name)
-
 
 def split_classes(
     n_classes: int,
@@ -499,41 +451,6 @@ def split_classes(
     )
 
 
-class ClassSplitSampler:
-    """Task streams over a fixed class partition of one dataset.
-
-    All three streams share the same partition, drawn once from the seed, so
-    train/validation/test tasks can never leak classes into each other.
-    """
-
-    def __init__(
-        self,
-        bundle: DatasetBundle,
-        rng: np.random.Generator,
-        fractions: tuple[float, float, float] = (0.5, 0.25, 0.25),
-    ):
-        self.bundle = bundle
-        self.partition = split_classes(bundle.n_classes, rng, fractions)
-
-    def tasks(self, section: str, k: int, k_prime: int, n_way: int,
-              rng: np.random.Generator, source_policy: str = "split"):
-        """Infinite stream of n_way-way tasks over one partition section."""
-        pool = self.partition.section(section)
-        if n_way > len(pool):
-            raise ConfigError(
-                f"section {section!r} has {len(pool)} classes, cannot draw {n_way}-way tasks"
-            )
-        while True:
-            chosen = rng.choice(len(pool), size=n_way, replace=False)
-            classes = [pool[i] for i in chosen]
-            yield sample_task(self.bundle, k, k_prime, rng, source_policy, classes)
-
-
-def class_split_sampler(bundle: DatasetBundle, rng: np.random.Generator,
-                        fractions=(0.5, 0.25, 0.25)) -> ClassSplitSampler:
-    return ClassSplitSampler(bundle, rng, fractions)
-
-
 # ---------------------------------------------------------------------------
 # Task logs: one JSON record per task, enough to replay it exactly.
 # ---------------------------------------------------------------------------
@@ -545,7 +462,6 @@ def task_record(task: FewShotTask) -> dict:
         "seed": task.seed,
         "k": task.k,
         "k_prime": task.k_prime,
-        "policy": task.source_policy,
         "classes": list(task.class_ids),
         "train": [[split, i] for split, i in task.train_refs],
         "test": [[split, i] for split, i in task.test_refs],
@@ -600,6 +516,5 @@ def replay_task(bundle: DatasetBundle, record: dict) -> FewShotTask:
         test=gather(test_refs),
         train_refs=train_refs,
         test_refs=test_refs,
-        source_policy=record["policy"],
         seed=record["seed"],
     )

@@ -377,7 +377,7 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
     d = kernels.gap_backward(upstream, cache["length"])
     for bi in reversed(range(model.spec.blocks)):
         bc = cache["blocks"][bi]
-        d_pre = d * (bc["pre_act"] > 0)
+        d_pre = kernels.relu_backward(bc["pre_act"], d)
 
         # Shortcut branch.
         if bc["proj"] is not None:
@@ -394,7 +394,7 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
         for j in reversed(range(model.spec.convs_per_block)):
             cc = bc["convs"][j]
             if j < last:
-                d_cur = d_cur * (cc["bn_out"] > 0)
+                d_cur = kernels.relu_backward(cc["bn_out"], d_cur)
             d_bn = _bn_backward_site(model, grads, f"b{bi}.c{j}", d_cur, cc["bn"])
             weights = _layer_weights(model, bi, j)
             d_cur, dws, dbias = _multi_conv_backward(cc["x"], weights, d_bn)
@@ -480,17 +480,22 @@ def checkpoint_bytes(model: ResNetModel) -> bytes:
     return buf.getvalue()
 
 
-def save_checkpoint(model: ResNetModel, path) -> None:
-    """Write the checkpoint to a temporary file beside ``path`` and rename it
-    into place, so a failed write never destroys an existing checkpoint."""
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it into
+    place, so a failed write never destroys an existing file."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(checkpoint_bytes(model))
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def save_checkpoint(model: ResNetModel, path) -> None:
+    """Write the checkpoint atomically: a failed save keeps the previous file."""
+    write_atomic(path, checkpoint_bytes(model))
 
 
 def load_checkpoint(path) -> ResNetModel:

@@ -1,10 +1,10 @@
 """Flat parameter vectors with a named layout.
 
 All trainable parameters of a model live in one contiguous float64 vector so
-that optimizer steps and meta-updates are plain elementwise arithmetic. A
-``Layout`` maps record names to (shape, offset) slices of that vector; two
-``ParamSet`` objects with the same layout can be added, scaled and compared
-coordinate-wise without knowing anything about the network that owns them.
+that optimizer steps and meta-updates are plain elementwise arithmetic on
+``ParamSet.values``. A ``Layout`` maps record names to (shape, offset) slices
+of that vector; callers that combine two ``ParamSet`` objects compare their
+layouts first.
 """
 
 from __future__ import annotations
@@ -98,37 +98,3 @@ class ParamSet:
 
     def copy(self) -> "ParamSet":
         return ParamSet(self.layout, self.values.copy())
-
-    def zeros_like(self) -> "ParamSet":
-        return ParamSet(self.layout)
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        return {r.name: self.get(r.name).copy() for r in self.layout.records}
-
-    @classmethod
-    def from_arrays(cls, layout: Layout, arrays: dict[str, np.ndarray]) -> "ParamSet":
-        missing = [n for n in layout.names() if n not in arrays]
-        if missing:
-            raise ConfigError(f"missing records: {missing}")
-        ps = cls(layout)
-        for name, arr in arrays.items():
-            ps.set(name, arr)
-        return ps
-
-    # Elementwise arithmetic used by the optimizer and the meta-update. The
-    # layouts must match exactly; silent broadcasting across different models
-    # would be a bug factory.
-    def _check_mate(self, other: "ParamSet") -> None:
-        if self.layout != other.layout:
-            raise ConfigError("ParamSet layouts differ")
-
-    def add(self, other: "ParamSet") -> "ParamSet":
-        self._check_mate(other)
-        return ParamSet(self.layout, self.values + other.values)
-
-    def sub(self, other: "ParamSet") -> "ParamSet":
-        self._check_mate(other)
-        return ParamSet(self.layout, self.values - other.values)
-
-    def scale(self, a: float) -> "ParamSet":
-        return ParamSet(self.layout, self.values * float(a))

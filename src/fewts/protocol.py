@@ -19,7 +19,7 @@ import numpy as np
 from .baselines import DTWConfig, dtw_1nn, dtw_loocv_window, euclidean_1nn
 from .data import DatasetBundle, FewShotTask, sample_task_seeded, task_seed, write_task_log
 from .errors import ConfigError
-from .network import ArchSpec, ResNetModel, build_model
+from .network import ArchSpec, ResNetModel, build_model, write_atomic
 from .stats import (
     RankTable,
     aggregate,
@@ -205,7 +205,7 @@ def emit_report(
         csv_lines.append(name + "," + ",".join(f"{a:.6f}" for a in row))
     csv_lines.append("mean_rank," + ",".join(f"{r:.6f}" for r in table.mean_ranks))
     table_path = out / "accuracy_table.csv"
-    table_path.write_text("\n".join(csv_lines) + "\n")
+    write_atomic(table_path, ("\n".join(csv_lines) + "\n").encode())
 
     wtl = {
         a: {
@@ -227,7 +227,7 @@ def emit_report(
         "wtl": wtl,
     }
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_atomic(summary_path, (json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
 
     order = np.argsort(table.mean_ranks, kind="stable")
     plot = {
@@ -240,7 +240,7 @@ def emit_report(
         "cliques": cd_cliques(table, cd),
     }
     plot_path = out / "cd_plot.json"
-    plot_path.write_text(json.dumps(plot, sort_keys=True, indent=2) + "\n")
+    write_atomic(plot_path, (json.dumps(plot, sort_keys=True, indent=2) + "\n").encode())
     return {"table": table_path, "summary": summary_path, "cd_plot": plot_path}
 
 

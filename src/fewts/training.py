@@ -27,6 +27,7 @@ from .network import (
     backward_batch,
     embed_batch,
     save_checkpoint,
+    write_atomic,
 )
 from .optim import AdamState, adam_step, sgd_step
 from .params import ParamSet
@@ -179,7 +180,8 @@ def inner_solve(
     """Adapt a copy of the model with k stratified mini-batch steps of
     batch-all triplet loss. The input model is left untouched; the returned
     copy carries the adapted parameters and the BN statistics seen on the
-    way."""
+    way. A non-finite loss or gradient raises ConfigError naming the task and
+    the step."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     if optimizer not in ("adam", "sgd"):
@@ -195,13 +197,18 @@ def inner_solve(
     violations: list[int] = []
     batches: list[list[int]] = []
     loss = 0.0
-    for _ in range(k):
+    for step in range(k):
         idx = stratified_batch(train_set.labels, batch_size, rng)
         values = [train_set.values[i] for i in idx]
         z, cache = embed_batch(work, values, mode="train", return_cache=True)
         triplets = enumerate_valid_triplets(train_set.labels[idx])
         loss, nviol = triplet_loss(z, triplets, loss_cfg)
         grads = backward_batch(work, cache, triplet_loss_grad(z, triplets, loss_cfg))
+        if not (np.isfinite(loss) and np.isfinite(grads.values).all()):
+            raise ConfigError(
+                f"task {task_id or '<unnamed>'}: non-finite loss or gradient at inner "
+                f"step {step} of {k} (loss {loss})"
+            )
         if optimizer == "adam":
             new_params, adam = adam_step(work.params, grads, adam, work.freeze_mask)
         else:
@@ -279,8 +286,8 @@ class _RunWriter:
 
     def manifest(self, entry: dict) -> None:
         if self.run_dir is not None:
-            path = self.run_dir / "model_selection.json"
-            path.write_text(json.dumps(entry, sort_keys=True, indent=2) + "\n")
+            text = json.dumps(entry, sort_keys=True, indent=2) + "\n"
+            write_atomic(self.run_dir / "model_selection.json", text.encode())
 
 
 def _train_loop(
@@ -495,7 +502,6 @@ def meta_task_stream(
     k: int,
     k_prime: int,
     run_seed: int,
-    source_policy: str = "split",
 ) -> Iterator[FewShotTask]:
     """Endless deterministic task stream over a meta-set.
 
@@ -507,11 +513,7 @@ def meta_task_stream(
     index = 0
     while True:
         bundle = bundles[int(picker.integers(len(bundles)))]
-        yield sample_task_seeded(
-            bundle, k, k_prime,
-            seed=task_seed(run_seed, bundle.name, index),
-            source_policy=source_policy,
-        )
+        yield sample_task_seeded(bundle, k, k_prime, seed=task_seed(run_seed, bundle.name, index))
         index += 1
 
 
@@ -521,12 +523,11 @@ def fixed_task_pool(
     k_prime: int,
     run_seed: int,
     count: int,
-    source_policy: str = "split",
     tag: str = "validation",
 ) -> list[FewShotTask]:
     """A reproducible finite pool of tasks, seeded apart from the training
     stream by ``tag``."""
     if count < 1:
         raise ConfigError("task pool needs at least one task")
-    stream = meta_task_stream(bundles, k, k_prime, task_seed(run_seed, tag, 0), source_policy)
+    stream = meta_task_stream(bundles, k, k_prime, task_seed(run_seed, tag, 0))
     return [next(stream) for _ in range(count)]

@@ -5,8 +5,7 @@ label(n) != label(a). The loss is the SUM of hinged terms
 
     [ ||z_a - z_p||^2 - ||z_a - z_n||^2 + margin ]_+
 
-over the given triplets; it is intentionally not averaged (an optional
-config switch divides by the triplet count for stability experiments).
+over the given triplets; it is intentionally not averaged.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .errors import ConfigError
 @dataclass(frozen=True)
 class TripletLossConfig:
     margin: float = 0.5
-    mean_normalize: bool = False
 
     def __post_init__(self):
         if self.margin < 0.0:
@@ -72,10 +70,7 @@ def triplet_loss(
     if terms.size == 0:
         return 0.0, 0
     hinged = np.maximum(terms, 0.0)
-    loss = float(hinged.sum())
-    if config.mean_normalize:
-        loss /= terms.size
-    return loss, int((terms > 0).sum())
+    return float(hinged.sum()), int((terms > 0).sum())
 
 
 def triplet_loss_grad(
@@ -101,8 +96,6 @@ def triplet_loss_grad(
         np.add.at(grad, a, 2.0 * (z[n] - z[p]))
         np.add.at(grad, p, -2.0 * (z[a] - z[p]))
         np.add.at(grad, n, 2.0 * (z[a] - z[n]))
-    if config.mean_normalize:
-        grad /= terms.size
     return grad
 
 

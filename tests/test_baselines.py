@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fewts import ConfigError, LabeledSet
 from fewts.baselines import (
     DTWConfig,
     HAVE_JIT,
@@ -12,6 +11,8 @@ from fewts.baselines import (
     dtw_loocv_window,
     euclidean_1nn,
 )
+from fewts.data import LabeledSet
+from fewts.errors import ConfigError
 
 from helpers import brute_force_dtw, sequential_squared_ed
 

@@ -5,9 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fewts import ConfigError, ParseError, SamplingError
 from fewts.data import (
-    ClassSplitSampler,
     Dataset,
     DatasetBundle,
     FewShotTask,
@@ -25,6 +23,7 @@ from fewts.data import (
     write_task_log,
     znormalize,
 )
+from fewts.errors import ConfigError, ParseError, SamplingError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -245,16 +244,6 @@ def test_sample_task_empty_class_raises():
     assert "'3'" in str(err.value)
 
 
-def test_sample_task_train_only_policy_disjoint():
-    bundle = toy_bundle(per_class_train=6)
-    task = sample_task(bundle, k=3, k_prime=2, rng=np.random.default_rng(4),
-                       source_policy="train-only")
-    train_idx = {i for _, i in task.train_refs}
-    test_idx = {i for _, i in task.test_refs}
-    assert all(split == "train" for split, _ in task.test_refs)
-    assert not (train_idx & test_idx)
-
-
 def test_sample_task_class_subset_remaps_labels():
     bundle = toy_bundle()
     task = sample_task(bundle, k=2, k_prime=1, rng=np.random.default_rng(5), classes=[3, 1])
@@ -283,8 +272,6 @@ def test_sample_task_validates_arguments():
         sample_task(bundle, k=2, k_prime=-1, rng=rng)
     with pytest.raises(ConfigError):
         sample_task(bundle, k=2, k_prime=1, rng=rng, classes=[1])
-    with pytest.raises(ConfigError):
-        sample_task(bundle, k=2, k_prime=1, rng=rng, source_policy="bogus")
 
 
 def test_task_seed_is_stable_and_distinct():
@@ -362,23 +349,6 @@ def test_split_classes_deterministic():
     assert a == b
 
 
-def test_class_split_sampler_stays_in_section():
-    bundle = toy_bundle(n_classes=8, per_class_train=4, per_class_test=3)
-    sampler = ClassSplitSampler(bundle, np.random.default_rng(1))
-    stream = sampler.tasks("train", k=2, k_prime=1, n_way=2, rng=np.random.default_rng(2))
-    allowed = set(sampler.partition.train)
-    for _ in range(5):
-        task = next(stream)
-        assert set(task.class_ids) <= allowed
-
-
-def test_class_split_sampler_rejects_oversized_n_way():
-    bundle = toy_bundle(n_classes=4)
-    sampler = ClassSplitSampler(bundle, np.random.default_rng(1))
-    with pytest.raises(ConfigError):
-        next(sampler.tasks("validation", k=2, k_prime=1, n_way=3, rng=np.random.default_rng(0)))
-
-
 # ---------------------------------------------------------------------------
 # Task logs
 # ---------------------------------------------------------------------------
@@ -398,6 +368,18 @@ def test_task_log_round_trip(tmp_path):
         assert np.array_equal(replayed.train.labels, task.train.labels)
         for a, b in zip(replayed.train.values, task.train.values):
             assert a.tobytes() == b.tobytes()
+
+
+def test_replay_accepts_logs_with_policy_key():
+    # Older task logs carry a "policy" key; replay reads only the refs.
+    bundle = toy_bundle()
+    task = sample_task_seeded(bundle, 3, 2, seed=21)
+    record = json.loads(format_task_log([task]))
+    record["policy"] = "split"
+    replayed = replay_task(bundle, record)
+    assert replayed.train_refs == task.train_refs
+    assert replayed.test_refs == task.test_refs
+    assert replayed.seed == task.seed
 
 
 def test_task_log_is_deterministic_text():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fewts import ConfigError, UsageError
+from fewts.errors import ConfigError, UsageError
 from fewts.kernels import (
     BN_EPS,
     BnState,

@@ -1,27 +1,25 @@
 import numpy as np
 import pytest
 
-from fewts import (
+from fewts import network
+from fewts.errors import CheckpointError, ConfigError, UsageError
+from fewts.kernels import BnState
+from fewts.network import (
     ArchSpec,
-    CheckpointError,
-    ConfigError,
-    ParamSet,
-    TripletLossConfig,
-    UsageError,
     apply_freeze,
     backward_batch,
+    bn_site_names,
+    build_layout,
     build_model,
+    checkpoint_bytes,
     embed,
     embed_batch,
-    enumerate_valid_triplets,
+    freeze_mask_for,
     load_checkpoint,
     save_checkpoint,
-    triplet_loss,
-    triplet_loss_grad,
 )
-from fewts import network
-from fewts.kernels import BnState
-from fewts.network import build_layout, bn_site_names, checkpoint_bytes, freeze_mask_for
+from fewts.params import ParamSet
+from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss, triplet_loss_grad
 
 from helpers import max_rel_err, numeric_grad
 
@@ -241,7 +239,7 @@ def test_stale_cache_rejected():
     rng = np.random.default_rng(25)
     series = [rng.standard_normal(8) for _ in range(3)]
     z, cache = embed_batch(model, series, mode="train", return_cache=True)
-    model.set_params(model.params.scale(1.0))
+    model.set_params(model.params.copy())
     with pytest.raises(UsageError):
         backward_batch(model, cache, np.zeros_like(z))
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fewts import AdamState, ConfigError, Layout, ParamSet, adam_step, sgd_step
+from fewts.errors import ConfigError
+from fewts.optim import AdamState, adam_step, sgd_step
+from fewts.params import Layout, ParamSet
 
 
 def flat_params(values):

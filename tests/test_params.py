@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fewts import ConfigError, Layout, ParamSet
+from fewts.errors import ConfigError
+from fewts.params import Layout, ParamSet
 
 
 def make_layout():
@@ -32,35 +33,6 @@ def test_set_checks_shape():
     ps = ParamSet(make_layout())
     with pytest.raises(ConfigError):
         ps.set("w", np.zeros((3, 2)))
-
-
-def test_flatten_unflatten_round_trip_bitwise():
-    rng = np.random.default_rng(0)
-    layout = make_layout()
-    ps = ParamSet(layout, rng.standard_normal(layout.total_size))
-    rebuilt = ParamSet.from_arrays(layout, ps.as_arrays())
-    assert rebuilt.values.tobytes() == ps.values.tobytes()
-
-
-def test_from_arrays_missing_record():
-    with pytest.raises(ConfigError):
-        ParamSet.from_arrays(make_layout(), {"w": np.zeros((2, 3))})
-
-
-def test_elementwise_arithmetic():
-    layout = make_layout()
-    a = ParamSet(layout, np.arange(12.0))
-    b = ParamSet(layout, np.ones(12))
-    assert np.array_equal(a.add(b).values, np.arange(12.0) + 1)
-    assert np.array_equal(a.sub(b).values, np.arange(12.0) - 1)
-    assert np.array_equal(a.scale(2.0).values, np.arange(12.0) * 2)
-
-
-def test_mismatched_layouts_rejected():
-    a = ParamSet(make_layout())
-    other = Layout.from_shapes([("w", (12,))])
-    with pytest.raises(ConfigError):
-        a.add(ParamSet(other))
 
 
 def test_copy_is_independent():

@@ -1,6 +1,7 @@
 """Shared-task evaluation protocol and report emission."""
 
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -147,6 +148,21 @@ def test_emit_report_rerun_is_bytewise_identical(tmp_path):
     emit_report(table, tmp_path / "y")
     for name in ("accuracy_table.csv", "summary.json", "cd_plot.json"):
         assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+
+def test_emit_report_failed_write_keeps_previous_files(tmp_path, monkeypatch):
+    table = _toy_table()
+    paths = emit_report(table, tmp_path, header={"run_seed": 1})
+    before = {key: path.read_bytes() for key, path in paths.items()}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        emit_report(table, tmp_path, header={"run_seed": 2})
+    assert {key: path.read_bytes() for key, path in paths.items()} == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_emit_report_needs_two_methods(tmp_path):

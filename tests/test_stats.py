@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fewts import ConfigError
+from fewts.errors import ConfigError
 from fewts.stats import (
     NEMENYI_Q_05,
     RankTable,

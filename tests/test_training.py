@@ -1,23 +1,23 @@
 import itertools
 import json
 import logging
+import os
 
 import numpy as np
 import pytest
 
-from fewts import (
-    ArchSpec,
-    ConfigError,
-    Dataset,
-    DatasetBundle,
+from fewts.data import Dataset, DatasetBundle, LabeledSet, sample_task_seeded, task_seed
+from fewts.errors import ConfigError, TaskDegenerateError
+from fewts.network import ArchSpec, backward_batch, build_model, embed_batch
+from fewts.optim import sgd_step
+from fewts.params import ParamSet
+from fewts.training import (
     FineTuneConfig,
-    LabeledSet,
     MetaConfig,
-    TaskDegenerateError,
-    build_model,
     classify_1nn,
     evaluate_task,
     finetune,
+    fixed_task_pool,
     fs1_train,
     fs2_train,
     inner_solve,
@@ -25,13 +25,8 @@ from fewts import (
     make_validation_hook,
     meta_task_stream,
     meta_update,
-    sample_task_seeded,
-    sgd_step,
-    task_seed,
+    stratified_batch,
 )
-from fewts.network import backward_batch, embed_batch
-from fewts.params import ParamSet
-from fewts.training import fixed_task_pool, stratified_batch
 from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss_grad
 
 TINY = ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(2, 3), filters_per_length=2)
@@ -176,6 +171,16 @@ def test_inner_solve_degenerate_task():
                     margin=0.5, rng=np.random.default_rng(0))
 
 
+def test_inner_solve_rejects_non_finite_loss():
+    model = tiny_model()
+    values = model.params.values.copy()
+    values[0] = np.nan
+    model.set_params(ParamSet(model.params.layout, values))
+    with pytest.raises(ConfigError, match=r"task toy#3: non-finite .* step 0 of 2"):
+        inner_solve(model, noise_task_set(), k=2, batch_size=8, inner_lr=1e-3,
+                    margin=0.5, rng=np.random.default_rng(0), task_id="toy#3")
+
+
 # ---------------------------------------------------------------------------
 # Meta-update
 # ---------------------------------------------------------------------------
@@ -316,6 +321,28 @@ def test_fs1_train_artifacts_and_model_selection(tmp_path):
     assert result.selected is result.best_model
 
 
+def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch):
+    bundle = toy_bundle()
+    losses = iter([2.0, 1.0])
+    run_dir = tmp_path / "run"
+    manifest = run_dir / "model_selection.json"
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.fspath(dst) == os.fspath(manifest) and manifest.exists():
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        fs1_train(tiny_model(), small_config(meta_iterations=2, checkpoint_every=1),
+                  meta_task_stream([bundle], 2, 0, 5),
+                  validation_hook=lambda model: next(losses), run_dir=run_dir)
+    # The iteration-1 manifest is still there, whole.
+    assert json.loads(manifest.read_text())["iteration"] == 1
+    assert not list(run_dir.rglob("*.tmp"))
+
+
 def test_fs1_train_source_exhaustion():
     with pytest.raises(ConfigError):
         fs1_train(tiny_model(), small_config(), iter(()))
@@ -327,7 +354,7 @@ def test_fs1_train_skips_degenerate_tasks(caplog):
     bad = sample_task_seeded(bundle, 2, 0, seed=0)
     bad = type(bad)(bad.dataset, bad.k, bad.k_prime, bad.class_ids,
                     LabeledSet(bad.train.values[:2], np.array([0, 1])),
-                    bad.test, bad.train_refs[:2], bad.test_refs, bad.source_policy, bad.seed)
+                    bad.test, bad.train_refs[:2], bad.test_refs, bad.seed)
     stream = iter([bad] + good)
     with caplog.at_level(logging.WARNING):
         result = fs1_train(tiny_model(), small_config(meta_iterations=1), stream)
@@ -438,7 +465,7 @@ def test_evaluate_task_overlapping_test_is_perfect():
     task = sample_task_seeded(bundle, 3, 0, seed=11)
     task = type(task)(task.dataset, task.k, 3, task.class_ids, task.train,
                       task.train, task.train_refs, task.train_refs,
-                      task.source_policy, task.seed)
+                      task.seed)
     acc = evaluate_task(tiny_model(), task, FineTuneConfig(epochs=0))
     assert acc == 1.0
 
@@ -459,7 +486,7 @@ def test_evaluate_task_random_labels_near_chance():
         labels = np.array([0] * 3 + [1] * 3 + list(rng.integers(0, 2, size=8)))
         task_train = LabeledSet(values[:6], labels[:6])
         task_test = LabeledSet(values[6:], labels[6:])
-        from fewts import FewShotTask
+        from fewts.data import FewShotTask
 
         task = FewShotTask("noise", 3, 4, (0, 1), task_train, task_test,
                            [("train", j) for j in range(6)],

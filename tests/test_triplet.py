@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from fewts import (
-    ConfigError,
+from fewts.errors import ConfigError
+from fewts.kernels import orthogonal_init
+from fewts.triplet import (
     TripletLossConfig,
     enumerate_valid_triplets,
+    triplet_count_by_class,
     triplet_loss,
     triplet_loss_grad,
 )
-from fewts.kernels import orthogonal_init
-from fewts.triplet import triplet_count_by_class
 
 from helpers import brute_force_triplets, max_rel_err, numeric_grad
 
@@ -115,19 +115,6 @@ def test_duplicate_triplet_doubles_gradient():
     g1 = triplet_loss_grad(z, one, cfg)
     g2 = triplet_loss_grad(z, two, cfg)
     assert np.allclose(g2, 2.0 * g1, atol=1e-15)
-
-
-def test_mean_normalization_switch():
-    rng = np.random.default_rng(3)
-    labels = np.array([0, 0, 1, 1])
-    z = rng.standard_normal((4, 3))
-    trips = enumerate_valid_triplets(labels)
-    plain, _ = triplet_loss(z, trips)
-    normed, _ = triplet_loss(z, trips, TripletLossConfig(mean_normalize=True))
-    assert np.isclose(normed, plain / len(trips))
-    g_plain = triplet_loss_grad(z, trips)
-    g_normed = triplet_loss_grad(z, trips, TripletLossConfig(mean_normalize=True))
-    assert np.allclose(g_normed, g_plain / len(trips), atol=1e-15)
 
 
 def test_negative_margin_rejected():
