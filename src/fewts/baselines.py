@@ -67,16 +67,6 @@ def _dtw_band(x: np.ndarray, y: np.ndarray, w: int) -> float:
     return prev[ty]
 
 
-try:
-    from numba import njit
-
-    _dtw_band_jit = njit(cache=False)(_dtw_band)
-except ImportError:  # pragma: no cover - identical pure fallback
-    _dtw_band_jit = None
-
-HAVE_JIT = _dtw_band_jit is not None
-
-
 def dtw_distance(x: np.ndarray, y: np.ndarray, w: int) -> float:
     """Banded DTW cost between two series, O(T*w) time and O(T) memory.
 
@@ -93,52 +83,45 @@ def dtw_distance(x: np.ndarray, y: np.ndarray, w: int) -> float:
         raise ConfigError(
             f"band width {w} cannot align lengths {x.shape[0]} and {y.shape[0]}"
         )
-    if HAVE_JIT:
-        return float(_dtw_band_jit(x, y, w))
     return float(_dtw_band(x, y, w))
 
 
-def _as_queries(queries):
-    single = isinstance(queries, np.ndarray) and queries.ndim == 1
-    if single:
-        return [queries], True
-    return [np.asarray(q, dtype=np.float64) for q in queries], False
+def _as_queries(queries) -> tuple[np.ndarray, bool]:
+    q = np.asarray(queries, dtype=np.float64)
+    return (q[None], True) if q.ndim == 1 else (q, False)
 
 
 def euclidean_1nn(train_set: LabeledSet, queries) -> np.ndarray:
-    """Label queries by the nearest train series under squared Euclidean
-    distance. Ties resolve to the smallest train index; a single 1-D query
-    returns a scalar label."""
+    """Label an [n, T] array of queries by the nearest train series under
+    squared Euclidean distance. Ties resolve to the smallest train index; a
+    single 1-D query returns a scalar label."""
     if train_set.n == 0:
         raise ConfigError("1NN needs a nonempty train set")
     qs, single = _as_queries(queries)
-    t = train_set.values[0].shape[0]
-    if any(v.shape[0] != t for v in train_set.values):
-        raise ConfigError("Euclidean 1NN needs equal-length train series")
-    anchors = np.vstack(train_set.values)
+    t = train_set.values.shape[1]
+    if qs.shape[1] != t:
+        raise ConfigError(f"query length {qs.shape[1]} does not match train length {t}")
     out = np.empty(len(qs), dtype=train_set.labels.dtype)
     for qi, q in enumerate(qs):
-        if q.shape[0] != t:
-            raise ConfigError(f"query length {q.shape[0]} does not match train length {t}")
-        d2 = ((anchors - q[None, :]) ** 2).sum(axis=1)
+        d2 = ((train_set.values - q[None, :]) ** 2).sum(axis=1)
         out[qi] = train_set.labels[int(np.argmin(d2))]
     return out[0] if single else out
 
 
 def dtw_1nn(train_set: LabeledSet, queries, window: float) -> np.ndarray:
-    """Label queries by the nearest train series under banded DTW.
-
-    ``window`` is a fraction of the (larger) series length; ties resolve to
-    the smallest train index."""
+    """Label an [n, T] array of queries by the nearest train series under
+    banded DTW. ``window`` is a fraction of the larger of the query and train
+    lengths; ties resolve to the smallest train index; a single 1-D query
+    returns a scalar label."""
     if train_set.n == 0:
         raise ConfigError("1NN needs a nonempty train set")
     qs, single = _as_queries(queries)
+    w = band_width(window, max(qs.shape[1], train_set.values.shape[1]))
     out = np.empty(len(qs), dtype=train_set.labels.dtype)
     for qi, q in enumerate(qs):
         best = np.inf
         pick = 0
         for i, v in enumerate(train_set.values):
-            w = band_width(window, max(q.shape[0], v.shape[0]))
             d = dtw_distance(q, v, w)
             if d < best:
                 best = d
@@ -147,7 +130,7 @@ def dtw_1nn(train_set: LabeledSet, queries, window: float) -> np.ndarray:
     return out[0] if single else out
 
 
-def _pairwise_dtw(values: list[np.ndarray], w: int) -> np.ndarray:
+def _pairwise_dtw(values: np.ndarray, w: int) -> np.ndarray:
     n = len(values)
     dist = np.zeros((n, n))
     for i in range(n):
@@ -167,7 +150,7 @@ def dtw_loocv_window(train_set: LabeledSet, config: DTWConfig = DTWConfig()) -> 
     """
     if train_set.n < 2:
         raise ConfigError("LOOCV needs at least 2 train series")
-    t = max(v.shape[0] for v in train_set.values)
+    t = train_set.values.shape[1]
     groups: dict[int, list[float]] = {}
     for f in config.fractions:
         groups.setdefault(band_width(f, t), []).append(f)

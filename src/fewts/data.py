@@ -247,19 +247,22 @@ def load_dataset(root, name: str, normalize: bool = True) -> DatasetBundle:
 
 @dataclass
 class LabeledSet:
-    """A list of series plus dense task-level labels 0..N-1."""
+    """One task split: [n, T] float64 series plus dense labels 0..N-1."""
 
-    values: list[np.ndarray]
-    labels: np.ndarray
+    values: np.ndarray  # [n, T]
+    labels: np.ndarray  # [n]
 
     def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.values) != self.labels.shape[0]:
+        if self.values.ndim != 2:
+            raise ConfigError(f"task split values must be [n, T], got ndim={self.values.ndim}")
+        if self.values.shape[0] != self.labels.shape[0]:
             raise ConfigError("values and labels disagree on sample count")
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.shape[0]
 
 
 @dataclass
@@ -322,8 +325,8 @@ def sample_task(
     if any(not (0 <= c < bundle.n_classes) for c in class_ids):
         raise ConfigError(f"class ids out of range for dataset {bundle.name!r}")
 
-    train_rows: list[tuple[str, int]] = []
-    test_rows: list[tuple[str, int]] = []
+    train_rows: list[int] = []
+    test_rows: list[int] = []
     train_labels: list[int] = []
     test_labels: list[int] = []
     for task_label, c in enumerate(class_ids):
@@ -338,23 +341,20 @@ def sample_task(
             raise SamplingError(
                 f"dataset {bundle.name!r}: class {name!r} has no original-test samples"
             )
-        train_rows += [("train", i) for i in tr]
-        test_rows += [("test", i) for i in te]
+        train_rows += tr
+        test_rows += te
         train_labels += [task_label] * len(tr)
         test_labels += [task_label] * len(te)
-
-    def gather(rows):
-        return [bundle.pool(split).values[i] for split, i in rows]
 
     return FewShotTask(
         dataset=bundle.name,
         k=k,
         k_prime=k_prime,
         class_ids=class_ids,
-        train=LabeledSet(gather(train_rows), np.array(train_labels)),
-        test=LabeledSet(gather(test_rows), np.array(test_labels)),
-        train_refs=train_rows,
-        test_refs=test_rows,
+        train=LabeledSet(bundle.train.values[train_rows], train_labels),
+        test=LabeledSet(bundle.test.values[test_rows], test_labels),
+        train_refs=[("train", i) for i in train_rows],
+        test_refs=[("test", i) for i in test_rows],
         seed=seed,
     )
 
@@ -505,7 +505,7 @@ def replay_task(bundle: DatasetBundle, record: dict) -> FewShotTask:
             pool = bundle.pool(split)
             values.append(pool.values[i])
             labels.append(by_class[int(pool.labels[i])])
-        return LabeledSet(values, np.array(labels, dtype=np.int64))
+        return LabeledSet(np.reshape(values, (len(refs), bundle.length)), labels)
 
     return FewShotTask(
         dataset=bundle.name,

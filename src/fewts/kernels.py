@@ -1,8 +1,8 @@
 """Differentiable 1-D kernels: convolution, batch norm, ReLU, pooling.
 
-Everything here is a pure function on float64 numpy arrays. Signals are
-``[channels, T]`` or batched ``[batch, channels, T]``; gradients are exact
-reverse-mode and every kernel is covered by a finite-difference test.
+Everything here is a pure function on float64 numpy arrays. Conv and BN
+signals are ``[batch, channels, T]``; gradients are exact reverse-mode and
+every kernel is covered by a finite-difference test.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_bct(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ConfigError(f"expected [channels, T] or [batch, channels, T], got ndim={x.ndim}")
+    if x.ndim != 3:
+        raise ConfigError(f"expected [batch, channels, T], got ndim={x.ndim}")
+    return x
 
 
 def conv_padding(filter_len: int) -> tuple[int, int]:
@@ -52,29 +50,28 @@ def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.n
 
     Parameters
     ----------
-    x : ndarray, [in_ch, T] or [batch, in_ch, T]
+    x : ndarray, [batch, in_ch, T]
     filters : ndarray, [out_ch, in_ch, f]
     bias : ndarray, [out_ch]
 
     Returns
     -------
-    ndarray with the same leading layout and out_ch channels:
-    ``out[o, t] = bias[o] + sum_{c, d} filters[o, c, d] * padded_x[c, t + d]``.
+    ndarray, [batch, out_ch, T]:
+    ``out[b, o, t] = bias[o] + sum_{c, d} filters[o, c, d] * padded_x[b, c, t + d]``.
     """
-    xb, squeeze = _as_batched(x)
+    x = _as_bct(x)
     filters = np.asarray(filters, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if filters.ndim != 3:
         raise ConfigError(f"filters must be [out_ch, in_ch, f], got shape {filters.shape}")
     out_ch, in_ch, f = filters.shape
-    if xb.shape[1] != in_ch:
-        raise ConfigError(f"input has {xb.shape[1]} channels, filters expect {in_ch}")
+    if x.shape[1] != in_ch:
+        raise ConfigError(f"input has {x.shape[1]} channels, filters expect {in_ch}")
     if bias.shape != (out_ch,):
         raise ConfigError(f"bias must be [{out_ch}], got shape {bias.shape}")
-    win = _conv_windows(xb, f)  # [b, T, c*f]
+    win = _conv_windows(x, f)  # [b, T, c*f]
     out = win @ filters.reshape(out_ch, in_ch * f).T  # [b, T, o]
-    out = out.transpose(0, 2, 1) + bias[None, :, None]
-    return out[0] if squeeze else out
+    return out.transpose(0, 2, 1) + bias[None, :, None]
 
 
 def conv1d_backward(
@@ -84,18 +81,18 @@ def conv1d_backward(
 
     ``upstream`` has the output's shape. Returns ``(dx, dfilters, dbias)``.
     """
-    xb, squeeze = _as_batched(x)
-    gb, _ = _as_batched(upstream)
+    x = _as_bct(x)
+    gb = np.asarray(upstream, dtype=np.float64)
     filters = np.asarray(filters, dtype=np.float64)
     out_ch, in_ch, f = filters.shape
-    b, _, t = xb.shape
+    b, _, t = x.shape
     if gb.shape != (b, out_ch, t):
         raise ConfigError(f"upstream shape {gb.shape} != {(b, out_ch, t)}")
     pad_l, _ = conv_padding(f)
 
     dbias = gb.sum(axis=(0, 2))
 
-    win = _conv_windows(xb, f)  # [b, T, c*f]
+    win = _conv_windows(x, f)  # [b, T, c*f]
     g2 = gb.transpose(1, 0, 2).reshape(out_ch, b * t)
     dfilters = (g2 @ win.reshape(b * t, in_ch * f)).reshape(out_ch, in_ch, f)
 
@@ -106,10 +103,7 @@ def conv1d_backward(
     gwin2 = gwin.transpose(0, 2, 1, 3).reshape(b, s, out_ch * f)
     wf = filters[:, :, ::-1].transpose(1, 0, 2).reshape(in_ch, out_ch * f)
     dxp = (gwin2 @ wf.T).transpose(0, 2, 1)  # [b, c, T+f-1]
-    dx = dxp[:, :, pad_l : pad_l + t]
-    if squeeze:
-        dx = dx[0]
-    return dx, dfilters, dbias
+    return dxp[:, :, pad_l : pad_l + t], dfilters, dbias
 
 
 # ---------------------------------------------------------------------------
@@ -198,28 +192,28 @@ def batchnorm_forward(
     state: BnState,
     mode: str = "train",
 ) -> tuple[np.ndarray, BnState, dict | None]:
-    """Batch-normalize one array.
+    """Batch-normalize one [batch, ch, T] array.
 
     Train mode uses this batch's statistics (pooled over batch and time),
     returns an updated running-statistics state and a cache for
     :func:`batchnorm_backward`. Infer mode uses the running statistics and
     requires at least one prior train-mode update.
     """
-    xb, squeeze = _as_batched(x)
+    x = _as_bct(x)
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    if gamma.shape != (xb.shape[1],) or beta.shape != (xb.shape[1],):
+    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ConfigError("gamma/beta must be per-channel vectors")
     if mode == "train":
-        mean, var, n_total = pooled_batch_stats(xb)
-        y, xhat = bn_apply(xb, gamma, beta, mean, var)
-        cache = {"xhat": xhat, "var": var, "n_total": n_total, "squeeze": squeeze}
-        return (y[0] if squeeze else y), state.update(mean, var), cache
+        mean, var, n_total = pooled_batch_stats(x)
+        y, xhat = bn_apply(x, gamma, beta, mean, var)
+        cache = {"xhat": xhat, "var": var, "n_total": n_total}
+        return y, state.update(mean, var), cache
     if mode == "infer":
         if state.updates == 0:
             raise UsageError("batch norm infer mode before any running-stat update")
-        y, _ = bn_apply(xb, gamma, beta, state.mean, state.var)
-        return (y[0] if squeeze else y), state, None
+        y, _ = bn_apply(x, gamma, beta, state.mean, state.var)
+        return y, state, None
     raise ConfigError(f"unknown batch norm mode {mode!r}")
 
 
@@ -227,11 +221,9 @@ def batchnorm_backward(
     upstream: np.ndarray, gamma: np.ndarray, cache: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of train-mode :func:`batchnorm_forward`: (dx, dgamma, dbeta)."""
-    gb, _ = _as_batched(upstream)
-    dx, dgamma, dbeta = bn_backward_pooled(
-        gb, cache["xhat"], cache["var"], gamma, cache["n_total"]
+    return bn_backward_pooled(
+        _as_bct(upstream), cache["xhat"], cache["var"], gamma, cache["n_total"]
     )
-    return (dx[0] if cache["squeeze"] else dx), dgamma, dbeta
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ exactly when the block changes the channel count (only the first block,
 output into a fixed-size embedding; there is no feedforward head and the
 embedding is not L2-normalized.
 
-A train batch is one [batch, 1, T] array: every series in it has the same
-length, and train-mode BN statistics are pooled over batch and time. Infer
-mode embeds one series at a time, so lengths may differ between calls.
+A batch of series is one [n, T] float64 array. Train mode runs it as one
+[n, 1, T] array and pools BN statistics over batch and time. Infer mode
+embeds one row at a time, so lengths may differ between calls.
 """
 
 from __future__ import annotations
@@ -286,18 +286,6 @@ def _forward(
     return h, block_caches
 
 
-def _coerce_series(batch) -> list[np.ndarray]:
-    if isinstance(batch, np.ndarray) and batch.ndim == 2:
-        batch = list(batch)
-    series = []
-    for s in batch:
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim != 1 or s.shape[0] < 1:
-            raise ConfigError("each series must be a non-empty 1-D array")
-        series.append(s)
-    return series
-
-
 def embed_batch(
     model: ResNetModel,
     batch,
@@ -305,46 +293,41 @@ def embed_batch(
     return_cache: bool = False,
     update_buffers: bool = True,
 ):
-    """Embed a batch of series into [batch, dim] rows.
+    """Embed an [n, T] batch of series into [n, dim] rows.
 
-    Train mode needs at least 2 series of one length, pools BN statistics
-    across the whole batch and (by default) updates the model's running
-    stats; pass ``return_cache=True`` to get the cache :func:`backward_batch`
-    needs. Infer mode processes each series independently with frozen
-    statistics, so lengths may differ and batched rows are bit-identical to
-    single :func:`embed` calls.
+    Train mode needs at least 2 series, pools BN statistics across the whole
+    batch and (by default) updates the model's running stats; pass
+    ``return_cache=True`` to get the cache :func:`backward_batch` needs.
+    Infer mode processes each row independently with frozen statistics, so
+    batched rows are bit-identical to single :func:`embed` calls.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"unknown mode {mode!r}")
-    series = _coerce_series(batch)
-    if not series:
-        raise ConfigError("empty batch")
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2 or x.size == 0:
+        raise ConfigError(f"a batch must be a non-empty [n, T] array, got shape {x.shape}")
 
     if mode == "infer":
         if return_cache:
             raise UsageError("backward caches exist only in train mode")
         rows = []
-        for s in series:
+        for s in x:
             out, _ = _forward(model, s[None, None, :], "infer", False)
             rows.append(kernels.gap_forward(out)[0])
         return np.vstack(rows)
 
-    if len(series) < 2:
+    if x.shape[0] < 2:
         raise ConfigError("train mode needs a batch of >= 2 series")
-    length = series[0].shape[0]
-    if any(s.shape[0] != length for s in series):
-        lengths = sorted({s.shape[0] for s in series})
-        raise ConfigError(f"train mode needs series of one length, got lengths {lengths}")
-    out, block_caches = _forward(model, np.stack(series)[:, None, :], "train", update_buffers)
+    out, block_caches = _forward(model, x[:, None, :], "train", update_buffers)
     z = kernels.gap_forward(out)
     if not return_cache:
         return z
     cache = {
         "uid": model._uid,
         "revision": model._revision,
-        "length": length,
+        "length": x.shape[1],
         "blocks": block_caches,
-        "n_series": len(series),
+        "n_series": x.shape[0],
     }
     return z, cache
 

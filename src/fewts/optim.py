@@ -6,8 +6,9 @@ Update rule (bias-corrected moments):
     v_t = b2*v + (1-b2)*g^2      vhat = v_t / (1 - b2^t)
     p  -= lr * mhat / (sqrt(vhat) + eps)
 
-Steps are functional: inputs are never mutated. Entries under a freeze mask
-keep their value and their moments stay zero.
+Steps are functional: inputs are never mutated. Freezing happens upstream,
+in ``network.backward_batch``: a zero gradient keeps an entry's moments at
+zero, so its step is exactly +0.0 and its value stays bit-identical.
 """
 
 from __future__ import annotations
@@ -41,47 +42,25 @@ class AdamState:
         return cls(np.zeros(size), np.zeros(size), 0, lr, beta1, beta2, eps_hat)
 
 
-def adam_step(
-    params: ParamSet,
-    grads: ParamSet,
-    state: AdamState,
-    freeze_mask: np.ndarray | None = None,
-) -> tuple[ParamSet, AdamState]:
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[ParamSet, AdamState]:
     """One Adam update. Returns new (params, state); the inputs are untouched."""
     if params.layout != grads.layout:
         raise ConfigError("params and grads have different layouts")
     if state.m.shape != params.values.shape:
         raise ConfigError("optimizer state size does not match parameters")
     g = grads.values
-    if freeze_mask is not None:
-        if freeze_mask.shape != g.shape:
-            raise ConfigError("freeze mask size does not match parameters")
-        g = np.where(freeze_mask, 0.0, g)
     t = state.t + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * g
     v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
     mhat = m / (1.0 - state.beta1 ** t)
     vhat = v / (1.0 - state.beta2 ** t)
     step = state.lr * mhat / (np.sqrt(vhat) + state.eps_hat)
-    new_values = params.values - step
-    if freeze_mask is not None:
-        # Frozen moments are zero so the step is zero there, but keep the raw
-        # values bit-identical rather than relying on -0.0 arithmetic.
-        new_values = np.where(freeze_mask, params.values, new_values)
     new_state = AdamState(m, v, t, state.lr, state.beta1, state.beta2, state.eps_hat)
-    return ParamSet(params.layout, new_values), new_state
+    return ParamSet(params.layout, params.values - step), new_state
 
 
-def sgd_step(
-    params: ParamSet,
-    grads: ParamSet,
-    lr: float,
-    freeze_mask: np.ndarray | None = None,
-) -> ParamSet:
+def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
     """Plain gradient step, used to cross-check the meta-update algebra."""
     if params.layout != grads.layout:
         raise ConfigError("params and grads have different layouts")
-    g = grads.values
-    if freeze_mask is not None:
-        g = np.where(freeze_mask, 0.0, g)
-    return ParamSet(params.layout, params.values - lr * g)
+    return ParamSet(params.layout, params.values - lr * grads.values)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .baselines import DTWConfig, dtw_1nn, dtw_loocv_window, euclidean_1nn
-from .data import DatasetBundle, FewShotTask, sample_task_seeded, task_seed, write_task_log
+from .data import DatasetBundle, FewShotTask, format_task_log, sample_task_seeded, task_seed
 from .errors import ConfigError
 from .network import ArchSpec, ResNetModel, build_model, write_atomic
 from .stats import (
@@ -54,10 +54,13 @@ class TaskResult:
             raise ConfigError(f"accuracy {self.accuracy} outside [0, 1]")
 
 
+def format_record(record: TaskResult) -> str:
+    return json.dumps(asdict(record), sort_keys=True) + "\n"
+
+
 def write_records(records: Sequence[TaskResult], path: Path | str) -> Path:
     path = Path(path)
-    lines = [json.dumps(asdict(r), sort_keys=True) for r in records]
-    path.write_text("\n".join(lines) + "\n" if lines else "")
+    path.write_text("".join(map(format_record, records)))
     return path
 
 
@@ -119,8 +122,10 @@ def run_protocol(
     dtw_config: DTWConfig = DTWConfig(),
 ) -> Path:
     """Evaluate every method on ``tasks_per_dataset`` shared tasks per
-    dataset. Writes the task log, one record per (task, method), and the run
-    configuration into ``out_dir``; returns the records path."""
+    dataset; returns the records path. Writes the run configuration into
+    ``out_dir`` first, then appends and flushes each task's log line and each
+    (task, method) record as it is produced, so a crash loses no finished
+    record."""
     if not bundles:
         raise ConfigError("protocol needs at least one dataset")
     if not methods:
@@ -147,28 +152,6 @@ def run_protocol(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records: list[TaskResult] = []
-    tasks: list[FewShotTask] = []
-    for bundle in bundles:
-        for index in range(tasks_per_dataset):
-            seed = task_seed(run_seed, bundle.name, index)
-            task = sample_task_seeded(bundle, k, k_prime, seed=seed)
-            tasks.append(task)
-            for method in methods:
-                t0 = time.perf_counter()
-                acc = _evaluate_method(
-                    method, task, run_seed, index, models, ft, scratch_spec, dtw_config
-                )
-                records.append(TaskResult(
-                    dataset=bundle.name,
-                    task_index=index,
-                    method=method,
-                    accuracy=acc,
-                    wall_time_s=round(time.perf_counter() - t0, 6),
-                    task_seed=seed,
-                ))
-    write_task_log(tasks, out / "tasks.jsonl")
-    write_records(records, out / "records.jsonl")
     run_config = {
         "run_seed": run_seed,
         "k": k,
@@ -177,8 +160,26 @@ def run_protocol(
         "methods": list(methods),
         "datasets": [b.name for b in bundles],
     }
-    (out / "run_config.json").write_text(json.dumps(run_config, sort_keys=True, indent=2) + "\n")
-    return out / "records.jsonl"
+    config_text = json.dumps(run_config, sort_keys=True, indent=2) + "\n"
+    write_atomic(out / "run_config.json", config_text.encode())
+    records_path = out / "records.jsonl"
+    with open(out / "tasks.jsonl", "w") as task_log, open(records_path, "w") as record_log:
+        for bundle in bundles:
+            for index in range(tasks_per_dataset):
+                seed = task_seed(run_seed, bundle.name, index)
+                task = sample_task_seeded(bundle, k, k_prime, seed=seed)
+                task_log.write(format_task_log([task]))
+                task_log.flush()
+                for method in methods:
+                    t0 = time.perf_counter()
+                    acc = _evaluate_method(
+                        method, task, run_seed, index, models, ft, scratch_spec, dtw_config
+                    )
+                    wall = round(time.perf_counter() - t0, 6)
+                    result = TaskResult(bundle.name, index, method, acc, wall, seed)
+                    record_log.write(format_record(result))
+                    record_log.flush()
+    return records_path
 
 
 def emit_report(

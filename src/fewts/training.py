@@ -199,8 +199,7 @@ def inner_solve(
     loss = 0.0
     for step in range(k):
         idx = stratified_batch(train_set.labels, batch_size, rng)
-        values = [train_set.values[i] for i in idx]
-        z, cache = embed_batch(work, values, mode="train", return_cache=True)
+        z, cache = embed_batch(work, train_set.values[idx], mode="train", return_cache=True)
         triplets = enumerate_valid_triplets(train_set.labels[idx])
         loss, nviol = triplet_loss(z, triplets, loss_cfg)
         grads = backward_batch(work, cache, triplet_loss_grad(z, triplets, loss_cfg))
@@ -210,9 +209,9 @@ def inner_solve(
                 f"step {step} of {k} (loss {loss})"
             )
         if optimizer == "adam":
-            new_params, adam = adam_step(work.params, grads, adam, work.freeze_mask)
+            new_params, adam = adam_step(work.params, grads, adam)
         else:
-            new_params = sgd_step(work.params, grads, inner_lr, work.freeze_mask)
+            new_params = sgd_step(work.params, grads, inner_lr)
         work.set_params(new_params)
         violations.append(nviol)
         batches.append([int(i) for i in idx])
@@ -401,12 +400,14 @@ def finetune(
     train_set: LabeledSet,
     config: FineTuneConfig = FineTuneConfig(),
     rng: np.random.Generator | None = None,
+    task_id: str = "",
 ) -> ResNetModel:
     """Adapt a trained initialization to one task's train split.
 
     Normalization statistics are re-estimated from this split alone, the
     freeze selector pins the lowest layers, and ``epochs`` epochs of
-    stratified mini-batches run on top. The input model is not modified.
+    stratified mini-batches run on top. The input model is not modified;
+    ``task_id`` names the task in errors.
     """
     if train_set.n == 0:
         raise TaskDegenerateError("cannot fine-tune on an empty train split")
@@ -428,6 +429,7 @@ def finetune(
         config.inner_lr,
         config.margin,
         rng,
+        task_id=task_id,
     )
     return solved
 
@@ -435,17 +437,16 @@ def finetune(
 def classify_1nn(model: ResNetModel, train_set: LabeledSet, queries) -> np.ndarray:
     """Label queries by the nearest train embedding (squared Euclidean).
 
-    Ties resolve to the smallest training-sample index. A single 1-D query
-    returns a scalar label. Non-finite embeddings raise ConfigError rather
-    than picking an arbitrary neighbour.
+    ``queries`` is an [n, T] array, or one 1-D query that returns a scalar
+    label. Ties resolve to the smallest training-sample index. Non-finite
+    embeddings raise ConfigError rather than picking an arbitrary neighbour.
     """
     if train_set.n == 0:
         raise ConfigError("1NN needs a nonempty train split")
-    single = isinstance(queries, np.ndarray) and queries.ndim == 1
-    if single:
-        queries = [queries]
+    queries = np.asarray(queries, dtype=np.float64)
+    single = queries.ndim == 1
     anchors = embed_batch(model, train_set.values, mode="infer")
-    z = embed_batch(model, queries, mode="infer")
+    z = embed_batch(model, queries[None] if single else queries, mode="infer")
     bad_z = int((~np.isfinite(z).all(axis=1)).sum())
     bad_anchors = int((~np.isfinite(anchors).all(axis=1)).sum())
     if bad_z or bad_anchors:
@@ -468,7 +469,7 @@ def evaluate_task(
     return the accuracy."""
     if task.test.n == 0:
         raise ConfigError("task has no test samples to evaluate")
-    tuned = finetune(model, task.train, config, rng=rng)
+    tuned = finetune(model, task.train, config, rng=rng, task_id=_task_label(task, 0))
     predicted = classify_1nn(tuned, task.train, task.test.values)
     return float(np.mean(predicted == task.test.labels))
 

@@ -3,8 +3,6 @@ import pytest
 
 from fewts.baselines import (
     DTWConfig,
-    HAVE_JIT,
-    _dtw_band,
     band_width,
     dtw_1nn,
     dtw_distance,
@@ -91,14 +89,6 @@ def test_dtw_rejects_bad_inputs():
         dtw_distance(np.zeros((2, 2)), x, 5)
 
 
-@pytest.mark.skipif(not HAVE_JIT, reason="numba not installed")
-def test_dtw_jit_matches_pure_python_bitwise():
-    for x, y in random_pairs(40, max_t=20, seed=7):
-        w = max(x.shape[0], y.shape[0])
-        pure = _dtw_band(np.ascontiguousarray(x), np.ascontiguousarray(y), w)
-        assert dtw_distance(x, y, w) == pure
-
-
 def test_band_width_examples():
     assert band_width(0.02, 100) == 2
     assert band_width(0.02, 10) == 1
@@ -134,7 +124,7 @@ def test_euclidean_1nn_batch_and_errors():
     with pytest.raises(ConfigError):
         euclidean_1nn(train, np.zeros(5))
     with pytest.raises(ConfigError):
-        euclidean_1nn(LabeledSet([], np.array([], dtype=np.int64)), np.zeros(4))
+        euclidean_1nn(LabeledSet(np.empty((0, 4)), np.array([], dtype=np.int64)), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fewts.data import (
     Dataset,
     DatasetBundle,
     FewShotTask,
+    LabeledSet,
     MetaSetSplit,
     format_task_log,
     load_dataset,
@@ -222,6 +223,22 @@ def test_sample_task_shapes_and_labels():
         assert split == "test"
 
 
+def test_labeled_set_values_must_be_n_by_t():
+    assert LabeledSet([np.zeros(4), np.ones(4)], [0, 1]).values.shape == (2, 4)
+    with pytest.raises(ConfigError):
+        LabeledSet(np.zeros(3), np.array([0, 1, 2]))
+    with pytest.raises(ConfigError):
+        LabeledSet(np.zeros((2, 1, 4)), np.array([0, 1]))
+
+
+def test_sample_task_without_test_split_is_empty_n_by_t():
+    bundle = toy_bundle()
+    task = sample_task_seeded(bundle, 3, 0, seed=8)
+    assert task.test.values.shape == (0, bundle.length)
+    assert task.test.values.dtype == np.float64
+    assert task.test.labels.shape == (0,) and task.test_refs == []
+
+
 def test_sample_task_small_class_rule():
     bundle = toy_bundle(per_class_train=2)
     task = sample_task(bundle, k=5, k_prime=1, rng=np.random.default_rng(2))
@@ -366,7 +383,11 @@ def test_task_log_round_trip(tmp_path):
         assert replayed.train_refs == task.train_refs
         assert replayed.test_refs == task.test_refs
         assert np.array_equal(replayed.train.labels, task.train.labels)
-        for a, b in zip(replayed.train.values, task.train.values):
+        assert np.array_equal(replayed.test.labels, task.test.labels)
+        for split in ("train", "test"):
+            a = getattr(replayed, split).values
+            b = getattr(task, split).values
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float64
             assert a.tobytes() == b.tobytes()
 
 

@@ -36,20 +36,20 @@ def test_conv_padding_split():
 
 def test_conv_hand_example():
     # Ones input, filter [1, 1], zero bias: left zero-pad of one gives [1, 2, 2].
-    x = np.ones((1, 3))
+    x = np.ones((1, 1, 3))
     filters = np.array([[[1.0, 1.0]]])
     out = conv1d_forward(x, filters, np.zeros(1))
-    assert np.array_equal(out, np.array([[1.0, 2.0, 2.0]]))
+    assert np.array_equal(out, np.array([[[1.0, 2.0, 2.0]]]))
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 8])
 @pytest.mark.parametrize("t", [1, 2, 5, 9])
 def test_conv_preserves_length(f, t):
     rng = np.random.default_rng(f * 100 + t)
-    x = rng.standard_normal((3, t))
+    x = rng.standard_normal((1, 3, t))
     filters = rng.standard_normal((4, 3, f))
     out = conv1d_forward(x, filters, rng.standard_normal(4))
-    assert out.shape == (4, t)
+    assert out.shape == (1, 4, t)
 
 
 def test_conv_matches_direct_sum():
@@ -69,8 +69,8 @@ def test_conv_matches_direct_sum():
                 for d in range(f):
                     acc += w[oi, ci, d] * xp[ci, ti + d]
             expected[oi, ti] = acc
-    out = conv1d_forward(x, w, bias)
-    assert np.allclose(out, expected, atol=1e-12)
+    out = conv1d_forward(x[None], w, bias)
+    assert np.allclose(out[0], expected, atol=1e-12)
 
 
 def test_conv_batched_matches_single():
@@ -80,27 +80,41 @@ def test_conv_batched_matches_single():
     b = rng.standard_normal(4)
     batched = conv1d_forward(x, w, b)
     for i in range(5):
-        assert np.allclose(batched[i], conv1d_forward(x[i], w, b), atol=1e-12)
+        assert np.allclose(batched[i], conv1d_forward(x[i : i + 1], w, b)[0], atol=1e-12)
 
 
 def test_conv_shape_errors():
     with pytest.raises(ConfigError):
-        conv1d_forward(np.zeros((2, 5)), np.zeros((3, 4, 2)), np.zeros(3))
+        conv1d_forward(np.zeros((1, 2, 5)), np.zeros((3, 4, 2)), np.zeros(3))
     with pytest.raises(ConfigError):
-        conv1d_forward(np.zeros((2, 5)), np.zeros((3, 2, 2)), np.zeros(4))
+        conv1d_forward(np.zeros((1, 2, 5)), np.zeros((3, 2, 2)), np.zeros(4))
+
+
+def test_conv_and_bn_take_batched_input_only():
+    x = np.zeros((2, 5))
+    w = np.zeros((3, 2, 2))
+    with pytest.raises(ConfigError):
+        conv1d_forward(x, w, np.zeros(3))
+    with pytest.raises(ConfigError):
+        conv1d_backward(x, w, np.zeros((3, 5)))
+    with pytest.raises(ConfigError):
+        batchnorm_forward(x, np.ones(2), np.zeros(2), BnState.fresh(2), "train")
+    _, _, cache = batchnorm_forward(x[None], np.ones(2), np.zeros(2), BnState.fresh(2), "train")
+    with pytest.raises(ConfigError):
+        batchnorm_backward(x, np.ones(2), cache)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 5])
 def test_conv_gradients_finite_difference(f):
     rng = np.random.default_rng(20 + f)
     c, t, o = 2, 7, 3
-    x = rng.standard_normal((c, t))
+    x = rng.standard_normal((1, c, t))
     w = rng.standard_normal((o, c, f))
     bias = rng.standard_normal(o)
-    proj = rng.standard_normal((o, t))  # random scalarization
+    proj = rng.standard_normal((1, o, t))  # random scalarization
 
     def loss_from(xv, wv, bv):
-        out = conv1d_forward(xv.reshape(c, t), wv.reshape(o, c, f), bv)
+        out = conv1d_forward(xv.reshape(1, c, t), wv.reshape(o, c, f), bv)
         return float((out * proj).sum())
 
     dx, dw, db = conv1d_backward(x, w, proj)

@@ -57,27 +57,6 @@ def test_step_is_functional():
     assert state.t == 0
 
 
-def test_frozen_entries_unchanged_with_nonzero_grad():
-    params = flat_params([1.0, 2.0, 3.0])
-    grads = flat_params([10.0, 10.0, 10.0])
-    state = AdamState.fresh(3)
-    mask = np.array([True, False, True])
-    new, state = adam_step(params, grads, state, freeze_mask=mask)
-    assert new.values[0] == 1.0 and new.values[2] == 3.0
-    assert new.values[1] != 2.0
-    # Frozen moments never accumulate.
-    assert state.m[0] == 0.0 and state.v[2] == 0.0
-
-
-def test_all_frozen_is_identity_bitwise():
-    params = flat_params([0.25, -1.5])
-    grads = flat_params([3.0, 4.0])
-    state = AdamState.fresh(2)
-    mask = np.array([True, True])
-    new, _ = adam_step(params, grads, state, freeze_mask=mask)
-    assert new.values.tobytes() == params.values.tobytes()
-
-
 def test_layout_mismatch_rejected():
     params = flat_params([1.0])
     other = ParamSet(Layout.from_shapes([("q", (1,))]), np.array([1.0]))
@@ -105,5 +84,3 @@ def test_sgd_step():
     grads = flat_params([2.0, 4.0])
     new = sgd_step(params, grads, lr=0.5)
     assert np.array_equal(new.values, [0.0, -1.0])
-    masked = sgd_step(params, grads, lr=0.5, freeze_mask=np.array([True, False]))
-    assert np.array_equal(masked.values, [1.0, -1.0])

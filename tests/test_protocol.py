@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from fewts import protocol
 from fewts.errors import ConfigError
 from fewts.network import ArchSpec, build_model
 from fewts.protocol import (
@@ -81,6 +82,26 @@ def test_run_protocol_task_sampling_ignores_method_list(bundles, tmp_path):
     ed_both = [(r["dataset"], r["task_index"], r["accuracy"], r["task_seed"])
                for r in both if r["method"] == "ed"]
     assert ed_only == ed_both
+
+
+def test_run_protocol_keeps_finished_records_after_a_crash(bundles, tmp_path, monkeypatch):
+    evaluate = protocol._evaluate_method
+
+    def crash_on_second_task(method, task, run_seed, task_index, *args):
+        if task_index == 1:
+            raise RuntimeError("simulated crash")
+        return evaluate(method, task, run_seed, task_index, *args)
+
+    monkeypatch.setattr(protocol, "_evaluate_method", crash_on_second_task)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run_protocol(bundles, ["ed", "resnet"], 3, 2, 2, 5, tmp_path,
+                     scratch_spec=TINY, finetune=FAST)
+    rows = read_records(tmp_path / "records.jsonl")
+    assert [(r["dataset"], r["task_index"], r["method"]) for r in rows] == [
+        (bundles[0].name, 0, "ed"), (bundles[0].name, 0, "resnet")]
+    assert json.loads((tmp_path / "run_config.json").read_text())["methods"] == ["ed", "resnet"]
+    # Each task's log line is written when the task is sampled.
+    assert len((tmp_path / "tasks.jsonl").read_text().splitlines()) == 2
 
 
 def test_run_protocol_rejections(bundles, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from fewts.data import Dataset, DatasetBundle, LabeledSet, sample_task_seeded, task_seed
 from fewts.errors import ConfigError, TaskDegenerateError
-from fewts.network import ArchSpec, backward_batch, build_model, embed_batch
+from fewts.network import ArchSpec, backward_batch, build_model, embed_batch, freeze_mask_for
 from fewts.optim import sgd_step
 from fewts.params import ParamSet
 from fewts.training import (
@@ -420,6 +420,32 @@ def test_finetune_freeze_all_keeps_parameters_bitwise():
     assert all(st.updates > 0 for st in tuned.bn.values())
 
 
+def test_finetune_partial_freeze_moves_only_unfrozen_entries():
+    # backward_batch zeroes frozen gradients, so Adam leaves those entries
+    # bit-identical while every unfrozen parameter record moves.
+    model = tiny_model(3)
+    tuned = finetune(model, noise_task_set(per_class=5),
+                     FineTuneConfig(epochs=4, frozen_layers=1))
+    mask = freeze_mask_for(TINY, 1)
+    before, after = model.params.values, tuned.params.values
+    assert mask.any() and not mask.all()
+    assert after[mask].tobytes() == before[mask].tobytes()
+    for rec in model.params.layout.records:
+        part = slice(rec.offset, rec.offset + rec.size)
+        if not mask[part].any():
+            assert not np.array_equal(after[part], before[part]), rec.name
+
+
+def test_evaluate_task_names_the_task_on_non_finite_step():
+    model = tiny_model(2)
+    values = model.params.values.copy()
+    values[0] = np.nan
+    model.set_params(ParamSet(model.params.layout, values))
+    task = sample_task_seeded(toy_bundle(), 3, 2, seed=42)
+    with pytest.raises(ConfigError, match=f"task {task.dataset}#{task.seed}: non-finite"):
+        evaluate_task(model, task, FineTuneConfig(epochs=1))
+
+
 def test_finetune_step_count_via_buffer_updates():
     # 5-shot 2-way with b=10: max(1, 10//10) * 16 = 16 steps.
     model = tiny_model()
@@ -433,7 +459,8 @@ def test_finetune_step_count_via_buffer_updates():
 def test_finetune_rejects_empty_and_tiny_sets():
     model = tiny_model()
     with pytest.raises(TaskDegenerateError):
-        finetune(model, LabeledSet([], np.array([], dtype=np.int64)), FineTuneConfig(epochs=0))
+        finetune(model, LabeledSet(np.empty((0, 8)), np.array([], dtype=np.int64)),
+                 FineTuneConfig(epochs=0))
     with pytest.raises(TaskDegenerateError):
         finetune(model, LabeledSet([np.zeros(8)], np.array([0])), FineTuneConfig(epochs=0))
 
