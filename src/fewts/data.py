@@ -472,10 +472,6 @@ def format_task_log(tasks) -> str:
     return "".join(json.dumps(task_record(t), sort_keys=True) + "\n" for t in tasks)
 
 
-def write_task_log(tasks, path) -> None:
-    Path(path).write_text(format_task_log(tasks))
-
-
 def read_task_log(path) -> list[dict]:
     records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):

@@ -58,12 +58,6 @@ def format_record(record: TaskResult) -> str:
     return json.dumps(asdict(record), sort_keys=True) + "\n"
 
 
-def write_records(records: Sequence[TaskResult], path: Path | str) -> Path:
-    path = Path(path)
-    path.write_text("".join(map(format_record, records)))
-    return path
-
-
 def read_records(path: Path | str) -> list[dict]:
     path = Path(path)
     if not path.exists():

@@ -44,6 +44,32 @@ def brute_force_dtw(x, y):
     return float(d[tx, ty])
 
 
+def banded_dtw_reference(x: np.ndarray, y: np.ndarray, w: int) -> float:
+    """Scalar two-row banded DTW, the loop the library's wavefront kernel
+    replaced; the kernel must match it byte for byte on finite inputs."""
+    # Two-row DP over the |i-j| <= w diagonal band; cells outside start as
+    # +inf so insert/delete moves cannot leave it.
+    tx = x.shape[0]
+    ty = y.shape[0]
+    prev = np.full(ty + 1, np.inf)
+    curr = np.full(ty + 1, np.inf)
+    prev[0] = 0.0
+    for i in range(1, tx + 1):
+        curr[:] = np.inf
+        lo = i - w if i - w > 1 else 1
+        hi = i + w if i + w < ty else ty
+        for j in range(lo, hi + 1):
+            d = x[i - 1] - y[j - 1]
+            best = prev[j - 1]
+            if prev[j] < best:
+                best = prev[j]
+            if curr[j - 1] < best:
+                best = curr[j - 1]
+            curr[j] = d * d + best
+        prev, curr = curr, prev
+    return prev[ty]
+
+
 def brute_force_triplets(labels):
     """Exhaustive valid-triplet enumeration in lexicographic order."""
     labels = list(labels)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fewts import baselines
 from fewts.baselines import (
     DTWConfig,
     band_width,
@@ -12,7 +15,7 @@ from fewts.baselines import (
 from fewts.data import LabeledSet
 from fewts.errors import ConfigError
 
-from helpers import brute_force_dtw, sequential_squared_ed
+from helpers import banded_dtw_reference, brute_force_dtw, sequential_squared_ed
 
 
 def random_pairs(count, max_t=32, seed=0):
@@ -89,6 +92,26 @@ def test_dtw_rejects_bad_inputs():
         dtw_distance(np.zeros((2, 2)), x, 5)
 
 
+def test_dtw_matches_scalar_reference_bytewise():
+    rng = np.random.default_rng(13)
+    for _ in range(120):
+        tx, ty = (int(v) for v in rng.integers(1, 41, size=2))
+        x, y = rng.standard_normal(tx), rng.standard_normal(ty)
+        for w in range(abs(tx - ty), max(tx, ty) + 1):
+            got = np.float64(dtw_distance(x, y, w)).tobytes()
+            assert got == np.float64(banded_dtw_reference(x, y, w)).tobytes(), (tx, ty, w)
+
+
+def test_dtw_rejects_non_finite_series():
+    x = np.arange(6.0)
+    y = x.copy()
+    y[2] = np.nan
+    with pytest.raises(ConfigError, match="0 of 1 query rows and 1 of 1 train rows"):
+        dtw_distance(x, y, 2)
+    with pytest.raises(ConfigError, match="1 of 1 query rows and 0 of 1 train rows"):
+        dtw_distance(np.full(6, np.inf), x, 2)
+
+
 def test_band_width_examples():
     assert band_width(0.02, 100) == 2
     assert band_width(0.02, 10) == 1
@@ -125,6 +148,17 @@ def test_euclidean_1nn_batch_and_errors():
         euclidean_1nn(train, np.zeros(5))
     with pytest.raises(ConfigError):
         euclidean_1nn(LabeledSet(np.empty((0, 4)), np.array([], dtype=np.int64)), np.zeros(4))
+
+
+def test_euclidean_1nn_rejects_non_finite_rows():
+    train = LabeledSet(np.zeros((3, 4)), np.array([0, 1, 2]))
+    queries = np.ones((2, 4))
+    queries[1, 0] = np.inf
+    with pytest.raises(ConfigError, match="1 of 2 query rows and 0 of 3 train rows"):
+        euclidean_1nn(train, queries)
+    train.values[2, 3] = np.nan
+    with pytest.raises(ConfigError, match="0 of 1 query rows and 1 of 3 train rows"):
+        euclidean_1nn(train, np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +203,14 @@ def test_dtw_1nn_self_match():
     train = LabeledSet([rng.standard_normal(10) for _ in range(5)],
                        np.array([3, 1, 4, 1, 5]))
     assert dtw_1nn(train, train.values[2], 0.5) == 4
+
+
+def test_dtw_1nn_rejects_non_finite_rows():
+    train = LabeledSet(np.zeros((4, 6)), np.array([0, 1, 0, 1]))
+    train.values[1, 0] = np.nan
+    train.values[3, 5] = -np.inf
+    with pytest.raises(ConfigError, match="0 of 2 query rows and 2 of 4 train rows"):
+        dtw_1nn(train, np.ones((2, 6)), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +303,87 @@ def test_loocv_prefers_wide_window_for_shifted_classes():
 def test_loocv_needs_two_series():
     with pytest.raises(ConfigError):
         dtw_loocv_window(LabeledSet([np.zeros(8)], np.array([0])))
+
+
+def test_loocv_rejects_non_finite_rows():
+    values = np.random.default_rng(14).standard_normal((5, 10))
+    values[4, 7] = np.nan
+    with pytest.raises(ConfigError, match="1 of 5 train rows"):
+        dtw_loocv_window(LabeledSet(values, np.array([0, 0, 1, 1, 1])))
+
+
+def reference_dtw_1nn(train, queries, w):
+    labels = []
+    for q in queries:
+        costs = [banded_dtw_reference(q, v, w) for v in train.values]
+        labels.append(train.labels[min(range(train.n), key=lambda i: (costs[i], i))])
+    return np.array(labels)
+
+
+def reference_loocv_window(train, grid):
+    t = train.values.shape[1]
+    best_fraction, best_accuracy = None, -1.0
+    for f in grid:
+        w = band_width(f, t)
+        correct = 0
+        for i in range(train.n):
+            costs = [np.inf if j == i else banded_dtw_reference(train.values[i], v, w)
+                     for j, v in enumerate(train.values)]
+            pick = min(range(train.n), key=lambda j: (costs[j], j))
+            correct += int(train.labels[pick] == train.labels[i])
+        if correct / train.n > best_accuracy:
+            best_fraction, best_accuracy = f, correct / train.n
+    return best_fraction
+
+
+def test_1nn_and_loocv_match_scalar_reference_loop():
+    # Duplicated train series tie exactly, so the smallest-index rule is
+    # exercised for both the query neighbours and the held-out ones.
+    rng = np.random.default_rng(15)
+    grid = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
+    for trial in range(6):
+        n, t = int(rng.integers(4, 9)), int(rng.integers(5, 24))
+        values = rng.standard_normal((n, t))
+        values[n - 1] = values[0]
+        values[n - 2] = values[1]
+        train = LabeledSet(values, rng.integers(0, 3, size=n))
+        queries = rng.standard_normal((4, t))
+        queries[0] = values[1]
+        window = dtw_loocv_window(train, DTWConfig(fractions=grid))
+        assert window == reference_loocv_window(train, grid)
+        for fraction in (0.0, window, 1.0):
+            w = band_width(fraction, t)
+            assert np.array_equal(dtw_1nn(train, queries, fraction),
+                                  reference_dtw_1nn(train, queries, w))
+
+
+def test_wavefront_chunks_are_bitwise_equal_to_one_pass(monkeypatch):
+    rng = np.random.default_rng(16)
+    train = LabeledSet(rng.standard_normal((7, 20)), np.array([0, 1, 2, 0, 1, 2, 0]))
+    upper_i, upper_j = np.triu_indices(train.n, k=1)
+    widths = np.array(sorted({band_width(f, 20) for f in DTWConfig().fractions}))
+
+    def costs_and_window():
+        x, y = train.values[upper_i], train.values[upper_j]
+        return baselines._dtw_wavefront(x, y, widths), dtw_loocv_window(train)
+
+    monkeypatch.setattr(baselines, "_CHUNK_CELLS", 1 << 40)
+    whole, window = costs_and_window()
+    # 21 pairs in chunks of 4: five full chunks and one partial one.
+    monkeypatch.setattr(baselines, "_CHUNK_CELLS", 4 * len(widths) * 21)
+    chunked, chunked_window = costs_and_window()
+    assert whole.shape == (21, len(widths))
+    assert chunked.tobytes() == whole.tobytes()
+    assert chunked_window == window
+
+
+def test_loocv_memory_is_bounded():
+    rng = np.random.default_rng(17)
+    train = LabeledSet(rng.standard_normal((25, 128)), np.repeat(np.arange(5), 5))
+    tracemalloc.start()
+    try:
+        dtw_loocv_window(train)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -21,7 +21,6 @@ from fewts.data import (
     split_classes,
     split_meta_sets,
     task_seed,
-    write_task_log,
     znormalize,
 )
 from fewts.errors import ConfigError, ParseError, SamplingError
@@ -375,7 +374,7 @@ def test_task_log_round_trip(tmp_path):
     bundle = toy_bundle()
     tasks = [sample_task_seeded(bundle, 3, 2, seed=s) for s in (11, 12, 13)]
     path = tmp_path / "tasks.jsonl"
-    write_task_log(tasks, path)
+    path.write_text(format_task_log(tasks))
     records = read_task_log(path)
     assert len(records) == 3
     for task, record in zip(tasks, records):

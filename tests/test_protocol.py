@@ -13,10 +13,10 @@ from fewts.network import ArchSpec, build_model
 from fewts.protocol import (
     TaskResult,
     emit_report,
+    format_record,
     read_records,
     report_from_records,
     run_protocol,
-    write_records,
 )
 from fewts.stats import aggregate
 from fewts.synthetic import ar_coefficient_domain, sine_frequency_domain
@@ -50,7 +50,8 @@ def test_records_round_trip(tmp_path):
         TaskResult("a", 0, "ed", 0.5, 0.01, 3),
         TaskResult("a", 1, "dtw", 0.75, 0.02, 4),
     ]
-    path = write_records(records, tmp_path / "records.jsonl")
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(map(format_record, records)))
     assert read_records(path) == [asdict(r) for r in records]
 
 
