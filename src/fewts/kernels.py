@@ -7,10 +7,11 @@ every kernel is covered by a finite-difference test.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, UsageError
 
@@ -36,17 +37,198 @@ def conv_padding(filter_len: int) -> tuple[int, int]:
     return (filter_len - 1 + 1) // 2, (filter_len - 1) // 2
 
 
-def _conv_windows(x: np.ndarray, filter_len: int) -> np.ndarray:
-    # [batch, c, T] -> [batch, T, c*f] windows of the zero-padded signal.
-    pad_l, pad_r = conv_padding(filter_len)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad_l, pad_r)))
-    win = sliding_window_view(xp, filter_len, axis=2)  # [b, c, T, f]
-    b, c, t, f = win.shape
-    return win.transpose(0, 2, 1, 3).reshape(b, t, c * f)
+# Multi-bank convolution. Every bank is centred with conv_padding, so one
+# input buffer padded for the widest bank serves them all: bank i reads taps
+# [pad_l - l_i, pad_l + r_i] of it, and those ranges nest. Taking the banks
+# shortest first, the banks active at a tap are a suffix of that order, which
+# is one contiguous block of (sorted) output channels. The buffer is
+# time-major, [T + pad_l + pad_r, b, c], so tap s reads xt[s : s + T] without
+# a copy, and a layer is a sum of one GEMM per tap group. The filter
+# gradient takes the same groups; the input gradient is the same sum run
+# backwards, the padded upstream read at flipped taps through the
+# transposed filters.
+
+# Neighbouring taps with the same active banks are stacked along K (one copy
+# of their input columns) while taps * in_cols <= _STACK_RATIO * out_cols;
+# beyond that, a separate GEMM per tap and a read-modify-write of its output
+# columns is cheaper than the copy. So a 165-channel layer runs its outer
+# taps one by one forward and stacks its 33-channel bank rings backward,
+# while the 1-channel first layer stacks whole rings forward and runs tap by
+# tap backward.
+_STACK_RATIO = 4
+
+
+@dataclass(frozen=True)
+class _TapPlan:
+    order: tuple[int, ...]  # bank indices, shortest filter first (stable)
+    first: tuple[int, ...]  # first buffer tap of each sorted bank
+    cols: tuple[int, ...]  # channel offsets of the sorted banks, plus the total
+    perm: np.ndarray  # caller's channel index of each sorted channel
+    pad_l: int
+    pad_r: int
+    groups: tuple[tuple[int, int, int], ...]  # (s, g, a): g taps from s, banks a..
+    flipped: tuple[tuple[int, int, int], ...]  # (u, g, a) over flipped taps u = F-1-s
+
+
+def _stack_taps(active: list[int], width) -> tuple[tuple[int, int, int], ...]:
+    # Split runs of equal active suffixes into groups of at most width(a) taps.
+    groups = []
+    s = 0
+    while s < len(active):
+        a = active[s]
+        g = 1
+        while g < width(a) and s + g < len(active) and active[s + g] == a:
+            g += 1
+        groups.append((s, g, a))
+        s += g
+    return tuple(groups)
+
+
+@functools.lru_cache(maxsize=None)
+def _tap_plan(shapes: tuple[tuple[int, int], ...], in_ch: int) -> _TapPlan:
+    """Tap layout of banks with the given (out_ch, filter length) shapes."""
+    order = tuple(sorted(range(len(shapes)), key=lambda i: shapes[i][1]))
+    pads = [conv_padding(shapes[i][1]) for i in order]
+    pad_l = max(p[0] for p in pads)
+    pad_r = max(p[1] for p in pads)
+    first = tuple(pad_l - p[0] for p in pads)
+    active = [
+        next(k for k, p in enumerate(pads) if first[k] <= s <= pad_l + p[1])
+        for s in range(pad_l + pad_r + 1)
+    ]
+    starts = np.cumsum([0] + [o for o, _ in shapes])
+    perm = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
+    perm.flags.writeable = False
+    cols = tuple(np.cumsum([0] + [shapes[i][0] for i in order]).tolist())
+    width = [cols[-1] - cols[a] for a in range(len(order))]  # active columns
+    return _TapPlan(
+        order, first, cols, perm, pad_l, pad_r,
+        _stack_taps(active, lambda a: max(1, _STACK_RATIO * width[a] // in_ch)),
+        _stack_taps(active[::-1], lambda a: max(1, _STACK_RATIO * in_ch // width[a])),
+    )
+
+
+def _tap_block(buf: np.ndarray, s: int, g: int, t: int) -> np.ndarray:
+    # Taps s .. s+g-1 of a time-major buffer, columns (tap, channel):
+    # [t, b, g * c]. A view when g == 1, else one copy.
+    if g == 1:
+        return buf[s : s + t]
+    _, b, c = buf.shape
+    st = buf.strides
+    win = as_strided(buf[s:], (t, b, g, c), (st[0], st[1], st[0], st[2]), writeable=False)
+    return win.reshape(t, b, g * c)
+
+
+def _tap_major(banks: list[np.ndarray], plan: _TapPlan) -> np.ndarray:
+    # Filters by buffer tap: [taps, sorted out_ch, in_ch]. Only the entries
+    # of active banks are written, and no others are ever read.
+    wt = np.empty((plan.pad_l + plan.pad_r + 1, plan.cols[-1], banks[0].shape[1]))
+    for k, i in enumerate(plan.order):
+        f0 = plan.first[k]
+        wt[f0 : f0 + banks[i].shape[2], plan.cols[k] : plan.cols[k + 1]] = (
+            banks[i].transpose(2, 0, 1)
+        )
+    return wt
+
+
+def _conv_inputs(x, banks, tail, name: str):
+    """Float64 ``(banks, tail, plan, xt)`` after one shared shape check.
+
+    ``tail`` is the bias ``[out_ch]`` or the upstream gradient
+    ``[b, out_ch, T]``; ``xt`` is the padded time-major input buffer.
+    """
+    x = _as_bct(x)
+    banks = [np.asarray(w, dtype=np.float64) for w in banks]
+    if not banks:
+        raise ConfigError("a convolution needs at least one filter bank")
+    for w in banks:
+        if w.ndim != 3:
+            raise ConfigError(f"filters must be [out_ch, in_ch, f], got shape {w.shape}")
+        if w.shape[1] != x.shape[1]:
+            raise ConfigError(f"input has {x.shape[1]} channels, filters expect {w.shape[1]}")
+    b, c, t = x.shape
+    out_ch = sum(w.shape[0] for w in banks)
+    tail = np.asarray(tail, dtype=np.float64)
+    want = (out_ch,) if name == "bias" else (b, out_ch, t)
+    if tail.shape != want:
+        raise ConfigError(f"{name} must be {list(want)}, got shape {tail.shape}")
+    plan = _tap_plan(tuple((w.shape[0], w.shape[2]) for w in banks), c)
+    xt = np.zeros((t + plan.pad_l + plan.pad_r, b, c))
+    xt[plan.pad_l : plan.pad_l + t] = x.transpose(2, 0, 1)
+    return banks, tail, plan, xt
+
+
+def multiscale_conv_forward(x: np.ndarray, banks, bias: np.ndarray) -> np.ndarray:
+    """Length-preserving 1-D convolution (correlation form) with several
+    filter banks at once.
+
+    Parameters
+    ----------
+    x : ndarray, [batch, in_ch, T]
+    banks : sequence of ndarray, each [out_i, in_ch, f_i], f_i in any order
+    bias : ndarray, [sum out_i]
+
+    Returns
+    -------
+    ndarray, [batch, sum out_i, T]: each bank's :func:`conv1d_forward`
+    output, concatenated along channels in the given order, plus ``bias``.
+    """
+    banks, bias, plan, xt = _conv_inputs(x, banks, bias, "bias")
+    _, b, c = xt.shape
+    t = xt.shape[0] - plan.pad_l - plan.pad_r
+    cols = plan.cols
+    wt = _tap_major(banks, plan)
+    out = np.empty((b, cols[-1], t))
+    out[:] = bias[plan.perm, None]
+    for s, g, a in plan.groups:
+        # One [n, g * c] @ [g * c, t] GEMM per series: a row's output never
+        # depends on the batch around it, which keeps batched infer bitwise.
+        w = wt[s : s + g, cols[a] :].transpose(1, 0, 2).reshape(-1, g * c)
+        out[:, cols[a] :] += np.matmul(w, _tap_block(xt, s, g, t).transpose(1, 2, 0))
+    result = np.empty_like(out)
+    result[:, plan.perm] = out
+    return result
+
+
+def multiscale_conv_backward(
+    x: np.ndarray, banks, upstream: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Gradients of :func:`multiscale_conv_forward` w.r.t. input, each bank
+    and bias. ``upstream`` has the output's shape. Returns
+    ``(dx, [dbank_i], dbias)``.
+    """
+    banks, upstream, plan, xt = _conv_inputs(x, banks, upstream, "upstream")
+    _, b, c = xt.shape
+    t = upstream.shape[2]
+    cols = plan.cols
+    taps = plan.pad_l + plan.pad_r + 1
+    gp = np.zeros((t + taps - 1, b, cols[-1]))  # padded upstream, sorted channels
+    gp[plan.pad_r : plan.pad_r + t] = upstream.transpose(2, 0, 1)[:, :, plan.perm]
+    gt = gp[plan.pad_r : plan.pad_r + t].reshape(t * b, -1)
+
+    dwt = np.empty((taps, cols[-1], c))  # by buffer tap: [taps, out_ch, in_ch]
+    for s, g, a in plan.groups:
+        dw = gt[:, cols[a] :].T @ _tap_block(xt, s, g, t).reshape(t * b, -1)
+        dwt[s : s + g, cols[a] :] = dw.reshape(-1, g, c).transpose(1, 0, 2)
+    dbanks = [None] * len(banks)
+    for k, i in enumerate(plan.order):
+        f0 = plan.first[k]
+        dbanks[i] = np.ascontiguousarray(
+            dwt[f0 : f0 + banks[i].shape[2], cols[k] : cols[k + 1]].transpose(1, 2, 0)
+        )
+
+    wt = _tap_major(banks, plan)
+    dxt = np.zeros((c, t * b))
+    for u, g, a in plan.flipped:
+        w = wt[taps - u - g : taps - u, cols[a] :][::-1].transpose(2, 0, 1)
+        dxt += w.reshape(c, -1) @ _tap_block(gp[:, :, cols[a] :], u, g, t).reshape(t * b, -1).T
+    dx = np.ascontiguousarray(dxt.reshape(c, t, b).transpose(2, 0, 1))
+    return dx, dbanks, upstream.sum(axis=(0, 2))
 
 
 def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Length-preserving 1-D convolution (correlation form).
+    """Length-preserving 1-D convolution (correlation form): the one-bank
+    call of :func:`multiscale_conv_forward`.
 
     Parameters
     ----------
@@ -59,19 +241,7 @@ def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.n
     ndarray, [batch, out_ch, T]:
     ``out[b, o, t] = bias[o] + sum_{c, d} filters[o, c, d] * padded_x[b, c, t + d]``.
     """
-    x = _as_bct(x)
-    filters = np.asarray(filters, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if filters.ndim != 3:
-        raise ConfigError(f"filters must be [out_ch, in_ch, f], got shape {filters.shape}")
-    out_ch, in_ch, f = filters.shape
-    if x.shape[1] != in_ch:
-        raise ConfigError(f"input has {x.shape[1]} channels, filters expect {in_ch}")
-    if bias.shape != (out_ch,):
-        raise ConfigError(f"bias must be [{out_ch}], got shape {bias.shape}")
-    win = _conv_windows(x, f)  # [b, T, c*f]
-    out = win @ filters.reshape(out_ch, in_ch * f).T  # [b, T, o]
-    return out.transpose(0, 2, 1) + bias[None, :, None]
+    return multiscale_conv_forward(x, [filters], bias)
 
 
 def conv1d_backward(
@@ -81,29 +251,8 @@ def conv1d_backward(
 
     ``upstream`` has the output's shape. Returns ``(dx, dfilters, dbias)``.
     """
-    x = _as_bct(x)
-    gb = np.asarray(upstream, dtype=np.float64)
-    filters = np.asarray(filters, dtype=np.float64)
-    out_ch, in_ch, f = filters.shape
-    b, _, t = x.shape
-    if gb.shape != (b, out_ch, t):
-        raise ConfigError(f"upstream shape {gb.shape} != {(b, out_ch, t)}")
-    pad_l, _ = conv_padding(f)
-
-    dbias = gb.sum(axis=(0, 2))
-
-    win = _conv_windows(x, f)  # [b, T, c*f]
-    g2 = gb.transpose(1, 0, 2).reshape(out_ch, b * t)
-    dfilters = (g2 @ win.reshape(b * t, in_ch * f)).reshape(out_ch, in_ch, f)
-
-    # dx: full correlation of the upstream with the flipped filters.
-    gp = np.pad(gb, ((0, 0), (0, 0), (f - 1, f - 1)))
-    gwin = sliding_window_view(gp, f, axis=2)  # [b, o, T+f-1, f]
-    s = gwin.shape[2]
-    gwin2 = gwin.transpose(0, 2, 1, 3).reshape(b, s, out_ch * f)
-    wf = filters[:, :, ::-1].transpose(1, 0, 2).reshape(in_ch, out_ch * f)
-    dxp = (gwin2 @ wf.T).transpose(0, 2, 1)  # [b, c, T+f-1]
-    return dxp[:, :, pad_l : pad_l + t], dfilters, dbias
+    dx, (dfilters,), dbias = multiscale_conv_backward(x, [filters], upstream)
+    return dx, dfilters, dbias
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ output into a fixed-size embedding; there is no feedforward head and the
 embedding is not L2-normalized.
 
 A batch of series is one [n, T] float64 array. Train mode runs it as one
-[n, 1, T] array and pools BN statistics over batch and time. Infer mode
-embeds one row at a time, so lengths may differ between calls.
+[n, 1, T] array and pools BN statistics over batch and time. Infer mode runs
+the rows through the network in chunks of a fixed cell budget; every op it
+uses acts on each row alone, so a row's embedding is bitwise the same
+whether it is embedded alone or in any batch.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ from .kernels import BnState
 from .params import Layout, ParamSet
 
 _MODEL_IDS = itertools.count(1)
+
+# Infer-mode chunk size as a cell budget (rows x T), which bounds memory for
+# any number of rows: one chunk's [rows, 165, T] activation at the default
+# arch is 2.7 MB. On a 2-vCPU x86 host, embedding 125 tiny-arch or 25
+# default-arch series at T=128 ran no faster with 4x or 8x larger chunks.
+_INFER_CHUNK_CELLS = 1 << 11
 
 CHECKPOINT_MAGIC = "fewts-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -57,9 +65,13 @@ class ArchSpec:
             raise ConfigError("filter_lengths must be non-empty")
         if any(int(f) < 1 for f in self.filter_lengths):
             raise ConfigError("filter lengths must be >= 1")
+        lengths = tuple(int(f) for f in self.filter_lengths)
+        repeated = sorted({f for f in lengths if lengths.count(f) > 1})
+        if repeated:
+            raise ConfigError(f"filter_lengths repeats length {repeated[0]}: {lengths}")
         if self.filters_per_length < 1:
             raise ConfigError("filters_per_length must be >= 1")
-        object.__setattr__(self, "filter_lengths", tuple(int(f) for f in self.filter_lengths))
+        object.__setattr__(self, "filter_lengths", lengths)
 
     @property
     def channels(self) -> int:
@@ -197,27 +209,6 @@ def build_model(spec: ArchSpec, rng: np.random.Generator) -> ResNetModel:
 # ---------------------------------------------------------------------------
 
 
-def _multi_conv_forward(x: np.ndarray, weights: list[np.ndarray], bias: np.ndarray) -> np.ndarray:
-    outs = [kernels.conv1d_forward(x, w, np.zeros(w.shape[0])) for w in weights]
-    return np.concatenate(outs, axis=1) + bias[None, :, None]
-
-
-def _multi_conv_backward(
-    x: np.ndarray, weights: list[np.ndarray], upstream: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    dbias = upstream.sum(axis=(0, 2))
-    dx = np.zeros_like(x)
-    dws = []
-    ofs = 0
-    for w in weights:
-        o = w.shape[0]
-        dxi, dwi, _ = kernels.conv1d_backward(x, w, upstream[:, ofs : ofs + o, :])
-        dx += dxi
-        dws.append(dwi)
-        ofs += o
-    return dx, dws, dbias
-
-
 def _layer_weights(model: ResNetModel, block: int, conv: int) -> list[np.ndarray]:
     return [model.params.get(f"b{block}.c{conv}.w{f}") for f in model.spec.filter_lengths]
 
@@ -263,9 +254,8 @@ def _forward(
         conv_caches = []
         cur = x_in
         for j in range(model.spec.convs_per_block):
-            weights = _layer_weights(model, bi, j)
             bias = model.params.get(f"b{bi}.c{j}.bias")
-            pre_bn = _multi_conv_forward(cur, weights, bias)
+            pre_bn = kernels.multiscale_conv_forward(cur, _layer_weights(model, bi, j), bias)
             y, bn_cache = _bn_forward_site(model, f"b{bi}.c{j}", pre_bn, mode, update_buffers)
             conv_caches.append({"x": cur, "bn": bn_cache, "bn_out": y})
             cur = kernels.relu_forward(y) if j < last else y
@@ -298,8 +288,9 @@ def embed_batch(
     Train mode needs at least 2 series, pools BN statistics across the whole
     batch and (by default) updates the model's running stats; pass
     ``return_cache=True`` to get the cache :func:`backward_batch` needs.
-    Infer mode processes each row independently with frozen statistics, so
-    batched rows are bit-identical to single :func:`embed` calls.
+    Infer mode uses frozen statistics and runs the rows in chunks of at most
+    ``_INFER_CHUNK_CELLS`` cells; each row is bit-identical to a single
+    :func:`embed` call.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -310,11 +301,11 @@ def embed_batch(
     if mode == "infer":
         if return_cache:
             raise UsageError("backward caches exist only in train mode")
-        rows = []
-        for s in x:
-            out, _ = _forward(model, s[None, None, :], "infer", False)
-            rows.append(kernels.gap_forward(out)[0])
-        return np.vstack(rows)
+        rows = max(1, _INFER_CHUNK_CELLS // x.shape[1])
+        return np.vstack([
+            kernels.gap_forward(_forward(model, x[i : i + rows, None, :], "infer", False)[0])
+            for i in range(0, x.shape[0], rows)
+        ])
 
     if x.shape[0] < 2:
         raise ConfigError("train mode needs a batch of >= 2 series")
@@ -379,8 +370,9 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
             if j < last:
                 d_cur = kernels.relu_backward(cc["bn_out"], d_cur)
             d_bn = _bn_backward_site(model, grads, f"b{bi}.c{j}", d_cur, cc["bn"])
-            weights = _layer_weights(model, bi, j)
-            d_cur, dws, dbias = _multi_conv_backward(cc["x"], weights, d_bn)
+            d_cur, dws, dbias = kernels.multiscale_conv_backward(
+                cc["x"], _layer_weights(model, bi, j), d_bn
+            )
             for f, dw in zip(model.spec.filter_lengths, dws):
                 grads.get(f"b{bi}.c{j}.w{f}")[:] += dw
             grads.get(f"b{bi}.c{j}.bias")[:] += dbias

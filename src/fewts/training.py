@@ -445,8 +445,14 @@ def classify_1nn(model: ResNetModel, train_set: LabeledSet, queries) -> np.ndarr
         raise ConfigError("1NN needs a nonempty train split")
     queries = np.asarray(queries, dtype=np.float64)
     single = queries.ndim == 1
-    anchors = embed_batch(model, train_set.values, mode="infer")
-    z = embed_batch(model, queries[None] if single else queries, mode="infer")
+    queries = queries[None] if single else queries
+    if queries.ndim != 2 or queries.shape[1] != train_set.values.shape[1]:
+        raise ConfigError(
+            f"queries must be [n, {train_set.values.shape[1]}] like the train split, "
+            f"got shape {queries.shape}"
+        )
+    embedded = embed_batch(model, np.concatenate([train_set.values, queries]), mode="infer")
+    anchors, z = embedded[: train_set.n], embedded[train_set.n :]
     bad_z = int((~np.isfinite(z).all(axis=1)).sum())
     bad_anchors = int((~np.isfinite(anchors).all(axis=1)).sum())
     if bad_z or bad_anchors:

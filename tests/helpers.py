@@ -107,3 +107,39 @@ def write_ucr(bundle, root, name=None):
             lines.append("\t".join([ds.label_names[label]] + [f"{v:.8f}" for v in row]))
         (directory / f"{name}_{tag}.tsv").write_text("\n".join(lines) + "\n")
     return directory
+
+
+def multiscale_conv_reference(x, banks, bias, upstream):
+    """Per-bank im2col convolution, the loop the library's multi-bank tap
+    kernel replaced. Returns ``(out, dx, [dbank_i], dbias)`` for
+    ``x [b, c, T]``, banks ``[o_i, c, f_i]``, ``bias [sum o_i]`` and an
+    ``upstream`` gradient of the output's shape."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    def windows(v, f, pad_l, pad_r):
+        # [b, c, T] -> [b, T', c*f] windows of the zero-padded signal.
+        vp = np.pad(v, ((0, 0), (0, 0), (pad_l, pad_r)))
+        win = sliding_window_view(vp, f, axis=2)
+        nb, nc, nt, _ = win.shape
+        return win.transpose(0, 2, 1, 3).reshape(nb, nt, nc * f)
+
+    x = np.asarray(x, dtype=np.float64)
+    b, c, t = x.shape
+    outs, dws = [], []
+    dx = np.zeros_like(x)
+    ofs = 0
+    for w in banks:
+        o, _, f = w.shape
+        pad_l, pad_r = (f - 1 + 1) // 2, (f - 1) // 2
+        g = upstream[:, ofs : ofs + o, :]
+        win = windows(x, f, pad_l, pad_r)
+        outs.append((win @ w.reshape(o, c * f).T).transpose(0, 2, 1))
+        g2 = g.transpose(1, 0, 2).reshape(o, b * t)
+        dws.append((g2 @ win.reshape(b * t, c * f)).reshape(o, c, f))
+        # dx: full correlation of the upstream with the flipped filters.
+        gwin = windows(g, f, f - 1, f - 1)
+        wf = w[:, :, ::-1].transpose(1, 0, 2).reshape(c, o * f)
+        dx += (gwin @ wf.T).transpose(0, 2, 1)[:, :, pad_l : pad_l + t]
+        ofs += o
+    out = np.concatenate(outs, axis=1) + bias[None, :, None]
+    return out, dx, dws, upstream.sum(axis=(0, 2))

@@ -12,12 +12,14 @@ from fewts.kernels import (
     conv_padding,
     gap_backward,
     gap_forward,
+    multiscale_conv_backward,
+    multiscale_conv_forward,
     orthogonal_init,
     relu_backward,
     relu_forward,
 )
 
-from helpers import FD_STEP, max_rel_err, numeric_grad
+from helpers import FD_STEP, max_rel_err, multiscale_conv_reference, numeric_grad
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,93 @@ def test_conv_shape_errors():
         conv1d_forward(np.zeros((1, 2, 5)), np.zeros((3, 4, 2)), np.zeros(3))
     with pytest.raises(ConfigError):
         conv1d_forward(np.zeros((1, 2, 5)), np.zeros((3, 2, 2)), np.zeros(4))
+
+
+def test_conv_backward_shape_errors_match_forward():
+    x = np.zeros((1, 2, 5))
+    with pytest.raises(ConfigError, match="input has 2 channels, filters expect 4"):
+        conv1d_backward(x, np.zeros((3, 4, 2)), np.zeros((1, 3, 5)))
+    with pytest.raises(ConfigError, match="filters must be"):
+        conv1d_backward(x, np.zeros((3, 2)), np.zeros((1, 3, 5)))
+    with pytest.raises(ConfigError, match="upstream must be"):
+        conv1d_backward(x, np.zeros((3, 2, 2)), np.zeros((1, 4, 5)))
+    with pytest.raises(ConfigError, match="filters must be"):
+        conv1d_forward(x, np.zeros((3, 2)), np.zeros(3))
+
+
+def test_multiscale_conv_shape_errors():
+    x = np.zeros((2, 3, 6))
+    banks = [np.zeros((2, 3, 4)), np.zeros((2, 3, 1))]
+    with pytest.raises(ConfigError, match="at least one filter bank"):
+        multiscale_conv_forward(x, [], np.zeros(0))
+    with pytest.raises(ConfigError, match="input has 3 channels, filters expect 2"):
+        multiscale_conv_backward(x, banks + [np.zeros((2, 2, 3))], np.zeros((2, 6, 6)))
+    with pytest.raises(ConfigError, match="bias must be"):
+        multiscale_conv_forward(x, banks, np.zeros(3))
+    with pytest.raises(ConfigError, match="upstream must be"):
+        multiscale_conv_backward(x, banks, np.zeros((2, 4, 5)))
+
+
+@pytest.mark.parametrize("lengths", [(4, 8, 16, 32, 64), (8, 5), (8, 4, 16), (1, 2, 7)])
+@pytest.mark.parametrize("in_ch", [1, 3])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_multiscale_conv_matches_per_bank_reference(lengths, in_ch, batch):
+    # T=11 is shorter than the widest bank of the first length set.
+    rng = np.random.default_rng(sum(lengths) * 10 + in_ch + batch)
+    for t in (11, 70):
+        banks = [rng.standard_normal((3, in_ch, f)) for f in lengths]
+        out_ch = 3 * len(lengths)
+        x = rng.standard_normal((batch, in_ch, t))
+        bias = rng.standard_normal(out_ch)
+        upstream = rng.standard_normal((batch, out_ch, t))
+        out, dx, dbanks, dbias = multiscale_conv_reference(x, banks, bias, upstream)
+        assert np.abs(multiscale_conv_forward(x, banks, bias) - out).max() < 1e-12
+        got_dx, got_dbanks, got_dbias = multiscale_conv_backward(x, banks, upstream)
+        assert np.abs(got_dx - dx).max() < 1e-12
+        assert len(got_dbanks) == len(banks)
+        for got, want in zip(got_dbanks, dbanks):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12
+        assert np.abs(got_dbias - dbias).max() < 1e-12
+
+
+def test_multiscale_conv_rows_independent_of_batch():
+    # Batched infer relies on this: a row's output is bitwise the same alone
+    # or in any batch.
+    rng = np.random.default_rng(12)
+    for in_ch in (1, 7, 40):
+        banks = [rng.standard_normal((5, in_ch, f)) for f in (6, 3, 9)]
+        x = rng.standard_normal((6, in_ch, 50))
+        bias = rng.standard_normal(15)
+        batched = multiscale_conv_forward(x, banks, bias)
+        for i in range(len(x)):
+            alone = multiscale_conv_forward(x[i : i + 1], banks, bias)
+            assert alone.tobytes() == batched[i : i + 1].tobytes()
+
+
+def test_multiscale_conv_gradients_finite_difference_unsorted():
+    rng = np.random.default_rng(41)
+    lengths = (4, 1, 6)
+    b, c, t, o = 2, 2, 7, 2
+    x = rng.standard_normal((b, c, t))
+    banks = [rng.standard_normal((o, c, f)) for f in lengths]
+    bias = rng.standard_normal(o * len(lengths))
+    proj = rng.standard_normal((b, o * len(lengths), t))
+    sizes = [w.size for w in banks]
+
+    def loss_from(xv, wv, bv):
+        parts = np.split(wv, np.cumsum(sizes)[:-1])
+        ws = [p.reshape(w.shape) for p, w in zip(parts, banks)]
+        return float((multiscale_conv_forward(xv.reshape(x.shape), ws, bv) * proj).sum())
+
+    w_flat = np.concatenate([w.ravel() for w in banks])
+    dx, dbanks, dbias = multiscale_conv_backward(x, banks, proj)
+    num_dx = numeric_grad(lambda v: loss_from(v, w_flat, bias), x.ravel())
+    num_dw = numeric_grad(lambda v: loss_from(x.ravel(), v, bias), w_flat)
+    num_db = numeric_grad(lambda v: loss_from(x.ravel(), w_flat, v), bias)
+    assert max_rel_err(dx.ravel(), num_dx) < 1e-5
+    assert max_rel_err(np.concatenate([d.ravel() for d in dbanks]), num_dw) < 1e-5
+    assert max_rel_err(dbias, num_db) < 1e-5
 
 
 def test_conv_and_bn_take_batched_input_only():

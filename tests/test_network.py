@@ -44,6 +44,13 @@ def set_bn_passthrough(model):
 # ---------------------------------------------------------------------------
 
 
+def test_arch_spec_rejects_repeated_filter_lengths():
+    with pytest.raises(ConfigError, match="filter_lengths repeats length 4"):
+        ArchSpec(filter_lengths=(4, 4))
+    with pytest.raises(ConfigError, match="repeats length 8"):
+        ArchSpec(filter_lengths=(8, 5, 8))
+
+
 def test_default_spec_matches_training_scale():
     spec = ArchSpec()
     assert spec.channels == 165
@@ -115,6 +122,19 @@ def test_embedding_shape_and_batch_consistency():
     batched = embed_batch(model, series, mode="infer")
     assert batched.shape == (3, 4)
     for i, s in enumerate(series):
+        assert batched[i].tobytes() == embed(model, s).tobytes()
+
+
+def test_infer_chunks_match_single_rows_bitwise(monkeypatch):
+    # 7 rows of T=20 in chunks of 3 rows: two full chunks and a partial one.
+    model = tiny_model(4)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((7, 20))
+    embed_batch(model, x, mode="train")
+    monkeypatch.setattr(network, "_INFER_CHUNK_CELLS", 3 * 20)
+    batched = embed_batch(model, x, mode="infer")
+    assert batched.shape == (7, 4)
+    for i, s in enumerate(x):
         assert batched[i].tobytes() == embed(model, s).tobytes()
 
 

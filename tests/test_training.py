@@ -8,7 +8,7 @@ import pytest
 
 from fewts.data import Dataset, DatasetBundle, LabeledSet, sample_task_seeded, task_seed
 from fewts.errors import ConfigError, TaskDegenerateError
-from fewts.network import ArchSpec, backward_batch, build_model, embed_batch, freeze_mask_for
+from fewts.network import ArchSpec, backward_batch, build_model, embed, embed_batch, freeze_mask_for
 from fewts.optim import sgd_step
 from fewts.params import ParamSet
 from fewts.training import (
@@ -477,6 +477,26 @@ def test_classify_1nn_self_match_and_tie_rule():
                      np.array([1, 0, 0]))
     est = finetune(tiny_model(), dup, FineTuneConfig(epochs=0))
     assert classify_1nn(est, dup, dup.values[0]) == 1
+
+
+def test_classify_1nn_matches_per_row_embeddings():
+    # One embed_batch call over anchors and queries picks the same labels as
+    # embedding every series alone, on a toy task after a short fine-tune.
+    task = sample_task_seeded(toy_bundle(), 3, 4, seed=5)
+    tuned = finetune(tiny_model(6), task.train, FineTuneConfig(epochs=2),
+                     rng=np.random.default_rng(1))
+    anchors = np.vstack([embed(tuned, s) for s in task.train.values])
+    queries = np.vstack([embed(tuned, s) for s in task.test.values])
+    d2 = ((queries[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
+    expected = task.train.labels[np.argmin(d2, axis=1)]
+    assert np.array_equal(classify_1nn(tuned, task.train, task.test.values), expected)
+
+
+def test_classify_1nn_rejects_query_length_mismatch():
+    train = level_task_set(per_class=3, seed=4)
+    tuned = finetune(tiny_model(), train, FineTuneConfig(epochs=0))
+    with pytest.raises(ConfigError, match=r"queries must be \[n, 8\]"):
+        classify_1nn(tuned, train, np.zeros((2, 9)))
 
 
 def test_classify_1nn_rejects_non_finite_embeddings():
