@@ -67,7 +67,7 @@ class _TapPlan:
     pad_l: int
     pad_r: int
     groups: tuple[tuple[int, int, int], ...]  # (s, g, a): g taps from s, banks a..
-    flipped: tuple[tuple[int, int, int], ...]  # (u, g, a) over flipped taps u = F-1-s
+    flipped: tuple[tuple[int, int, int], ...]  # (u, g, a), u = taps - 1 - s
 
 
 def _stack_taps(active: list[int], width) -> tuple[tuple[int, int, int], ...]:
@@ -84,7 +84,7 @@ def _stack_taps(active: list[int], width) -> tuple[tuple[int, int, int], ...]:
     return tuple(groups)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _tap_plan(shapes: tuple[tuple[int, int], ...], in_ch: int) -> _TapPlan:
     """Tap layout of banks with the given (out_ch, filter length) shapes."""
     order = tuple(sorted(range(len(shapes)), key=lambda i: shapes[i][1]))
