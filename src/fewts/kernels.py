@@ -43,10 +43,9 @@ def conv_padding(filter_len: int) -> tuple[int, int]:
 # shortest first, the banks active at a tap are a suffix of that order, which
 # is one contiguous block of (sorted) output channels. The buffer is
 # time-major, [T + pad_l + pad_r, b, c], so tap s reads xt[s : s + T] without
-# a copy, and a layer is a sum of one GEMM per tap group. The filter
-# gradient takes the same groups; the input gradient is the same sum run
-# backwards, the padded upstream read at flipped taps through the
-# transposed filters.
+# a copy, and a layer is a sum of one GEMM per tap group. The backward pass
+# runs the same sum backwards, the padded upstream read at flipped taps,
+# and takes both gradients from each upstream block.
 
 # Neighbouring taps with the same active banks are stacked along K (one copy
 # of their input columns) while taps * in_cols <= _STACK_RATIO * out_cols;
@@ -204,24 +203,27 @@ def multiscale_conv_backward(
     taps = plan.pad_l + plan.pad_r + 1
     gp = np.zeros((t + taps - 1, b, cols[-1]))  # padded upstream, sorted channels
     gp[plan.pad_r : plan.pad_r + t] = upstream.transpose(2, 0, 1)[:, :, plan.perm]
-    gt = gp[plan.pad_r : plan.pad_r + t].reshape(t * b, -1)
+    x0 = xt[plan.pad_l : plan.pad_l + t].reshape(t * b, c)  # the unpadded input
 
-    dwt = np.empty((taps, cols[-1], c))  # by buffer tap: [taps, out_ch, in_ch]
-    for s, g, a in plan.groups:
-        dw = gt[:, cols[a] :].T @ _tap_block(xt, s, g, t).reshape(t * b, -1)
-        dwt[s : s + g, cols[a] :] = dw.reshape(-1, g, c).transpose(1, 0, 2)
+    # One pass over the flipped tap groups. A group's upstream block, row t
+    # holding gp[t + u + k] for its taps k, gives the input gradient through
+    # the transposed filters and, against the unpadded input rows, the
+    # filter gradient of taps s = taps - 1 - u - k.
+    wt = _tap_major(banks, plan)
+    dwt = np.empty((taps, c, cols[-1]))  # by buffer tap, like wt transposed
+    dxt = np.zeros((c, t * b))
+    for u, g, a in plan.flipped:
+        win = _tap_block(gp[:, :, cols[a] :], u, g, t).reshape(t * b, -1)
+        dw = (x0.T @ win).reshape(c, g, -1).transpose(1, 0, 2)
+        dwt[taps - u - g : taps - u, :, cols[a] :] = dw[::-1]
+        w = wt[taps - u - g : taps - u, cols[a] :][::-1].transpose(2, 0, 1)
+        dxt += w.reshape(c, -1) @ win.T
     dbanks = [None] * len(banks)
     for k, i in enumerate(plan.order):
         f0 = plan.first[k]
         dbanks[i] = np.ascontiguousarray(
-            dwt[f0 : f0 + banks[i].shape[2], cols[k] : cols[k + 1]].transpose(1, 2, 0)
+            dwt[f0 : f0 + banks[i].shape[2], :, cols[k] : cols[k + 1]].transpose(2, 1, 0)
         )
-
-    wt = _tap_major(banks, plan)
-    dxt = np.zeros((c, t * b))
-    for u, g, a in plan.flipped:
-        w = wt[taps - u - g : taps - u, cols[a] :][::-1].transpose(2, 0, 1)
-        dxt += w.reshape(c, -1) @ _tap_block(gp[:, :, cols[a] :], u, g, t).reshape(t * b, -1).T
     dx = np.ascontiguousarray(dxt.reshape(c, t, b).transpose(2, 0, 1))
     return dx, dbanks, upstream.sum(axis=(0, 2))
 
