@@ -117,11 +117,14 @@ def load_experiment_config(
             kwargs[key] = _existing_path(raw[key], key)
     if "arch" in raw:
         kwargs["arch"] = ArchSpec.from_dict(raw["arch"])
-    if "meta" in raw:
-        try:
-            kwargs["meta"] = MetaConfig(**raw["meta"])
-        except TypeError as exc:
-            raise ConfigError(f"bad meta section: {exc}") from exc
+    # The run seed also seeds meta-training's inner mini-batch draws.
+    meta = raw.get("meta", {})
+    if isinstance(meta, dict) and "seed" in meta:
+        raise ConfigError("meta.seed is not a key: the top-level seed seeds the whole run")
+    try:
+        kwargs["meta"] = MetaConfig(**meta, seed=kwargs.get("seed", ExperimentConfig.seed))
+    except TypeError as exc:
+        raise ConfigError(f"bad meta section: {exc}") from exc
     if "finetune" in raw:
         section = raw["finetune"]
         if not isinstance(section, dict):

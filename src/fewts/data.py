@@ -472,16 +472,26 @@ def format_task_log(tasks) -> str:
     return "".join(json.dumps(task_record(t), sort_keys=True) + "\n" for t in tasks)
 
 
-def read_task_log(path) -> list[dict]:
+def read_jsonl(path, what: str) -> list[dict]:
+    """The JSON objects of a one-object-per-line log, skipping blank lines.
+    A line that is not a JSON object, such as a torn last line, raises
+    ParseError naming the path and line."""
     records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"bad task record ({exc})", str(path), lineno) from exc
+            raise ParseError(f"bad {what} ({exc})", str(path), lineno) from exc
+        if not isinstance(record, dict):
+            raise ParseError(f"bad {what} (not a JSON object)", str(path), lineno)
+        records.append(record)
     return records
+
+
+def read_task_log(path) -> list[dict]:
+    return read_jsonl(path, "task record")
 
 
 def replay_task(bundle: DatasetBundle, record: dict) -> FewShotTask:

@@ -100,18 +100,15 @@ class ArchSpec:
         )
 
 
-def _block_input_channels(spec: ArchSpec, block: int) -> int:
-    return 1 if block == 0 else spec.channels
-
-
 def build_layout(spec: ArchSpec) -> Layout:
     """Parameter records in a fixed, documented order: for each block, each
     conv layer contributes per-length filter banks, a bias and BN gamma/beta;
-    blocks that change channel count append projection filters plus BN."""
+    blocks that change channel count append projection filters plus BN. BN
+    sites, projections and the freeze prefix are all read off this layout."""
     shapes: list[tuple[str, tuple[int, ...]]] = []
     m = spec.channels
     for bi in range(spec.blocks):
-        block_in = _block_input_channels(spec, bi)
+        block_in = 1 if bi == 0 else m
         for j in range(spec.convs_per_block):
             cin = block_in if j == 0 else m
             for f in spec.filter_lengths:
@@ -127,13 +124,9 @@ def build_layout(spec: ArchSpec) -> Layout:
 
 
 def bn_site_names(spec: ArchSpec) -> list[str]:
-    names = []
-    for bi in range(spec.blocks):
-        for j in range(spec.convs_per_block):
-            names.append(f"b{bi}.c{j}")
-        if _block_input_channels(spec, bi) != spec.channels:
-            names.append(f"b{bi}.proj")
-    return names
+    """Prefix of every ``.gamma`` record, in layout order."""
+    return [r.name[: -len(".gamma")] for r in build_layout(spec).records
+            if r.name.endswith(".gamma")]
 
 
 class ResNetModel:
@@ -155,9 +148,10 @@ class ResNetModel:
         if params.layout != expected:
             raise ConfigError("parameter layout does not match the architecture")
         self.params = params
+        sites = bn_site_names(spec)
         if bn is None:
-            bn = {name: BnState.fresh(spec.channels) for name in bn_site_names(spec)}
-        if sorted(bn) != sorted(bn_site_names(spec)):
+            bn = {name: BnState.fresh(spec.channels) for name in sites}
+        if sorted(bn) != sorted(sites):
             raise ConfigError("BN buffer names do not match the architecture")
         self.bn = bn
         self.freeze_mask = freeze_mask
@@ -260,7 +254,7 @@ def _forward(
             conv_caches.append({"x": cur, "bn": bn_cache, "bn_out": y})
             cur = kernels.relu_forward(y) if j < last else y
         proj_cache = None
-        if _block_input_channels(model.spec, bi) != model.spec.channels:
+        if f"b{bi}.proj.w" in model.params.layout:
             pw = model.params.get(f"b{bi}.proj.w")
             pre_bn_p = kernels.conv1d_forward(x_in, pw, np.zeros(pw.shape[0]))
             shortcut, proj_cache = _bn_forward_site(
@@ -289,8 +283,8 @@ def embed_batch(
     batch and (by default) updates the model's running stats; pass
     ``return_cache=True`` to get the cache :func:`backward_batch` needs.
     Infer mode uses frozen statistics and runs the rows in chunks of at most
-    ``_INFER_CHUNK_CELLS`` cells; each row is bit-identical to a single
-    :func:`embed` call.
+    ``_INFER_CHUNK_CELLS`` cells; each row is bit-identical to embedding
+    that row alone.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -321,14 +315,6 @@ def embed_batch(
         "n_series": x.shape[0],
     }
     return z, cache
-
-
-def embed(model: ResNetModel, x: np.ndarray, mode: str = "infer") -> np.ndarray:
-    """Embedding of a single series. Train mode is only valid inside
-    :func:`embed_batch`, where batch statistics exist."""
-    if mode == "train":
-        raise UsageError("train mode needs a batch; use embed_batch")
-    return embed_batch(model, [x], mode=mode)[0]
 
 
 def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> ParamSet:
@@ -392,27 +378,18 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
 def freeze_mask_for(spec: ArchSpec, frozen_layers: int) -> np.ndarray:
     """Boolean mask over the flat parameter vector freezing the lowest
     ``frozen_layers`` conv layers (filters, bias and their BN gamma/beta).
-    A block's shortcut projection freezes together with the whole block."""
+    A block's shortcut projection follows its convs in the layout, so it
+    freezes with the whole block and the mask is a prefix of the vector."""
     if not (0 <= frozen_layers <= spec.conv_layers):
         raise ConfigError(
             f"frozen_layers must be in [0, {spec.conv_layers}], got {frozen_layers}"
         )
     layout = build_layout(spec)
+    bi, j = divmod(frozen_layers, spec.convs_per_block)
+    first = f"b{bi}.c{j}.w{spec.filter_lengths[0]}"
+    end = layout[first].offset if first in layout else layout.total_size
     mask = np.zeros(layout.total_size, dtype=bool)
-    for bi in range(spec.blocks):
-        for j in range(spec.convs_per_block):
-            if bi * spec.convs_per_block + j >= frozen_layers:
-                continue
-            for f in spec.filter_lengths:
-                rec = layout[f"b{bi}.c{j}.w{f}"]
-                mask[rec.offset : rec.offset + rec.size] = True
-            for leaf in ("bias", "gamma", "beta"):
-                rec = layout[f"b{bi}.c{j}.{leaf}"]
-                mask[rec.offset : rec.offset + rec.size] = True
-        if f"b{bi}.proj.w" in layout and frozen_layers >= (bi + 1) * spec.convs_per_block:
-            for leaf in ("w", "gamma", "beta"):
-                rec = layout[f"b{bi}.proj.{leaf}"]
-                mask[rec.offset : rec.offset + rec.size] = True
+    mask[:end] = True
     return mask
 
 
@@ -483,25 +460,30 @@ def load_checkpoint(path) -> ResNetModel:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
-    if header.get("magic") != CHECKPOINT_MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {header.get('format_version')}"
         )
-    spec = ArchSpec.from_dict(header["arch"])
+    try:
+        spec = ArchSpec.from_dict(header["arch"])
+        stored = [(r["name"], tuple(r["shape"]), r["offset"]) for r in header["layout"]]
+        param_count = header["param_count"]
+        bn_entries = [(b["name"], int(b["updates"])) for b in header["bn"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
     layout = build_layout(spec)
-    stored = [(r["name"], tuple(r["shape"]), r["offset"]) for r in header["layout"]]
     derived = [(r.name, r.shape, r.offset) for r in layout.records]
     if stored != derived:
         raise CheckpointError(f"{path}: layout records do not match the architecture")
-    if header["param_count"] != layout.total_size:
+    if param_count != layout.total_size:
         raise CheckpointError(f"{path}: parameter count mismatch")
 
     body = blob[nl + 1 :]
     need = layout.total_size * 8
     names = bn_site_names(spec)
-    if [b["name"] for b in header["bn"]] != names:
+    if [name for name, _ in bn_entries] != names:
         raise CheckpointError(f"{path}: BN buffer list does not match the architecture")
     expected = need + len(names) * 2 * spec.channels * 8
     if len(body) != expected:
@@ -509,10 +491,10 @@ def load_checkpoint(path) -> ResNetModel:
     values = np.frombuffer(body[:need], dtype="<f8").astype(np.float64)
     bn: dict[str, BnState] = {}
     ofs = need
-    for entry in header["bn"]:
+    for name, updates in bn_entries:
         w = spec.channels * 8
         mean = np.frombuffer(body[ofs : ofs + w], dtype="<f8").astype(np.float64)
         var = np.frombuffer(body[ofs + w : ofs + 2 * w], dtype="<f8").astype(np.float64)
-        bn[entry["name"]] = BnState(mean, var, int(entry["updates"]))
+        bn[name] = BnState(mean, var, updates)
         ofs += 2 * w
     return ResNetModel(spec, ParamSet(layout, values), bn)

@@ -9,6 +9,7 @@ layouts first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ class LayoutRecord:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
 
 class Layout:

@@ -17,7 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .baselines import DTWConfig, dtw_1nn, dtw_loocv_window, euclidean_1nn
-from .data import DatasetBundle, FewShotTask, format_task_log, sample_task_seeded, task_seed
+from .data import (
+    DatasetBundle, FewShotTask, format_task_log, read_jsonl, sample_task_seeded, task_seed,
+)
 from .errors import ConfigError
 from .network import ArchSpec, ResNetModel, build_model, write_atomic
 from .stats import (
@@ -62,11 +64,7 @@ def read_records(path: Path | str) -> list[dict]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"records file not found: {path}")
-    out = []
-    for line in path.read_text().splitlines():
-        if line.strip():
-            out.append(json.loads(line))
-    return out
+    return read_jsonl(path, "record")
 
 
 def _accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:

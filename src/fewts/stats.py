@@ -89,7 +89,10 @@ def aggregate(records: Iterable[Mapping]) -> RankTable:
     """
     cells: dict[tuple[str, str], list[float]] = {}
     methods: list[str] = []
-    for rec in records:
+    for i, rec in enumerate(records, start=1):
+        missing = [f for f in ("dataset", "method", "accuracy") if f not in rec]
+        if missing:
+            raise ConfigError(f"record {i} has no {missing[0]!r} field")
         dataset, method = rec["dataset"], rec["method"]
         if method not in methods:
             methods.append(method)

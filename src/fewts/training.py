@@ -19,6 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .baselines import euclidean_1nn
 from .data import DatasetBundle, FewShotTask, LabeledSet, sample_task_seeded, task_seed
 from .errors import ConfigError, TaskDegenerateError
 from .network import (
@@ -435,7 +436,8 @@ def finetune(
 
 
 def classify_1nn(model: ResNetModel, train_set: LabeledSet, queries) -> np.ndarray:
-    """Label queries by the nearest train embedding (squared Euclidean).
+    """Label queries by :func:`~fewts.baselines.euclidean_1nn` over the
+    embeddings of one infer call on the train split plus the queries.
 
     ``queries`` is an [n, T] array, or one 1-D query that returns a scalar
     label. Ties resolve to the smallest training-sample index. Non-finite
@@ -453,16 +455,7 @@ def classify_1nn(model: ResNetModel, train_set: LabeledSet, queries) -> np.ndarr
         )
     embedded = embed_batch(model, np.concatenate([train_set.values, queries]), mode="infer")
     anchors, z = embedded[: train_set.n], embedded[train_set.n :]
-    bad_z = int((~np.isfinite(z).all(axis=1)).sum())
-    bad_anchors = int((~np.isfinite(anchors).all(axis=1)).sum())
-    if bad_z or bad_anchors:
-        raise ConfigError(
-            f"1NN over non-finite embeddings: {bad_z} of {len(z)} query rows and "
-            f"{bad_anchors} of {len(anchors)} anchor rows"
-        )
-    d2 = ((z[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
-    picked = train_set.labels[np.argmin(d2, axis=1)]
-    return picked[0] if single else picked
+    return euclidean_1nn(LabeledSet(anchors, train_set.labels), z[0] if single else z)
 
 
 def evaluate_task(

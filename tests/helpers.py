@@ -143,3 +143,38 @@ def multiscale_conv_reference(x, banks, bias, upstream):
         ofs += o
     out = np.concatenate(outs, axis=1) + bias[None, :, None]
     return out, dx, dws, upstream.sum(axis=(0, 2))
+
+
+def bn_sites_reference(spec):
+    """BN site names by walking the architecture: every conv layer has one,
+    and a block whose input channel count differs from ``spec.channels``
+    (only block 0, fed one channel) adds its projection's."""
+    names = []
+    for bi in range(spec.blocks):
+        for j in range(spec.convs_per_block):
+            names.append(f"b{bi}.c{j}")
+        if (1 if bi == 0 else spec.channels) != spec.channels:
+            names.append(f"b{bi}.proj")
+    return names
+
+
+def freeze_mask_reference(spec, layout, frozen_layers):
+    """Freeze mask by marking records one by one: the filters, bias, gamma
+    and beta of each of the lowest ``frozen_layers`` conv layers, and a
+    block's projection once all of that block's layers are frozen."""
+    mask = np.zeros(layout.total_size, dtype=bool)
+    for bi in range(spec.blocks):
+        for j in range(spec.convs_per_block):
+            if bi * spec.convs_per_block + j >= frozen_layers:
+                continue
+            for f in spec.filter_lengths:
+                rec = layout[f"b{bi}.c{j}.w{f}"]
+                mask[rec.offset : rec.offset + rec.size] = True
+            for leaf in ("bias", "gamma", "beta"):
+                rec = layout[f"b{bi}.c{j}.{leaf}"]
+                mask[rec.offset : rec.offset + rec.size] = True
+        if f"b{bi}.proj.w" in layout and frozen_layers >= (bi + 1) * spec.convs_per_block:
+            for leaf in ("w", "gamma", "beta"):
+                rec = layout[f"b{bi}.proj.{leaf}"]
+                mask[rec.offset : rec.offset + rec.size] = True
+    return mask

@@ -149,6 +149,20 @@ def test_errors_are_single_line_on_stderr(tmp_path, capsys):
     assert captured.err.strip().count("\n") == 0
 
 
+@pytest.mark.parametrize("tail", ['{"dataset": "a", "task_in', '{"dataset": "a"}'],
+                         ids=["torn-line", "no-method"])
+def test_report_on_broken_records_is_one_error_line(tmp_path, capsys, tail):
+    line = json.dumps({"accuracy": 0.5, "dataset": "a", "method": "ed", "task_index": 0,
+                       "task_seed": 3, "wall_time_s": 0.01})
+    records = tmp_path / "records.jsonl"
+    records.write_text(line + "\n" + tail + "\n")
+    rc = main(["report", "--records", str(records), "--out-dir", str(tmp_path / "report")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.strip().count("\n") == 0
+
+
 def test_missing_checkpoint_is_an_error(corpus, capsys):
     rc = main(["evaluate", "--config", str(corpus / "eval.json"),
                "--method", "fs1", "--out-dir", str(corpus / "never2")])

@@ -80,6 +80,23 @@ def test_sections_parse(tmp_path):
     assert config.methods == ("ed", "dtw")
 
 
+def test_meta_takes_the_run_seed(tmp_path):
+    # The inner mini-batch draws of meta-train use meta.seed, so it must be
+    # the run seed, from the file or from --seed, with or without a meta section.
+    path = write_config(tmp_path, {"mode": "meta-train", "seed": 11, "meta": {"k_train": 3}})
+    assert load_experiment_config(path, {}).meta.seed == 11
+    assert load_experiment_config(path, {"seed": 12}).meta.seed == 12
+    bare = write_config(tmp_path, {"mode": "meta-train"}, name="bare.json")
+    assert load_experiment_config(bare, {"seed": 12}).meta.seed == 12
+    assert load_experiment_config(bare, {}).meta.seed == 0
+
+
+def test_meta_seed_key_points_to_top_level_seed(tmp_path):
+    path = write_config(tmp_path, {"mode": "meta-train", "meta": {"seed": 3}})
+    with pytest.raises(ConfigError, match="top-level seed"):
+        load_experiment_config(path, {})
+
+
 def test_bad_sections(tmp_path):
     with pytest.raises(ConfigError, match="meta"):
         load_experiment_config(

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,6 @@ from fewts.network import (
     build_layout,
     build_model,
     checkpoint_bytes,
-    embed,
     embed_batch,
     freeze_mask_for,
     load_checkpoint,
@@ -21,7 +23,7 @@ from fewts.network import (
 from fewts.params import ParamSet
 from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss, triplet_loss_grad
 
-from helpers import max_rel_err, numeric_grad
+from helpers import bn_sites_reference, freeze_mask_reference, max_rel_err, numeric_grad
 
 TINY = ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(2, 3), filters_per_length=2)
 
@@ -111,7 +113,7 @@ def test_zero_weights_give_zero_embedding():
     z = embed_batch(model, x, mode="train")
     assert np.allclose(z, 0.0, atol=1e-12)
     # Buffers got estimated during the train pass, so infer works too.
-    assert np.allclose(embed(model, x[0]), 0.0, atol=1e-12)
+    assert np.allclose(embed_batch(model, x[:1])[0], 0.0, atol=1e-12)
 
 
 def test_embedding_shape_and_batch_consistency():
@@ -122,7 +124,7 @@ def test_embedding_shape_and_batch_consistency():
     batched = embed_batch(model, series, mode="infer")
     assert batched.shape == (3, 4)
     for i, s in enumerate(series):
-        assert batched[i].tobytes() == embed(model, s).tobytes()
+        assert batched[i].tobytes() == embed_batch(model, s[None])[0].tobytes()
 
 
 def test_infer_chunks_match_single_rows_bitwise(monkeypatch):
@@ -135,7 +137,7 @@ def test_infer_chunks_match_single_rows_bitwise(monkeypatch):
     batched = embed_batch(model, x, mode="infer")
     assert batched.shape == (7, 4)
     for i, s in enumerate(x):
-        assert batched[i].tobytes() == embed(model, s).tobytes()
+        assert batched[i].tobytes() == embed_batch(model, s[None])[0].tobytes()
 
 
 def test_train_mode_rejects_mixed_lengths():
@@ -162,8 +164,8 @@ def test_positive_homogeneity_with_passthrough_bn():
     model = tiny_model(7)
     set_bn_passthrough(model)
     x = np.random.default_rng(8).standard_normal(11)
-    za = embed(model, x)
-    zb = embed(model, 3.5 * x)
+    za = embed_batch(model, x[None])[0]
+    zb = embed_batch(model, 3.5 * x[None])[0]
     assert np.allclose(zb, 3.5 * za, rtol=1e-10, atol=1e-12)
 
 
@@ -171,21 +173,15 @@ def test_time_reversal_changes_embedding():
     model = tiny_model(9)
     x = np.random.default_rng(10).standard_normal(16)
     embed_batch(model, [x, x[::-1]], mode="train")
-    za = embed(model, x)
-    zb = embed(model, x[::-1])
+    za = embed_batch(model, x[None])[0]
+    zb = embed_batch(model, x[None, ::-1])[0]
     assert not np.allclose(za, zb, atol=1e-6)
 
 
 def test_infer_before_buffer_init_errors():
     model = tiny_model()
     with pytest.raises(UsageError):
-        embed(model, np.ones(8))
-
-
-def test_embed_rejects_train_mode():
-    model = tiny_model()
-    with pytest.raises(UsageError):
-        embed(model, np.ones(8), mode="train")
+        embed_batch(model, np.ones((1, 8)))
 
 
 def test_train_mode_needs_two_series():
@@ -315,6 +311,26 @@ def test_freeze_mask_projection_joins_at_block_boundary():
     assert m4.all()
 
 
+# Every (blocks, convs_per_block) in 1..3 x 1..3 with each of these filter
+# lengths and filters per length, at every frozen_layers: 675 masks.
+ORACLE_LENGTHS = ((1,), (2, 3), (8, 5), (8, 4, 16), (4, 8, 16, 32, 64))
+ORACLE_FILTERS = (1, 2, 33)
+
+
+@pytest.mark.parametrize("blocks", (1, 2, 3))
+@pytest.mark.parametrize("convs_per_block", (1, 2, 3))
+def test_layout_derived_sites_and_masks_match_walks(blocks, convs_per_block):
+    for lengths in ORACLE_LENGTHS:
+        for filters in ORACLE_FILTERS:
+            spec = ArchSpec(blocks=blocks, convs_per_block=convs_per_block,
+                            filter_lengths=lengths, filters_per_length=filters)
+            layout = build_layout(spec)
+            assert bn_site_names(spec) == bn_sites_reference(spec)
+            for frozen in range(spec.conv_layers + 1):
+                expected = freeze_mask_reference(spec, layout, frozen)
+                assert np.array_equal(freeze_mask_for(spec, frozen), expected), (spec, frozen)
+
+
 def test_freeze_out_of_range_rejected():
     with pytest.raises(ConfigError):
         freeze_mask_for(TINY, 3)
@@ -360,6 +376,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint\n\x00\x01")
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: _without(h, "arch"),
+    lambda h: [h],
+    lambda h: {**h, "arch": {**h["arch"], "filter_lengths": "x"}},
+    lambda h: {**h, "bn": [_without(b, "updates") for b in h["bn"]]},
+    lambda h: {**h, "arch": {**h["arch"], "blocks": 0}},
+    lambda h: {**h, "arch": {**h["arch"], "blocks": float("inf")}},
+], ids=["no-arch", "json-list", "filter-lengths-string", "bn-without-updates", "zero-blocks",
+        "infinite-blocks"])
+def test_checkpoint_malformed_header_names_path(tmp_path, edit):
+    head, body = checkpoint_bytes(tiny_model(44)).split(b"\n", 1)
+    path = tmp_path / "malformed.ckpt"
+    path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + body)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 

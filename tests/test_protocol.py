@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from fewts import protocol
-from fewts.errors import ConfigError
+from fewts.errors import ConfigError, ParseError
 from fewts.network import ArchSpec, build_model
 from fewts.protocol import (
     TaskResult,
@@ -58,6 +59,22 @@ def test_records_round_trip(tmp_path):
 def test_read_records_missing(tmp_path):
     with pytest.raises(ConfigError):
         read_records(tmp_path / "absent.jsonl")
+
+
+def test_read_records_torn_last_line_names_path_and_line(tmp_path):
+    # run_protocol appends records as it goes, so a crash can tear the last one.
+    path = tmp_path / "records.jsonl"
+    text = format_record(TaskResult("a", 0, "ed", 0.5, 0.01, 3))
+    path.write_text(text + text[:20])
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2:")):
+        read_records(path)
+
+
+def test_read_records_rejects_non_object_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:1:")):
+        read_records(path)
 
 
 def test_run_protocol_record_grid(bundles, tmp_path):

@@ -69,6 +69,15 @@ def test_aggregate_means_and_order():
     assert np.allclose(t.mean_ranks, [2.0, 1.0])
 
 
+def test_aggregate_names_a_missing_field():
+    records = [
+        {"dataset": "a", "method": "x", "accuracy": 0.5},
+        {"dataset": "a", "accuracy": 0.6},
+    ]
+    with pytest.raises(ConfigError, match="record 2 has no 'method' field"):
+        aggregate(records)
+
+
 def test_aggregate_rejects_ragged_cells():
     records = [
         {"dataset": "a", "method": "x", "accuracy": 0.5},

@@ -8,7 +8,7 @@ import pytest
 
 from fewts.data import Dataset, DatasetBundle, LabeledSet, sample_task_seeded, task_seed
 from fewts.errors import ConfigError, TaskDegenerateError
-from fewts.network import ArchSpec, backward_batch, build_model, embed, embed_batch, freeze_mask_for
+from fewts.network import ArchSpec, backward_batch, build_model, embed_batch, freeze_mask_for
 from fewts.optim import sgd_step
 from fewts.params import ParamSet
 from fewts.training import (
@@ -485,8 +485,8 @@ def test_classify_1nn_matches_per_row_embeddings():
     task = sample_task_seeded(toy_bundle(), 3, 4, seed=5)
     tuned = finetune(tiny_model(6), task.train, FineTuneConfig(epochs=2),
                      rng=np.random.default_rng(1))
-    anchors = np.vstack([embed(tuned, s) for s in task.train.values])
-    queries = np.vstack([embed(tuned, s) for s in task.test.values])
+    anchors = np.vstack([embed_batch(tuned, s[None])[0] for s in task.train.values])
+    queries = np.vstack([embed_batch(tuned, s[None])[0] for s in task.test.values])
     d2 = ((queries[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
     expected = task.train.labels[np.argmin(d2, axis=1)]
     assert np.array_equal(classify_1nn(tuned, task.train, task.test.values), expected)
@@ -503,7 +503,7 @@ def test_classify_1nn_rejects_non_finite_embeddings():
     train = level_task_set(per_class=3, jitter=0.2, seed=4)
     tuned = finetune(tiny_model(), train, FineTuneConfig(epochs=0))
     tuned.params.values[:] = np.nan
-    with pytest.raises(ConfigError, match="6 of 6 query rows and 6 of 6 anchor rows"):
+    with pytest.raises(ConfigError, match="6 of 6 query rows and 6 of 6 train rows"):
         classify_1nn(tuned, train, train.values)
 
 
