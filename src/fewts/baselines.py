@@ -27,6 +27,7 @@ class DTWConfig:
     fractions: tuple[float, ...] = DEFAULT_WINDOW_GRID
 
     def __post_init__(self):
+        object.__setattr__(self, "fractions", tuple(self.fractions))
         if not self.fractions:
             raise ConfigError("window grid is empty")
         prev = 0.0

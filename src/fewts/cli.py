@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands map to the run modes: meta-train, evaluate, baseline, report,
-class-split, plus a gradcheck self-test. Every subcommand accepts --config
-pointing at a JSON file; flags override individual keys. Errors print a
-single machine-parsable line on stderr and exit nonzero.
+Subcommands map to the run modes: meta-train, evaluate, report, class-split,
+plus a gradcheck self-test. Each run mode accepts --config pointing at a JSON
+file plus the flags for the config keys it reads; flags override file
+values. Errors print a single machine-parsable line on stderr and exit
+nonzero.
 """
 
 from __future__ import annotations
@@ -16,39 +17,49 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, load_experiment_config
+from .config import CONFIG_KEYS, VARIANTS, ExperimentConfig, load_experiment_config
 from .data import load_dataset, split_classes, split_meta_sets
 from .errors import FewtsError
 from .gradcheck import gradient_check
-from .network import build_model, load_checkpoint, save_checkpoint
-from .protocol import DEFAULT_FINETUNE, report_from_records, run_protocol
+from .network import build_model, load_checkpoint, save_checkpoint, write_atomic
+from .protocol import KNOWN_METHODS, report_from_records, run_protocol
 from .training import fixed_task_pool, fs1_train, fs2_train, make_validation_hook, meta_task_stream
 
 GRADCHECK_THRESHOLD = 1e-4
 
+# One entry per config-key flag: its config key, and its argparse settings.
+# The flag is the key with dashes, unless the entry names another.
+_FLAGS = {
+    "data_root": dict(help="directory containing the dataset folders"),
+    "split_manifest": dict(help="JSON manifest of train/validation/test dataset names"),
+    "out_dir": dict(help="directory for run artifacts"),
+    "seed": dict(type=int, help="run seed"),
+    "k": dict(type=int, help="shots per class (train split)"),
+    "k_prime": dict(type=int, help="test samples per class"),
+    "tasks_per_dataset": dict(type=int, help="tasks sampled per dataset"),
+    "methods": dict(flag="--method", action="append",
+                    help="method to evaluate (repeatable): " + " ".join(KNOWN_METHODS)),
+    "variant": dict(choices=VARIANTS, help="batched (fs1) or sequential (fs2) meta-training"),
+    "records": dict(help="records file (default: out-dir/records.jsonl)"),
+    "dataset": dict(help="dataset name to partition"),
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None, help="JSON config file")
-    parser.add_argument("--data-root", dest="data_root", default=None,
-                        help="directory containing the dataset folders")
-    parser.add_argument("--split-manifest", dest="split_manifest", default=None,
-                        help="JSON manifest of train/validation/test dataset names")
-    parser.add_argument("--out-dir", dest="out_dir", default=None,
-                        help="directory for run artifacts")
-    parser.add_argument("--seed", type=int, default=None, help="run seed")
-    parser.add_argument("--k", type=int, default=None, help="shots per class (train split)")
-    parser.add_argument("--k-prime", dest="k_prime", type=int, default=None,
-                        help="test samples per class")
-    parser.add_argument("--tasks-per-dataset", dest="tasks_per_dataset", type=int,
-                        default=None, help="tasks sampled per dataset")
+
+def _add_mode(sub, mode: str, func, summary: str, *keys: str) -> None:
+    """A run-mode subcommand taking --config plus the flags of ``keys``."""
+    p = sub.add_parser(mode, help=summary)
+    p.add_argument("--config", type=Path, default=None, help="JSON config file")
+    for key in keys:
+        settings = dict(_FLAGS[key])
+        flag = settings.pop("flag", "--" + key.replace("_", "-"))
+        p.add_argument(flag, dest=key, default=None, **settings)
+    p.set_defaults(func=func)
 
 
-def _overrides(args: argparse.Namespace, mode: str) -> dict:
-    keys = ("data_root", "split_manifest", "out_dir", "seed", "k", "k_prime",
-            "tasks_per_dataset", "methods", "variant", "records", "dataset")
-    out = {k: getattr(args, k, None) for k in keys}
-    out["mode"] = mode
-    return out
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file plus this subcommand's flags, in its mode."""
+    overrides = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
+    return load_experiment_config(args.config, {**overrides, "mode": args.command})
 
 
 def _load_bundles(config: ExperimentConfig, names) -> list:
@@ -57,7 +68,7 @@ def _load_bundles(config: ExperimentConfig, names) -> list:
 
 
 def cmd_meta_train(args: argparse.Namespace) -> int:
-    config = load_experiment_config(args.config, _overrides(args, "meta-train"))
+    config = _load_config(args)
     split = split_meta_sets(config.require("split_manifest"))
     train_bundles = _load_bundles(config, split.train)
     model = build_model(config.arch, np.random.default_rng(config.seed))
@@ -82,17 +93,13 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_evaluation(config: ExperimentConfig) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    config = _load_config(args)
     split = split_meta_sets(config.require("split_manifest"))
     bundles = _load_bundles(config, split.test)
-    models = {}
-    for method in config.methods:
-        if method in ("fs1", "fs2"):
-            if method not in config.checkpoints:
-                raise FewtsError(f"method {method!r} needs a checkpoint (config key "
-                                 f"checkpoints.{method})")
-            models[method] = load_checkpoint(config.checkpoints[method])
-    finetune = {**DEFAULT_FINETUNE, **config.finetune}
+    # run_protocol rejects a checkpoint method that has no model here.
+    models = {m: load_checkpoint(path) for m, path in config.checkpoints.items()
+              if m in config.methods}
     records = run_protocol(
         bundles,
         config.methods,
@@ -102,7 +109,7 @@ def _run_evaluation(config: ExperimentConfig) -> int:
         config.seed,
         config.out_dir,
         models=models,
-        finetune=finetune,
+        finetune=config.finetune,
         scratch_spec=config.arch,
         dtw_config=config.dtw,
     )
@@ -112,24 +119,8 @@ def _run_evaluation(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = load_experiment_config(args.config, _overrides(args, "evaluate"))
-    return _run_evaluation(config)
-
-
-def cmd_baseline(args: argparse.Namespace) -> int:
-    overrides = _overrides(args, "baseline")
-    if overrides.get("methods") is None:
-        overrides["methods"] = ("ed", "dtw")
-    config = load_experiment_config(args.config, overrides)
-    for method in config.methods:
-        if method not in ("ed", "dtw"):
-            raise FewtsError(f"baseline mode runs ed/dtw only, got {method!r}")
-    return _run_evaluation(config)
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    config = load_experiment_config(args.config, _overrides(args, "report"))
+    config = _load_config(args)
     records = config.records
     if records is None:
         records = Path(config.out_dir) / "records.jsonl"
@@ -144,7 +135,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_class_split(args: argparse.Namespace) -> int:
-    config = load_experiment_config(args.config, _overrides(args, "class-split"))
+    config = _load_config(args)
     name = config.require("dataset")
     bundle = load_dataset(config.require("data_root"), name)
     partition = split_classes(bundle.n_classes, np.random.default_rng(config.seed))
@@ -159,7 +150,7 @@ def cmd_class_split(args: argparse.Namespace) -> int:
         "validation": list(partition.validation),
         "test": list(partition.test),
     }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
     print(f"{name}: {bundle.n_classes} classes -> {len(partition.train)} train / "
           f"{len(partition.validation)} validation / {len(partition.test)} test -> {path}")
     return 0
@@ -179,33 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("meta-train", help="train an embedding initialization")
-    _add_common(p)
-    p.add_argument("--variant", choices=("fs1", "fs2"), default=None,
-                   help="batched (fs1) or sequential (fs2) meta-training")
-    p.set_defaults(func=cmd_meta_train)
-
-    p = sub.add_parser("evaluate", help="run the shared-task protocol")
-    _add_common(p)
-    p.add_argument("--method", dest="methods", action="append", default=None,
-                   help="method to evaluate (repeatable): fs1 fs2 resnet ed dtw")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("baseline", help="run the classical baselines")
-    _add_common(p)
-    p.add_argument("--method", dest="methods", action="append", default=None,
-                   help="baseline to run (repeatable): ed dtw")
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("report", help="aggregate records into a report")
-    _add_common(p)
-    p.add_argument("--records", default=None, help="records file (default: out-dir/records.jsonl)")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("class-split", help="partition one dataset's classes")
-    _add_common(p)
-    p.add_argument("--dataset", default=None, help="dataset name to partition")
-    p.set_defaults(func=cmd_class_split)
+    _add_mode(sub, "meta-train", cmd_meta_train, "train an embedding initialization",
+              "data_root", "split_manifest", "out_dir", "seed", "variant")
+    _add_mode(sub, "evaluate", cmd_evaluate, "run the shared-task protocol",
+              "data_root", "split_manifest", "out_dir", "seed", "k", "k_prime",
+              "tasks_per_dataset", "methods")
+    _add_mode(sub, "report", cmd_report, "aggregate records into a report",
+              "out_dir", "records")
+    _add_mode(sub, "class-split", cmd_class_split, "partition one dataset's classes",
+              "data_root", "out_dir", "seed", "dataset")
 
     p = sub.add_parser("gradcheck", help="finite-difference self-test")
     p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")

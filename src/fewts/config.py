@@ -5,18 +5,19 @@ loudly instead of silently using defaults."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .baselines import DTWConfig
 from .errors import ConfigError
 from .network import ArchSpec
+from .protocol import CHECKPOINT_METHODS, DEFAULT_FINETUNE
 from .training import FineTuneConfig, MetaConfig
 
-MODES = ("meta-train", "evaluate", "baseline", "report", "class-split")
+MODES = ("meta-train", "evaluate", "report", "class-split")
 VARIANTS = ("fs1", "fs2")
 
-_TOP_LEVEL_KEYS = {
+CONFIG_KEYS = {
     "mode", "data_root", "split_manifest", "out_dir", "seed", "k", "k_prime",
     "tasks_per_dataset", "methods", "variant", "arch", "meta", "finetune",
     "dtw", "checkpoints", "records", "dataset",
@@ -73,6 +74,39 @@ def _existing_path(value, key: str) -> Path:
     return path
 
 
+# The value types a section key accepts, by the type of its default.
+_KINDS = {int: (int,), float: (int, float), str: (str,), tuple: (list, tuple)}
+
+
+def _section(cls, name: str, section, **fixed):
+    """Build ``cls(**section, **fixed)``. Omitted keys take the dataclass
+    defaults; a section that is not an object, or an unknown or ill-typed key,
+    raises ConfigError naming the section."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"bad {name} section: expected an object, got {section!r}")
+    for f in fields(cls):
+        kinds = _KINDS.get(type(f.default))
+        if kinds and f.name in section and type(section[f.name]) not in kinds:
+            raise ConfigError(f"bad {name} section: {f.name} is {section[f.name]!r}, "
+                              f"not of the type of its default {f.default!r}")
+    try:
+        return cls(**section, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} section: {exc}") from exc
+
+
+def _by_method(raw: dict, name: str, methods, build) -> dict:
+    """A section keyed by method name, each key one of ``methods``."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"bad {name} section: expected an object keyed by method")
+    for method in section:
+        if method not in methods:
+            raise ConfigError(f"bad {name} section: {method!r} is not one of "
+                              f"{', '.join(methods)}")
+    return {method: build(method, value) for method, value in section.items()}
+
+
 def load_experiment_config(
     config_path: Path | str | None,
     overrides: dict | None = None,
@@ -95,7 +129,7 @@ def load_experiment_config(
         if value is not None:
             raw[key] = value
 
-    unknown = set(raw) - _TOP_LEVEL_KEYS
+    unknown = set(raw) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "mode" not in raw:
@@ -115,37 +149,18 @@ def load_experiment_config(
     for key in ("data_root", "split_manifest", "records"):
         if raw.get(key) is not None:
             kwargs[key] = _existing_path(raw[key], key)
-    if "arch" in raw:
-        kwargs["arch"] = ArchSpec.from_dict(raw["arch"])
     # The run seed also seeds meta-training's inner mini-batch draws.
     meta = raw.get("meta", {})
     if isinstance(meta, dict) and "seed" in meta:
         raise ConfigError("meta.seed is not a key: the top-level seed seeds the whole run")
-    try:
-        kwargs["meta"] = MetaConfig(**meta, seed=kwargs.get("seed", ExperimentConfig.seed))
-    except TypeError as exc:
-        raise ConfigError(f"bad meta section: {exc}") from exc
-    if "finetune" in raw:
-        section = raw["finetune"]
-        if not isinstance(section, dict):
-            raise ConfigError("finetune section must map method names to settings")
-        out = {}
-        for method, settings in section.items():
-            try:
-                out[method] = FineTuneConfig(**settings)
-            except TypeError as exc:
-                raise ConfigError(f"bad finetune settings for {method!r}: {exc}") from exc
-        kwargs["finetune"] = out
-    if "dtw" in raw:
-        fractions = raw["dtw"].get("fractions") if isinstance(raw["dtw"], dict) else None
-        if fractions is None:
-            raise ConfigError("dtw section needs a 'fractions' list")
-        kwargs["dtw"] = DTWConfig(fractions=tuple(fractions))
-    if "checkpoints" in raw:
-        section = raw["checkpoints"]
-        if not isinstance(section, dict):
-            raise ConfigError("checkpoints section must map method names to paths")
-        kwargs["checkpoints"] = {
-            m: _existing_path(p, f"checkpoint for {m!r}") for m, p in section.items()
-        }
+    run_seed = kwargs.get("seed", ExperimentConfig.seed)
+    kwargs["meta"] = _section(MetaConfig, "meta", meta, seed=run_seed)
+    kwargs["arch"] = _section(ArchSpec, "arch", raw.get("arch", {}))
+    kwargs["dtw"] = _section(DTWConfig, "dtw", raw.get("dtw", {}))
+    kwargs["finetune"] = _by_method(
+        raw, "finetune", tuple(DEFAULT_FINETUNE),
+        lambda m, s: _section(FineTuneConfig, f"finetune.{m}", s))
+    kwargs["checkpoints"] = _by_method(
+        raw, "checkpoints", CHECKPOINT_METHODS,
+        lambda m, p: _existing_path(p, f"checkpoint for {m!r}"))
     return ExperimentConfig(**kwargs)

@@ -473,6 +473,9 @@ def load_checkpoint(path) -> ResNetModel:
         bn_entries = [(b["name"], int(b["updates"])) for b in header["bn"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
+    # Each conv layer has a record: reject a huge arch before laying it out.
+    if spec.conv_layers > len(stored):
+        raise CheckpointError(f"{path}: arch has more conv layers than layout records")
     layout = build_layout(spec)
     derived = [(r.name, r.shape, r.offset) for r in layout.records]
     if stored != derived:

@@ -33,6 +33,8 @@ from .stats import (
 from .training import FineTuneConfig, evaluate_task
 
 KNOWN_METHODS = ("fs1", "fs2", "resnet", "ed", "dtw")
+# Methods that fine-tune a meta-trained checkpoint.
+CHECKPOINT_METHODS = ("fs1", "fs2")
 
 # Fine-tuning budgets per method; fs2 checkpoints prefer a shorter budget.
 DEFAULT_FINETUNE = {
@@ -89,7 +91,7 @@ def _evaluate_method(
     rng = np.random.default_rng(
         task_seed(run_seed, f"finetune:{method}:{task.dataset}", task_index)
     )
-    if method in ("fs1", "fs2"):
+    if method in CHECKPOINT_METHODS:
         return evaluate_task(models[method], task, finetune[method], rng=rng)
     if method == "resnet":
         init = np.random.default_rng(
@@ -131,11 +133,11 @@ def run_protocol(
         raise ConfigError("k, k_prime and tasks_per_dataset must be >= 1")
     models = dict(models or {})
     for m in methods:
-        if m in ("fs1", "fs2") and m not in models:
+        if m in CHECKPOINT_METHODS and m not in models:
             raise ConfigError(f"method {m!r} needs a trained checkpoint")
     ft = {**DEFAULT_FINETUNE, **(finetune or {})}
     if scratch_spec is None:
-        for name in ("fs1", "fs2"):
+        for name in CHECKPOINT_METHODS:
             if name in models:
                 scratch_spec = models[name].spec
                 break

@@ -93,10 +93,12 @@ def aggregate(records: Iterable[Mapping]) -> RankTable:
         missing = [f for f in ("dataset", "method", "accuracy") if f not in rec]
         if missing:
             raise ConfigError(f"record {i} has no {missing[0]!r} field")
-        dataset, method = rec["dataset"], rec["method"]
+        dataset, method, value = rec["dataset"], rec["method"], rec["accuracy"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+            raise ConfigError(f"record {i} field 'accuracy' is not a finite number: {value!r}")
         if method not in methods:
             methods.append(method)
-        cells.setdefault((dataset, method), []).append(float(rec["accuracy"]))
+        cells.setdefault((dataset, method), []).append(float(value))
     if not cells:
         raise ConfigError("no records to aggregate")
     datasets = sorted({d for d, _ in cells})

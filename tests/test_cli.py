@@ -106,20 +106,22 @@ def test_evaluate_then_report(corpus, capsys):
     assert (out / "cd_plot.json").is_file()
 
 
-def test_baseline_defaults_to_ed_and_dtw(corpus):
+def test_evaluate_runs_the_baselines_alone(corpus):
     out = corpus / "base"
-    rc = main(["baseline", "--config", str(corpus / "eval.json"),
-               "--out-dir", str(out), "--tasks-per-dataset", "1"])
+    rc = main(["evaluate", "--config", str(corpus / "eval.json"), "--method", "ed",
+               "--method", "dtw", "--out-dir", str(out), "--tasks-per-dataset", "1"])
     assert rc == 0
     rows = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()]
     assert sorted({r["method"] for r in rows}) == ["dtw", "ed"]
 
 
-def test_baseline_rejects_model_methods(corpus, capsys):
-    rc = main(["baseline", "--config", str(corpus / "eval.json"),
-               "--out-dir", str(corpus / "never"), "--method", "fs1"])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
+@pytest.mark.parametrize("argv", [["meta-train", "--k", "5"], ["report", "--seed", "3"],
+                                  ["baseline"]], ids=["meta-train-k", "report-seed", "baseline"])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+    assert "error:" in capsys.readouterr().err
 
 
 def test_class_split_writes_partition(corpus, capsys):
@@ -131,6 +133,24 @@ def test_class_split_writes_partition(corpus, capsys):
     ids = payload["train"] + payload["validation"] + payload["test"]
     assert sorted(ids) == list(range(payload["n_classes"]))
     assert payload["train"] and payload["test"]
+
+
+def test_class_split_failed_write_keeps_previous_file(corpus, monkeypatch):
+    out = corpus / "splits_atomic"
+    argv = ["class-split", "--data-root", str(corpus / "data"), "--dataset", "ar_coefficient",
+            "--out-dir", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    path = out / "class_split_ar_coefficient.json"
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv + ["--seed", "2"])
+    assert path.read_bytes() == before
+    assert not list(out.glob("*.tmp"))
 
 
 def test_gradcheck_prints_small_error(capsys):
@@ -149,8 +169,9 @@ def test_errors_are_single_line_on_stderr(tmp_path, capsys):
     assert captured.err.strip().count("\n") == 0
 
 
-@pytest.mark.parametrize("tail", ['{"dataset": "a", "task_in', '{"dataset": "a"}'],
-                         ids=["torn-line", "no-method"])
+@pytest.mark.parametrize("tail", ['{"dataset": "a", "task_in', '{"dataset": "a"}',
+                                  '{"accuracy": "x", "dataset": "a", "method": "ed"}'],
+                         ids=["torn-line", "no-method", "non-numeric-accuracy"])
 def test_report_on_broken_records_is_one_error_line(tmp_path, capsys, tail):
     line = json.dumps({"accuracy": 0.5, "dataset": "a", "method": "ed", "task_index": 0,
                        "task_seed": 3, "wall_time_s": 0.01})

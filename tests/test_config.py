@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from fewts.baselines import DTWConfig
 from fewts.config import ExperimentConfig, load_experiment_config
 from fewts.errors import ConfigError
+from fewts.network import ArchSpec
 from fewts.training import FineTuneConfig
 
 
@@ -105,14 +107,36 @@ def test_bad_sections(tmp_path):
         load_experiment_config(
             write_config(tmp_path, {"mode": "report", "finetune": {"fs1": {"nope": 1}}},
                          name="c2.json"), {})
-    with pytest.raises(ConfigError, match="fractions"):
+    with pytest.raises(ConfigError, match="dtw"):
         load_experiment_config(
-            write_config(tmp_path, {"mode": "report", "dtw": {}}, name="c3.json"), {})
+            write_config(tmp_path, {"mode": "report", "dtw": {"fraction": [0.5]}},
+                         name="c3.json"), {})
     with pytest.raises(ConfigError, match="checkpoint"):
         load_experiment_config(
             write_config(tmp_path, {"mode": "report",
                                     "checkpoints": {"fs1": str(tmp_path / "no.ckpt")}},
                          name="c4.json"), {})
+
+
+def test_partial_sections_take_defaults(tmp_path):
+    payload = {"mode": "report", "arch": {"blocks": 1}, "dtw": {}}
+    config = load_experiment_config(write_config(tmp_path, payload), {})
+    assert config.arch == ArchSpec(blocks=1)
+    assert config.dtw == DTWConfig()
+
+
+@pytest.mark.parametrize("section, match", [
+    ({"finetune": {"fs_1": {"epochs": 2}}}, "fs_1"),
+    ({"checkpoints": {"ed": __file__}}, "'ed'"),
+    ({"arch": {"blocks": 1.5}}, "arch.*blocks"),
+    ({"arch": [1, 2]}, "arch"),
+    ({"finetune": {"fs1": {"epochs": "2"}}}, "finetune.fs1.*epochs"),
+], ids=["finetune-method", "checkpoint-method", "float-for-int", "not-an-object",
+        "string-for-int"])
+def test_bad_section_keys_name_the_section(tmp_path, section, match):
+    path = write_config(tmp_path, {"mode": "report", **section})
+    with pytest.raises(ConfigError, match=match):
+        load_experiment_config(path, {})
 
 
 def test_checkpoints_resolve(tmp_path):

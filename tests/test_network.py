@@ -400,6 +400,23 @@ def test_checkpoint_malformed_header_names_path(tmp_path, edit):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["blocks", "convs_per_block"])
+def test_checkpoint_rejects_oversized_arch_before_layout(tmp_path, monkeypatch, key):
+    head, body = checkpoint_bytes(tiny_model(45)).split(b"\n", 1)
+    header = json.loads(head)
+    header["arch"][key] = 10 ** 9
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+    def refuse(spec):
+        raise AssertionError("laid out an oversized arch")
+
+    # Laying out 10^9 layers would exhaust memory; the check must come first.
+    monkeypatch.setattr(network, "build_layout", refuse)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     model = tiny_model(42)
     blob = checkpoint_bytes(model)
