@@ -1,0 +1,110 @@
+"""Traced memory of one FS-1 meta-iteration at the default architecture,
+split by phase.
+
+Runs ``fs1_train`` for one meta-iteration of ``--meta-batch`` tasks, each
+one inner step on a b=10 batch at T=128 (the perfbench meta-train pass
+without its validation hook and checkpoint), under ``tracemalloc``. The
+embed, backward, Adam and meta-update calls are wrapped where
+``fewts.training`` looks them up; for each phase it reports the traced
+memory live when the call starts and the peak inside it, in MB, and the
+peak of the whole pass. Prints one JSON object.
+
+Run it against any checkout's sources:
+
+    PYTHONPATH=src python scripts/bench_step_memory.py --meta-batch 2
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import tracemalloc
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from fewts import training  # noqa: E402
+from fewts.network import ArchSpec, build_model  # noqa: E402
+from fewts.synthetic import ar_coefficient_domain, square_duty_domain  # noqa: E402
+
+PHASES = {
+    "embed": "embed_batch",
+    "backward": "backward_batch",
+    "adam": "adam_step",
+    "meta_update": "meta_update",
+}
+MB = 1 << 20
+
+
+def measure(meta_batch: int, seed: int) -> dict:
+    tracemalloc.start()
+    try:
+        return _measure(meta_batch, seed)
+    finally:
+        tracemalloc.stop()
+
+
+def _measure(meta_batch: int, seed: int) -> dict:
+    length, n_classes = 128, 5
+    train = [square_duty_domain(seed + 1, n_classes=n_classes, length=length, noise=1.0),
+             ar_coefficient_domain(seed + 2, n_classes=n_classes, length=length)]
+    model = build_model(ArchSpec(), np.random.default_rng(seed))
+    config = training.MetaConfig(meta_iterations=1, meta_batch=meta_batch, batch_size=10,
+                                 epochs=1, k_train=2, seed=seed)
+    stream = training.meta_task_stream(train, config.k_train, 0, config.seed)
+    phases = {name: {"calls": 0, "live_mb": 0.0, "peak_mb": 0.0} for name in PHASES}
+    overall = [0]
+
+    def wrap(name, fn):
+        def traced(*args, **kwargs):
+            live, peak = tracemalloc.get_traced_memory()
+            overall[0] = max(overall[0], peak)
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                overall[0] = max(overall[0], peak)
+                rec = phases[name]
+                rec["calls"] += 1
+                if peak / MB > rec["peak_mb"]:
+                    rec["live_mb"], rec["peak_mb"] = live / MB, peak / MB
+        return traced
+
+    saved = {attr: getattr(training, attr) for attr in PHASES.values()}
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        for name, attr in PHASES.items():
+            setattr(training, attr, wrap(name, saved[attr]))
+        training.fs1_train(model, config, stream)
+        overall[0] = max(overall[0], tracemalloc.get_traced_memory()[1])
+    finally:
+        for attr, fn in saved.items():
+            setattr(training, attr, fn)
+    for rec in phases.values():
+        rec["added_mb"] = rec["peak_mb"] - rec["live_mb"]
+        for key in ("live_mb", "peak_mb", "added_mb"):
+            rec[key] = round(rec[key], 1)
+    return {
+        "params": model.params.values.size,
+        "meta_batch": meta_batch,
+        "setup_live_mb": round(base / MB, 1),
+        "pass_peak_mb": round(overall[0] / MB, 1),
+        "phases": phases,
+    }
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--meta-batch", type=int, default=2)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    print(json.dumps(measure(args.meta_batch, args.seed), indent=1))
+
+
+if __name__ == "__main__":
+    main()

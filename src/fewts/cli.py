@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FewtsError as exc:
+    except (FewtsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -74,6 +74,15 @@ def _existing_path(value, key: str) -> Path:
     return path
 
 
+# The JSON types each top-level key accepts; the sections go through
+# _section. A path is a string, and null leaves an optional key unset.
+_TOP_LEVEL_KINDS = {
+    "seed": (int,), "k": (int,), "k_prime": (int,),
+    "tasks_per_dataset": (int,), "methods": (str, list), "variant": (str,),
+    "out_dir": (str,), "data_root": (str, type(None)), "split_manifest": (str, type(None)),
+    "records": (str, type(None)), "dataset": (str, type(None)),
+}
+
 # The value types a section key accepts, by the type of its default.
 _KINDS = {int: (int,), float: (int, float), str: (str,), tuple: (list, tuple)}
 
@@ -134,6 +143,10 @@ def load_experiment_config(
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "mode" not in raw:
         raise ConfigError("mode is required (config key or subcommand)")
+    for key, kinds in _TOP_LEVEL_KINDS.items():
+        if key in raw and type(raw[key]) not in kinds:
+            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ConfigError(f"{key} is {raw[key]!r}, expected {names}")
 
     kwargs: dict = {"mode": raw["mode"]}
     for key in ("seed", "k", "k_prime", "tasks_per_dataset", "variant", "dataset"):

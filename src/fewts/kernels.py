@@ -190,13 +190,25 @@ def multiscale_conv_forward(x: np.ndarray, banks, bias: np.ndarray) -> np.ndarra
 
 
 def multiscale_conv_backward(
-    x: np.ndarray, banks, upstream: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    x: np.ndarray,
+    banks,
+    upstream: np.ndarray,
+    dbanks: list[np.ndarray] | None = None,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, list[np.ndarray], np.ndarray]:
     """Gradients of :func:`multiscale_conv_forward` w.r.t. input, each bank
     and bias. ``upstream`` has the output's shape. Returns
     ``(dx, [dbank_i], dbias)``.
+
+    Each bank's filter gradient is added into ``dbanks[i]`` (an array of
+    that bank's shape, written in place) when given, else into fresh zeros.
+    With ``input_grad=False``, ``dx`` is not computed and is None.
     """
     banks, upstream, plan, xt = _conv_inputs(x, banks, upstream, "upstream")
+    if dbanks is None:
+        dbanks = [np.zeros_like(w) for w in banks]
+    elif [d.shape for d in dbanks] != [w.shape for w in banks]:
+        raise ConfigError("filter gradient buffers must match the banks' shapes")
     _, b, c = xt.shape
     t = upstream.shape[2]
     cols = plan.cols
@@ -208,23 +220,21 @@ def multiscale_conv_backward(
     # One pass over the flipped tap groups. A group's upstream block, row t
     # holding gp[t + u + k] for its taps k, gives the input gradient through
     # the transposed filters and, against the unpadded input rows, the
-    # filter gradient of taps s = taps - 1 - u - k.
-    wt = _tap_major(banks, plan)
-    dwt = np.empty((taps, c, cols[-1]))  # by buffer tap, like wt transposed
-    dxt = np.zeros((c, t * b))
+    # filter gradient of buffer taps s = taps - 1 - u - k, which each active
+    # bank takes at its own taps s - first.
+    if input_grad:
+        wt = _tap_major(banks, plan)
+        dxt = np.zeros((c, t * b))
     for u, g, a in plan.flipped:
         win = _tap_block(gp[:, :, cols[a] :], u, g, t).reshape(t * b, -1)
-        dw = (x0.T @ win).reshape(c, g, -1).transpose(1, 0, 2)
-        dwt[taps - u - g : taps - u, :, cols[a] :] = dw[::-1]
-        w = wt[taps - u - g : taps - u, cols[a] :][::-1].transpose(2, 0, 1)
-        dxt += w.reshape(c, -1) @ win.T
-    dbanks = [None] * len(banks)
-    for k, i in enumerate(plan.order):
-        f0 = plan.first[k]
-        dbanks[i] = np.ascontiguousarray(
-            dwt[f0 : f0 + banks[i].shape[2], :, cols[k] : cols[k + 1]].transpose(2, 1, 0)
-        )
-    dx = np.ascontiguousarray(dxt.reshape(c, t, b).transpose(2, 0, 1))
+        dw = (x0.T @ win).reshape(c, g, -1)[:, ::-1].transpose(2, 0, 1)  # [col, c, tap]
+        for k in range(a, len(plan.order)):
+            d0 = taps - u - g - plan.first[k]
+            dbanks[plan.order[k]][:, :, d0 : d0 + g] += dw[cols[k] - cols[a] : cols[k + 1] - cols[a]]
+        if input_grad:
+            w = wt[taps - u - g : taps - u, cols[a] :][::-1].transpose(2, 0, 1)
+            dxt += w.reshape(c, -1) @ win.T
+    dx = np.ascontiguousarray(dxt.reshape(c, t, b).transpose(2, 0, 1)) if input_grad else None
     return dx, dbanks, upstream.sum(axis=(0, 2))
 
 
@@ -247,13 +257,20 @@ def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.n
 
 
 def conv1d_backward(
-    x: np.ndarray, filters: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray,
+    filters: np.ndarray,
+    upstream: np.ndarray,
+    dfilters: np.ndarray | None = None,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of :func:`conv1d_forward` w.r.t. input, filters and bias.
 
-    ``upstream`` has the output's shape. Returns ``(dx, dfilters, dbias)``.
+    ``upstream`` has the output's shape. Returns ``(dx, dfilters, dbias)``;
+    ``dfilters`` and ``input_grad`` act as in :func:`multiscale_conv_backward`.
     """
-    dx, (dfilters,), dbias = multiscale_conv_backward(x, [filters], upstream)
+    dx, (dfilters,), dbias = multiscale_conv_backward(
+        x, [filters], upstream, None if dfilters is None else [dfilters], input_grad
+    )
     return dx, dfilters, dbias
 
 

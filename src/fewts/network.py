@@ -338,13 +338,16 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
     for bi in reversed(range(model.spec.blocks)):
         bc = cache["blocks"][bi]
         d_pre = kernels.relu_backward(bc["pre_act"], d)
+        # Block 0 reads the network input, whose gradient nobody uses.
+        input_grad = bi > 0
 
         # Shortcut branch.
         if bc["proj"] is not None:
             d_bn = _bn_backward_site(model, grads, f"b{bi}.proj", d_pre, bc["proj"])
-            pw = model.params.get(f"b{bi}.proj.w")
-            d_short, dw, _ = kernels.conv1d_backward(bc["x_in"], pw, d_bn)
-            grads.get(f"b{bi}.proj.w")[:] += dw
+            d_short, _, _ = kernels.conv1d_backward(
+                bc["x_in"], model.params.get(f"b{bi}.proj.w"), d_bn,
+                grads.get(f"b{bi}.proj.w"), input_grad,
+            )
         else:
             d_short = d_pre
 
@@ -356,14 +359,15 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
             if j < last:
                 d_cur = kernels.relu_backward(cc["bn_out"], d_cur)
             d_bn = _bn_backward_site(model, grads, f"b{bi}.c{j}", d_cur, cc["bn"])
-            d_cur, dws, dbias = kernels.multiscale_conv_backward(
-                cc["x"], _layer_weights(model, bi, j), d_bn
+            d_cur, _, dbias = kernels.multiscale_conv_backward(
+                cc["x"], _layer_weights(model, bi, j), d_bn,
+                [grads.get(f"b{bi}.c{j}.w{f}") for f in model.spec.filter_lengths],
+                input_grad or j > 0,
             )
-            for f, dw in zip(model.spec.filter_lengths, dws):
-                grads.get(f"b{bi}.c{j}.w{f}")[:] += dw
             grads.get(f"b{bi}.c{j}.bias")[:] += dbias
 
-        d = d_cur + d_short
+        if input_grad:
+            d = d_cur + d_short
 
     if model.freeze_mask is not None:
         grads.values[model.freeze_mask] = 0.0

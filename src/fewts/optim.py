@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .params import ParamSet
+from .params import CACHE_BLOCK, ParamSet
 
 
 @dataclass
@@ -50,13 +50,35 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[Para
         raise ConfigError("optimizer state size does not match parameters")
     g = grads.values
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    mhat = m / (1.0 - state.beta1 ** t)
-    vhat = v / (1.0 - state.beta2 ** t)
-    step = state.lr * mhat / (np.sqrt(vhat) + state.eps_hat)
-    new_state = AdamState(m, v, t, state.lr, state.beta1, state.beta2, state.eps_hat)
-    return ParamSet(params.layout, params.values - step), new_state
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    m, v, new = np.empty_like(g), np.empty_like(g), np.empty_like(g)
+    scratch = np.empty(min(g.size, CACHE_BLOCK))
+    # The update rule above, operation for operation and in numpy's
+    # evaluation order, block by block into the three outputs and one
+    # scratch block instead of a whole-vector temporary per operation:
+    #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
+    #   p - (lr * (m / c1)) / (sqrt(v / c2) + eps)
+    for lo in range(0, g.size, CACHE_BLOCK):
+        hi = lo + CACHE_BLOCK
+        gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], new[lo:hi]
+        s = scratch[: gb.size]
+        np.multiply(gb, 1.0 - b1, out=s)
+        np.multiply(state.m[lo:hi], b1, out=mb)
+        mb += s
+        np.multiply(gb, 1.0 - b2, out=s)
+        s *= gb
+        np.multiply(state.v[lo:hi], b2, out=vb)
+        vb += s
+        np.divide(mb, c1, out=pb)
+        pb *= state.lr
+        np.divide(vb, c2, out=s)
+        np.sqrt(s, out=s)
+        s += state.eps_hat
+        pb /= s
+        np.subtract(params.values[lo:hi], pb, out=pb)
+    new_state = AdamState(m, v, t, state.lr, b1, b2, state.eps_hat)
+    return ParamSet(params.layout, new), new_state
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:

@@ -16,6 +16,12 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Elementwise passes over a flat vector (the Adam step, the meta-update) run
+# in blocks of this many entries, so that their scratch stays in cache. On a
+# 2-vCPU x86 host at 2.03M parameters, 1 << 14 was faster than 1 << 12 and
+# 1 << 16 for both.
+CACHE_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class LayoutRecord:

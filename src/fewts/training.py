@@ -31,7 +31,7 @@ from .network import (
     write_atomic,
 )
 from .optim import AdamState, adam_step, sgd_step
-from .params import ParamSet
+from .params import CACHE_BLOCK, ParamSet
 from .triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss, triplet_loss_grad
 
 log = logging.getLogger(__name__)
@@ -229,14 +229,40 @@ def meta_update(params: ParamSet, adapted: Sequence[ParamSet], epsilon: float) -
     """
     if not adapted:
         raise ConfigError("meta_update needs at least one adapted parameter set")
-    deltas = np.empty((len(adapted), params.values.size))
-    for row, task_params in enumerate(adapted):
+    for task_params in adapted:
         if task_params.layout != params.layout:
             raise ConfigError("adapted parameters use a different layout")
-        deltas[row] = task_params.values - params.values
-    deltas.sort(axis=0)
-    mean = deltas.sum(axis=0) / len(adapted)
-    return ParamSet(params.layout, params.values + epsilon * mean)
+    k, n = len(adapted), params.values.size
+    out = np.empty(n)
+    block = np.empty((k, min(n, CACHE_BLOCK)))
+    scratch = np.empty(block.shape[1])
+    for lo in range(0, n, CACHE_BLOCK):
+        hi = min(lo + CACHE_BLOCK, n)
+        p = params.values[lo:hi]
+        deltas = block[:, : hi - lo]
+        for row, task_params in enumerate(adapted):
+            np.subtract(task_params.values[lo:hi], p, out=deltas[row])
+        _sort_rows(deltas, scratch[: hi - lo])
+        np.add(p, epsilon * (deltas.sum(axis=0) / k), out=out[lo:hi])
+    return ParamSet(params.layout, out)
+
+
+def _sort_rows(rows: np.ndarray, scratch: np.ndarray) -> None:
+    """Sort each column of a [k, n] array in place, ascending, by odd-even
+    transposition: k rounds of min/max on neighbouring rows.
+
+    numpy's minimum and maximum both return their second operand on a tie,
+    so taking max(b, a) after min(a, b) keeps each column's multiset even for
+    -0.0 == 0.0; the sorted values then match np.sort up to the signs within
+    a run of zeros, which no sum over the column can tell apart.
+    """
+    k = rows.shape[0]
+    for r in range(k):
+        for i in range(r % 2, k - 1, 2):
+            a, b = rows[i], rows[i + 1]
+            np.minimum(a, b, out=scratch)
+            np.maximum(b, a, out=b)
+            a[...] = scratch
 
 
 def _task_label(task: FewShotTask, ordinal: int) -> str:

@@ -178,3 +178,52 @@ def freeze_mask_reference(spec, layout, frozen_layers):
                 rec = layout[f"b{bi}.proj.{leaf}"]
                 mask[rec.offset : rec.offset + rec.size] = True
     return mask
+
+
+def adam_step_reference(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam step ``t`` as one numpy expression per quantity, the form the
+    library's scratch-vector step replaced; it must match byte for byte.
+    Returns ``(p, m, v)``."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    mhat = m / (1.0 - b1 ** t)
+    vhat = v / (1.0 - b2 ** t)
+    return p - lr * mhat / (np.sqrt(vhat) + eps), m, v
+
+
+def meta_update_reference(p, adapted, epsilon):
+    """``p + epsilon * mean(adapted - p)`` with each column of deltas summed
+    after ``np.sort``: the strided sort the library's sorting network
+    replaced; it must match byte for byte."""
+    deltas = np.array([a - p for a in adapted])
+    deltas.sort(axis=0)
+    return p + epsilon * (deltas.sum(axis=0) / len(adapted))
+
+
+def tap_buffer_filter_grads_reference(x, banks, upstream):
+    """Filter gradients of ``kernels.multiscale_conv_backward`` through one
+    ``[taps, c, out]`` buffer indexed by padded-buffer tap, copied out bank by
+    bank and added into zeros: the path the in-place accumulation replaced.
+    It walks the kernel's own tap plan, so it checks the write-out, not the
+    GEMMs, and must match byte for byte."""
+    from fewts.kernels import _conv_inputs, _tap_block
+
+    banks, upstream, plan, xt = _conv_inputs(x, banks, upstream, "upstream")
+    _, b, c = xt.shape
+    t = upstream.shape[2]
+    cols = plan.cols
+    taps = plan.pad_l + plan.pad_r + 1
+    gp = np.zeros((t + taps - 1, b, cols[-1]))
+    gp[plan.pad_r : plan.pad_r + t] = upstream.transpose(2, 0, 1)[:, :, plan.perm]
+    x0 = xt[plan.pad_l : plan.pad_l + t].reshape(t * b, c)
+    dwt = np.empty((taps, c, cols[-1]))
+    for u, g, a in plan.flipped:
+        win = _tap_block(gp[:, :, cols[a] :], u, g, t).reshape(t * b, -1)
+        dw = (x0.T @ win).reshape(c, g, -1).transpose(1, 0, 2)
+        dwt[taps - u - g : taps - u, :, cols[a] :] = dw[::-1]
+    out = [None] * len(banks)
+    for k, i in enumerate(plan.order):
+        f0 = plan.first[k]
+        bank = dwt[f0 : f0 + banks[i].shape[2], :, cols[k] : cols[k + 1]].transpose(2, 1, 0)
+        out[i] = np.zeros(bank.shape) + bank
+    return out

@@ -139,6 +139,14 @@ def test_bad_section_keys_name_the_section(tmp_path, section, match):
         load_experiment_config(path, {})
 
 
+@pytest.mark.parametrize("key, value", [("k", "5"), ("data_root", 3)],
+                         ids=["string-for-int", "int-for-path"])
+def test_bad_top_level_values_name_the_key(tmp_path, key, value):
+    path = write_config(tmp_path, {"mode": "report", key: value})
+    with pytest.raises(ConfigError, match=f"{key} is {value!r}"):
+        load_experiment_config(path, {})
+
+
 def test_checkpoints_resolve(tmp_path):
     ckpt = tmp_path / "m.ckpt"
     ckpt.write_bytes(b"x")

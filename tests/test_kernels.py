@@ -19,7 +19,13 @@ from fewts.kernels import (
     relu_forward,
 )
 
-from helpers import FD_STEP, max_rel_err, multiscale_conv_reference, numeric_grad
+from helpers import (
+    FD_STEP,
+    max_rel_err,
+    multiscale_conv_reference,
+    numeric_grad,
+    tap_buffer_filter_grads_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +144,30 @@ def test_multiscale_conv_matches_per_bank_reference(lengths, in_ch, batch):
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12
         assert np.abs(got_dbias - dbias).max() < 1e-12
+
+
+@pytest.mark.parametrize("lengths, in_ch", [((4, 8, 16, 32, 64), 1), ((8, 5), 6),
+                                            ((8, 4, 16), 40), ((1,), 3)])
+def test_multiscale_conv_backward_writes_filter_grads_in_place(lengths, in_ch):
+    rng = np.random.default_rng(len(lengths) * 100 + in_ch)
+    banks = [rng.standard_normal((5, in_ch, f)) for f in lengths]
+    x = rng.standard_normal((3, in_ch, 30))
+    upstream = rng.standard_normal((3, 5 * len(lengths), 30))
+    want = tap_buffer_filter_grads_reference(x, banks, upstream)
+    dx, fresh, dbias = multiscale_conv_backward(x, banks, upstream)
+    # Views into one flat gradient vector, as backward_batch passes them.
+    flat = np.zeros(sum(w.size for w in banks))
+    ends = np.cumsum([w.size for w in banks])
+    views = [flat[e - w.size : e].reshape(w.shape) for e, w in zip(ends, banks)]
+    got_dx, got, got_dbias = multiscale_conv_backward(x, banks, upstream, views, False)
+    assert got_dx is None
+    assert all(g is v for g, v in zip(got, views))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert [g.tobytes() for g in fresh] == [w.tobytes() for w in want]
+    assert got_dbias.tobytes() == dbias.tobytes()
+    assert dx.tobytes() == multiscale_conv_backward(x, banks, upstream, views)[0].tobytes()
+    with pytest.raises(ConfigError, match="filter gradient buffers"):
+        multiscale_conv_backward(x, banks, upstream, views[:-1] + [np.zeros(3)])
 
 
 def test_multiscale_conv_rows_independent_of_batch():

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fewts.errors import ConfigError
 from fewts.optim import AdamState, adam_step, sgd_step
-from fewts.params import Layout, ParamSet
+from fewts.params import CACHE_BLOCK, Layout, ParamSet
+
+from helpers import adam_step_reference
 
 
 def flat_params(values):
@@ -55,6 +59,49 @@ def test_step_is_functional():
     assert np.array_equal(params.values, before)
     assert np.array_equal(state.m, m_before)
     assert state.t == 0
+
+
+def test_step_matches_reference_expression_bitwise():
+    rng = np.random.default_rng(7)
+    n = CACHE_BLOCK + 1000
+    p = rng.standard_normal(n)
+    p[:50] = 0.0
+    p[50:100] = -0.0
+    params = flat_params(p)
+    state = AdamState.fresh(n, lr=1e-3, beta1=0.8, beta2=0.99, eps_hat=1e-7)
+    m, v = state.m.copy(), state.v.copy()
+    for t in (1, 2, 3):
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
+        g[rng.integers(0, n, 1000)] = 0.0
+        g[rng.integers(0, n, 1000)] = -0.0
+        grads = flat_params(g)
+        inputs = [a.tobytes() for a in (params.values, grads.values, state.m, state.v)]
+        new, new_state = adam_step(params, grads, state)
+        want_p, m, v = adam_step_reference(p, g, m, v, t, 1e-3, 0.8, 0.99, 1e-7)
+        assert [a.tobytes() for a in (params.values, grads.values, state.m, state.v)] == inputs
+        assert new.values.tobytes() == want_p.tobytes()
+        assert new_state.m.tobytes() == m.tobytes()
+        assert new_state.v.tobytes() == v.tobytes()
+        assert new_state.t == t
+        params, state, p = new, new_state, want_p
+
+
+def test_step_allocates_at_most_four_vectors():
+    # The new params, m and v plus one scratch block.
+    n = 200_000
+    params = flat_params(np.ones(n))
+    grads = flat_params(np.full(n, 0.5))
+    state = AdamState.fresh(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = adam_step(params, grads, state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result[1].t == 1
+    assert peak <= 4 * 8 * n + 4096
 
 
 def test_layout_mismatch_rejected():

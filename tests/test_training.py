@@ -10,7 +10,7 @@ from fewts.data import Dataset, DatasetBundle, LabeledSet, sample_task_seeded, t
 from fewts.errors import ConfigError, TaskDegenerateError
 from fewts.network import ArchSpec, backward_batch, build_model, embed_batch, freeze_mask_for
 from fewts.optim import sgd_step
-from fewts.params import ParamSet
+from fewts.params import CACHE_BLOCK, Layout, ParamSet
 from fewts.training import (
     FineTuneConfig,
     MetaConfig,
@@ -28,6 +28,8 @@ from fewts.training import (
     stratified_batch,
 )
 from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss_grad
+
+from helpers import meta_update_reference
 
 TINY = ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(2, 3), filters_per_length=2)
 
@@ -207,6 +209,22 @@ def test_meta_update_order_independent_bitwise():
     for perm in itertools.permutations(range(5)):
         shuffled = [adapted[i] for i in perm]
         assert meta_update(base, shuffled, 1.0).values.tobytes() == reference
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_meta_update_matches_sorted_sum_bitwise(k):
+    # Few distinct values make ties common; the zeros of either sign and the
+    # infinities go through the sorting network as they would through np.sort.
+    rng = np.random.default_rng(k)
+    n = 2 * CACHE_BLOCK + 37
+    levels = np.array([-np.inf, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.25, 1.5, np.inf])
+    base = ParamSet(Layout.from_shapes([("p", (n,))]), rng.choice(levels[1:-1], n))
+    adapted = [ParamSet(base.layout, rng.choice(levels, n)) for _ in range(k)]
+    for epsilon in (1.0, 0.37):
+        with np.errstate(invalid="ignore"):  # a column holding both infinities
+            got = meta_update(base, adapted, epsilon).values
+            want = meta_update_reference(base.values, [a.values for a in adapted], epsilon)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_meta_update_identical_deltas_collapse_to_one():
