@@ -2,16 +2,20 @@
 
 Times one conv layer's forward and backward for the first layer
 (in_ch = 1) and an inner layer (in_ch = channels), at T in {128, 512} and
-b = 10, and prints one JSON object with the figures and the machine. Each
-figure is the minimum over ``--repeats`` runs, in milliseconds.
+b = 10, on one worker and on as many workers as the process has CPUs, and
+prints one JSON object with the figures and the machine. Each figure is
+the minimum over ``--repeats`` runs, in milliseconds; the two worker
+counts alternate run by run.
 
 Run it against any checkout's sources:
 
     PYTHONPATH=src python scripts/bench_conv.py --repeats 5
 
-A checkout whose ``fewts.kernels`` has no ``multiscale_conv_forward`` is
-timed through a per-bank loop over ``conv1d_forward``/``conv1d_backward``,
-which is how such a checkout's network ran a layer.
+BLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise. A
+checkout whose ``fewts.kernels`` has no ``multiscale_conv_forward`` is timed
+through a per-bank loop over ``conv1d_forward``/``conv1d_backward``, which
+is how such a checkout's network ran a layer; one without a worker pool is
+timed once, as one worker.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import platform
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 
@@ -50,15 +54,7 @@ def _per_bank_backward(x, banks, upstream):
 
 LAYER_FORWARD = getattr(kernels, "multiscale_conv_forward", _per_bank_forward)
 LAYER_BACKWARD = getattr(kernels, "multiscale_conv_backward", _per_bank_backward)
-
-
-def _min_ms(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return round(best * 1e3, 2)
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def time_layer(in_ch: int, t: int, batch: int, repeats: int, seed: int = 0) -> dict:
@@ -68,19 +64,31 @@ def time_layer(in_ch: int, t: int, batch: int, repeats: int, seed: int = 0) -> d
     x = rng.standard_normal((batch, in_ch, t))
     bias = rng.standard_normal(spec.channels)
     upstream = rng.standard_normal((batch, spec.channels, t))
-    return {
-        "in_ch": in_ch,
-        "T": t,
-        "b": batch,
-        "fwd_ms": _min_ms(lambda: LAYER_FORWARD(x, banks, bias), repeats),
-        "bwd_ms": _min_ms(lambda: LAYER_BACKWARD(x, banks, upstream), repeats),
+    ops = {
+        "fwd": lambda: LAYER_FORWARD(x, banks, bias),
+        "bwd": lambda: LAYER_BACKWARD(x, banks, upstream),
     }
+    counts = sorted({1, CPUS}) if hasattr(kernels, "_WORKERS") else [1]
+    best = {(n, op): float("inf") for n in counts for op in ops}
+    for _ in range(repeats):
+        for n in counts:
+            if hasattr(kernels, "_WORKERS"):
+                kernels._WORKERS = n
+            for op, fn in ops.items():
+                t0 = time.perf_counter()
+                fn()
+                best[n, op] = min(best[n, op], time.perf_counter() - t0)
+    row = {"in_ch": in_ch, "T": t, "b": batch}
+    for (n, op), s in best.items():
+        row[f"{op}_ms_{n}w"] = round(s * 1e3, 2)
+    return row
 
 
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "cores": os.cpu_count(),
+        "affinity": CPUS,
         "cpu": platform.processor() or platform.machine(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",

@@ -11,10 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# Conv layers already split their work over one thread per CPU, and a
+# default-arch inner step ran faster with one BLAS thread under them than
+# with OpenBLAS's own threads (README, Threads). Set before numpy loads
+# BLAS; a value in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .config import CONFIG_KEYS, VARIANTS, ExperimentConfig, load_experiment_config

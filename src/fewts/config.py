@@ -5,7 +5,7 @@ loudly instead of silently using defaults."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .baselines import DTWConfig
@@ -87,10 +87,11 @@ _TOP_LEVEL_KINDS = {
 _KINDS = {int: (int,), float: (int, float), str: (str,), tuple: (list, tuple)}
 
 
-def _section(cls, name: str, section, **fixed):
-    """Build ``cls(**section, **fixed)``. Omitted keys take the dataclass
-    defaults; a section that is not an object, or an unknown or ill-typed key,
-    raises ConfigError naming the section."""
+def _section(cls, name: str, section, base=None, **fixed):
+    """Build ``cls(**section, **fixed)``. Omitted keys take their values in
+    ``base``, an instance of ``cls``, when given, else the dataclass
+    defaults; a section that is not an object, or an unknown or ill-typed
+    key, raises ConfigError naming the section."""
     if not isinstance(section, dict):
         raise ConfigError(f"bad {name} section: expected an object, got {section!r}")
     for f in fields(cls):
@@ -99,7 +100,7 @@ def _section(cls, name: str, section, **fixed):
             raise ConfigError(f"bad {name} section: {f.name} is {section[f.name]!r}, "
                               f"not of the type of its default {f.default!r}")
     try:
-        return cls(**section, **fixed)
+        return replace(base, **section, **fixed) if base is not None else cls(**section, **fixed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} section: {exc}") from exc
 
@@ -172,7 +173,7 @@ def load_experiment_config(
     kwargs["dtw"] = _section(DTWConfig, "dtw", raw.get("dtw", {}))
     kwargs["finetune"] = _by_method(
         raw, "finetune", tuple(DEFAULT_FINETUNE),
-        lambda m, s: _section(FineTuneConfig, f"finetune.{m}", s))
+        lambda m, s: _section(FineTuneConfig, f"finetune.{m}", s, DEFAULT_FINETUNE[m]))
     kwargs["checkpoints"] = _by_method(
         raw, "checkpoints", CHECKPOINT_METHODS,
         lambda m, p: _existing_path(p, f"checkpoint for {m!r}"))

@@ -7,11 +7,14 @@ every kernel is covered by a finite-difference test.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, UsageError
 
@@ -44,8 +47,9 @@ def conv_padding(filter_len: int) -> tuple[int, int]:
 # is one contiguous block of (sorted) output channels. The buffer is
 # time-major, [T + pad_l + pad_r, b, c], so tap s reads xt[s : s + T] without
 # a copy, and a layer is a sum of one GEMM per tap group. The backward pass
-# runs the same sum backwards, the padded upstream read at flipped taps,
-# and takes both gradients from each upstream block.
+# runs the same sum backwards, the padded upstream read at flipped taps: each
+# upstream block gives the filter gradient of its taps and, through the
+# transposed filters, a term of the input gradient.
 
 # Neighbouring taps with the same active banks are stacked along K (one copy
 # of their input columns) while taps * in_cols <= _STACK_RATIO * out_cols;
@@ -55,6 +59,23 @@ def conv_padding(filter_len: int) -> tuple[int, int]:
 # while the 1-channel first layer stacks whole rings forward and runs tap by
 # tap backward.
 _STACK_RATIO = 4
+
+# A layer of at least _SPLIT_MACS multiply-adds is cut into parts whose
+# outputs do not overlap, one per worker: the forward by series, the filter
+# gradient by flipped tap groups and the input gradient by series again.
+# Each part runs the GEMMs one part would, and each output sums its terms in
+# the same order, so every output is bitwise the same on one core or many.
+# The parts run GEMMs and copies into buffers the calling thread allocated,
+# so that no worker grows a malloc arena of its own. On a 2-vCPU x86 host
+# with both vCPUs free, two parts ran a 165-channel layer at b = 10,
+# T = 128 (864M multiply-adds) 1.4x faster and one at b = 3, T = 64 (130M)
+# 1.7x faster, while the tiny arch's layers (0.5M) and the in_ch = 1 first
+# layer at T = 128 (5.2M) ran no faster or slower: there a hop to a pool
+# thread costs what it saves.
+_SPLIT_MACS = 1 << 25
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="fewts-conv")
 
 
 @dataclass(frozen=True)
@@ -67,6 +88,15 @@ class _TapPlan:
     pad_r: int
     groups: tuple[tuple[int, int, int], ...]  # (s, g, a): g taps from s, banks a..
     flipped: tuple[tuple[int, int, int], ...]  # (u, g, a), u = taps - 1 - s
+    # The backward pass's upstream blocks, one per flipped group, have
+    # g * (out_ch - cols[a]) columns each (``sizes``); those with g > 1 are
+    # copies. The groups run in chunks (bounds ``chunks``) whose copies fit
+    # in ``store`` columns, each at column ``at`` of it; ``store`` holds the
+    # largest copy once per worker.
+    sizes: tuple[int, ...]
+    chunks: tuple[int, ...]
+    at: tuple[int, ...]
+    store: int
 
 
 def _stack_taps(active: list[int], width) -> tuple[tuple[int, int, int], ...]:
@@ -84,8 +114,9 @@ def _stack_taps(active: list[int], width) -> tuple[tuple[int, int, int], ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _tap_plan(shapes: tuple[tuple[int, int], ...], in_ch: int) -> _TapPlan:
-    """Tap layout of banks with the given (out_ch, filter length) shapes."""
+def _tap_plan(shapes: tuple[tuple[int, int], ...], in_ch: int, workers: int) -> _TapPlan:
+    """Tap layout of banks with the given (out_ch, filter length) shapes;
+    a backward chunk holds the copies of up to ``workers`` largest blocks."""
     order = tuple(sorted(range(len(shapes)), key=lambda i: shapes[i][1]))
     pads = [conv_padding(shapes[i][1]) for i in order]
     pad_l = max(p[0] for p in pads)
@@ -100,41 +131,72 @@ def _tap_plan(shapes: tuple[tuple[int, int], ...], in_ch: int) -> _TapPlan:
     perm.flags.writeable = False
     cols = tuple(np.cumsum([0] + [shapes[i][0] for i in order]).tolist())
     width = [cols[-1] - cols[a] for a in range(len(order))]  # active columns
+    flipped = _stack_taps(active[::-1], lambda a: max(1, _STACK_RATIO * in_ch // width[a]))
+    sizes = tuple(g * width[a] for _, g, a in flipped)
+    copied = [size if g > 1 else 0 for size, (_, g, _) in zip(sizes, flipped)]
+    store = workers * max(copied)
+    chunks, at, used = [0], [], 0
+    for i, size in enumerate(copied):
+        if used + size > store:
+            chunks.append(i)
+            used = 0
+        at.append(used)
+        used += size
+    chunks.append(len(flipped))
     return _TapPlan(
         order, first, cols, perm, pad_l, pad_r,
         _stack_taps(active, lambda a: max(1, _STACK_RATIO * width[a] // in_ch)),
-        _stack_taps(active[::-1], lambda a: max(1, _STACK_RATIO * in_ch // width[a])),
+        flipped, sizes, tuple(chunks), tuple(at), store,
     )
 
 
-def _tap_block(buf: np.ndarray, s: int, g: int, t: int) -> np.ndarray:
-    # Taps s .. s+g-1 of a time-major buffer, columns (tap, channel):
-    # [t, b, g * c]. A view when g == 1, else one copy.
+def _tap_block(buf, col, s, g, t, lo, hi, scratch) -> np.ndarray:
+    # Taps s .. s+g-1 of a C-contiguous time-major buffer [., b, C] at the
+    # series lo .. hi-1 and channels col .., columns (tap, channel):
+    # [t, hi - lo, g * c]. A view when g == 1, else a copy into the front of
+    # flat ``scratch``.
     if g == 1:
-        return buf[s : s + t]
-    _, b, c = buf.shape
+        return buf[s : s + t, lo:hi, col:]
+    c = buf.shape[2] - col
+    into = scratch[: t * (hi - lo) * g * c].reshape(t, hi - lo, g, c)
+    # Tap k of time step i reads buffer row s + i + k: the time stride twice.
     st = buf.strides
-    win = as_strided(buf[s:], (t, b, g, c), (st[0], st[1], st[0], st[2]), writeable=False)
-    return win.reshape(t, b, g * c)
+    win = np.ndarray(into.shape, buf.dtype, buf, s * st[0] + lo * st[1] + col * st[2],
+                     (st[0], st[1], st[0], st[2]))
+    np.copyto(into, win)
+    return into.reshape(t, hi - lo, -1)
 
 
-def _tap_major(banks: list[np.ndarray], plan: _TapPlan) -> np.ndarray:
-    # Filters by buffer tap: [taps, sorted out_ch, in_ch]. Only the entries
-    # of active banks are written, and no others are ever read.
-    wt = np.empty((plan.pad_l + plan.pad_r + 1, plan.cols[-1], banks[0].shape[1]))
-    for k, i in enumerate(plan.order):
-        f0 = plan.first[k]
-        wt[f0 : f0 + banks[i].shape[2], plan.cols[k] : plan.cols[k + 1]] = (
-            banks[i].transpose(2, 0, 1)
-        )
-    return wt
+def _split(weights: list[int], parts: int) -> list[int]:
+    """Bounds of at most ``parts`` runs of consecutive items, of about equal
+    total weight."""
+    if parts == 1:
+        return [0, len(weights)]
+    cum = list(itertools.accumulate(weights))
+    cuts = {bisect.bisect_left(cum, cum[-1] * p / parts) + 1 for p in range(1, parts)}
+    return sorted({0, len(cum)} | cuts)
+
+
+def _in_parts(body, bounds: list[int]) -> None:
+    """``body(k, lo, hi)`` for each run k of ``bounds``: the first on the
+    calling thread, the others on the pool. Returns when all have ended."""
+    futures = [_POOL.submit(body, k, bounds[k], bounds[k + 1]) for k in range(1, len(bounds) - 1)]
+    try:
+        body(0, bounds[0], bounds[1])
+    finally:
+        if futures:
+            wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _conv_inputs(x, banks, tail, name: str):
-    """Float64 ``(banks, tail, plan, xt)`` after one shared shape check.
+    """Float64 ``(banks, tail, plan, xt, parts)`` after one shared shape
+    check.
 
     ``tail`` is the bias ``[out_ch]`` or the upstream gradient
-    ``[b, out_ch, T]``; ``xt`` is the padded time-major input buffer.
+    ``[b, out_ch, T]``; ``xt`` is the padded time-major input buffer and
+    ``parts`` the number of parts the layer runs in.
     """
     x = _as_bct(x)
     banks = [np.asarray(w, dtype=np.float64) for w in banks]
@@ -151,10 +213,11 @@ def _conv_inputs(x, banks, tail, name: str):
     want = (out_ch,) if name == "bias" else (b, out_ch, t)
     if tail.shape != want:
         raise ConfigError(f"{name} must be {list(want)}, got shape {tail.shape}")
-    plan = _tap_plan(tuple((w.shape[0], w.shape[2]) for w in banks), c)
+    plan = _tap_plan(tuple((w.shape[0], w.shape[2]) for w in banks), c, _WORKERS)
     xt = np.zeros((t + plan.pad_l + plan.pad_r, b, c))
     xt[plan.pad_l : plan.pad_l + t] = x.transpose(2, 0, 1)
-    return banks, tail, plan, xt
+    macs = b * t * c * sum(w.shape[0] * w.shape[2] for w in banks)
+    return banks, tail, plan, xt, _WORKERS if macs >= _SPLIT_MACS else 1
 
 
 def multiscale_conv_forward(x: np.ndarray, banks, bias: np.ndarray) -> np.ndarray:
@@ -172,19 +235,33 @@ def multiscale_conv_forward(x: np.ndarray, banks, bias: np.ndarray) -> np.ndarra
     ndarray, [batch, sum out_i, T]: each bank's :func:`conv1d_forward`
     output, concatenated along channels in the given order, plus ``bias``.
     """
-    banks, bias, plan, xt = _conv_inputs(x, banks, bias, "bias")
+    banks, bias, plan, xt, parts = _conv_inputs(x, banks, bias, "bias")
     _, b, c = xt.shape
     t = xt.shape[0] - plan.pad_l - plan.pad_r
     cols = plan.cols
-    wt = _tap_major(banks, plan)
+    # Filters by sorted output channel and buffer tap, so that a tap group's
+    # filters [n, g * c] are a view. Only active banks' taps are written.
+    wt = np.empty((cols[-1], plan.pad_l + plan.pad_r + 1, c))
+    for k, i in enumerate(plan.order):
+        f0 = plan.first[k]
+        wt[cols[k] : cols[k + 1], f0 : f0 + banks[i].shape[2]] = banks[i].transpose(0, 2, 1)
     out = np.empty((b, cols[-1], t))
     out[:] = bias[plan.perm, None]
-    for s, g, a in plan.groups:
+    result = np.empty_like(out)  # each group's GEMM output, then the result
+    # Stacked taps of series lo .. hi-1 go to their own share of ``stack``.
+    share = t * max(g for _, g, _ in plan.groups) * c
+    stack = np.empty(b * share)
+
+    def run(k, lo, hi):
         # One [n, g * c] @ [g * c, t] GEMM per series: a row's output never
         # depends on the batch around it, which keeps batched infer bitwise.
-        w = wt[s : s + g, cols[a] :].transpose(1, 0, 2).reshape(-1, g * c)
-        out[:, cols[a] :] += np.matmul(w, _tap_block(xt, s, g, t).transpose(1, 2, 0))
-    result = np.empty_like(out)
+        for s, g, a in plan.groups:
+            blk = _tap_block(xt, 0, s, g, t, lo, hi, stack[lo * share :])
+            dst = result[lo:hi, cols[a] :]
+            np.matmul(wt[cols[a] :, s : s + g].reshape(-1, g * c), blk.transpose(1, 2, 0), out=dst)
+            out[lo:hi, cols[a] :] += dst
+
+    _in_parts(run, _split([1] * b, parts))
     result[:, plan.perm] = out
     return result
 
@@ -204,7 +281,7 @@ def multiscale_conv_backward(
     that bank's shape, written in place) when given, else into fresh zeros.
     With ``input_grad=False``, ``dx`` is not computed and is None.
     """
-    banks, upstream, plan, xt = _conv_inputs(x, banks, upstream, "upstream")
+    banks, upstream, plan, xt, parts = _conv_inputs(x, banks, upstream, "upstream")
     if dbanks is None:
         dbanks = [np.zeros_like(w) for w in banks]
     elif [d.shape for d in dbanks] != [w.shape for w in banks]:
@@ -215,27 +292,56 @@ def multiscale_conv_backward(
     taps = plan.pad_l + plan.pad_r + 1
     gp = np.zeros((t + taps - 1, b, cols[-1]))  # padded upstream, sorted channels
     gp[plan.pad_r : plan.pad_r + t] = upstream.transpose(2, 0, 1)[:, :, plan.perm]
-    x0 = xt[plan.pad_l : plan.pad_l + t].reshape(t * b, c)  # the unpadded input
+    x0t = xt[plan.pad_l : plan.pad_l + t].reshape(t * b, c).T  # the unpadded input
+    # A flipped tap group's upstream block, row t holding gp[t + u + k] for
+    # its taps k, is [t, b, g * n]: a view of gp when g == 1, else a copy
+    # into ``store``. Each chunk's filter gradients are split by group, then
+    # its input-gradient terms by series, both reading the chunk's blocks.
+    # ``wdx`` holds each group's transposed filters [c, g * n] at ``ofs``,
+    # in its block's column order.
+    sizes = plan.sizes
+    ofs = [c * n for n in itertools.accumulate(sizes, initial=0)]
+    store = np.empty(t * b * plan.store)
+    dws = np.empty((parts, c * max(sizes)))
+    wdx = np.empty(ofs[-1] if input_grad else 0)
+    blocks = [None] * len(sizes)
 
-    # One pass over the flipped tap groups. A group's upstream block, row t
-    # holding gp[t + u + k] for its taps k, gives the input gradient through
-    # the transposed filters and, against the unpadded input rows, the
-    # filter gradient of buffer taps s = taps - 1 - u - k, which each active
-    # bank takes at its own taps s - first.
+    def filter_grads(k, lo, hi):
+        # Against the unpadded input rows, a group's block gives the filter
+        # gradient of buffer taps s = taps - 1 - u - k, which each active
+        # bank takes at its own taps s - first.
+        for i in range(lo, hi):
+            u, g, a = plan.flipped[i]
+            n = cols[-1] - cols[a]
+            blocks[i] = _tap_block(gp, cols[a], u, g, t, 0, b, store[t * b * plan.at[i] :])
+            win = blocks[i].reshape(t * b, -1)
+            dw = np.matmul(x0t, win, out=dws[k, : c * sizes[i]].reshape(c, -1))
+            dw = dw.reshape(c, g, n)[:, ::-1].transpose(2, 0, 1)  # [col, c, tap]
+            if input_grad:
+                w = wdx[ofs[i] : ofs[i + 1]].reshape(c, g, n)[:, ::-1].transpose(2, 0, 1)
+            for j in range(a, len(plan.order)):
+                d0 = taps - u - g - plan.first[j]
+                col = slice(cols[j] - cols[a], cols[j + 1] - cols[a])
+                dbanks[plan.order[j]][:, :, d0 : d0 + g] += dw[col]
+                if input_grad:
+                    w[col] = banks[plan.order[j]][:, :, d0 : d0 + g]
+
+    def input_grads(first, end, k, lo, hi):
+        # Groups first .. end-1's terms of each series, added in their order.
+        for i in range(first, end):
+            w = wdx[ofs[i] : ofs[i + 1]].reshape(c, -1)
+            np.matmul(w, blocks[i][:, lo:hi].transpose(1, 2, 0), out=prod[lo:hi])
+            dx[lo:hi] += prod[lo:hi]
+
     if input_grad:
-        wt = _tap_major(banks, plan)
-        dxt = np.zeros((c, t * b))
-    for u, g, a in plan.flipped:
-        win = _tap_block(gp[:, :, cols[a] :], u, g, t).reshape(t * b, -1)
-        dw = (x0.T @ win).reshape(c, g, -1)[:, ::-1].transpose(2, 0, 1)  # [col, c, tap]
-        for k in range(a, len(plan.order)):
-            d0 = taps - u - g - plan.first[k]
-            dbanks[plan.order[k]][:, :, d0 : d0 + g] += dw[cols[k] - cols[a] : cols[k + 1] - cols[a]]
+        dx = np.zeros((b, c, t))
+        prod = np.empty_like(dx)
+    series = _split([1] * b, parts)
+    for lo, hi in zip(plan.chunks, plan.chunks[1:]):
+        _in_parts(filter_grads, [lo + i for i in _split(sizes[lo:hi], parts)])
         if input_grad:
-            w = wt[taps - u - g : taps - u, cols[a] :][::-1].transpose(2, 0, 1)
-            dxt += w.reshape(c, -1) @ win.T
-    dx = np.ascontiguousarray(dxt.reshape(c, t, b).transpose(2, 0, 1)) if input_grad else None
-    return dx, dbanks, upstream.sum(axis=(0, 2))
+            _in_parts(functools.partial(input_grads, lo, hi), series)
+    return (dx if input_grad else None), dbanks, upstream.sum(axis=(0, 2))
 
 
 def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:

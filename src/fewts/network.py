@@ -322,7 +322,8 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
 
     ``upstream`` is the loss gradient w.r.t. the embedding rows, [batch, dim].
     Returns parameter gradients as a ParamSet; entries under the model's
-    freeze mask are zeroed.
+    freeze mask are zeroed. The pass stops at the lowest layer with an
+    entry outside the mask's leading run of frozen entries.
     """
     if cache.get("uid") != model._uid or cache.get("revision") != model._revision:
         raise UsageError("stale forward cache: model parameters changed since the forward pass")
@@ -331,18 +332,35 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
         raise ConfigError(
             f"upstream must be [{cache['n_series']}, {model.embedding_dim}], got {upstream.shape}"
         )
-    grads = ParamSet(model.params.layout)
+    layout = model.params.layout
+    grads = ParamSet(layout)
     last = model.spec.convs_per_block - 1
+    # Entries [0, frozen) are frozen. A layer whose records all lie there
+    # gets no gradient, and neither does anything below it, since the layout
+    # lists layers bottom up; an input gradient is needed only when an entry
+    # below the layer is not frozen.
+    mask = model.freeze_mask
+    frozen = 0 if mask is None else int(np.argmin(mask)) if not mask.all() else mask.size
+    first_filter = f"w{model.spec.filter_lengths[0]}"
+
+    def start(bi: int, j: int) -> int:
+        return layout[f"b{bi}.c{j}.{first_filter}"].offset
+
+    def frozen_through(name: str) -> bool:
+        rec = layout[name]
+        return rec.offset + rec.size <= frozen
 
     d = kernels.gap_backward(upstream, cache["length"])
     for bi in reversed(range(model.spec.blocks)):
         bc = cache["blocks"][bi]
         d_pre = kernels.relu_backward(bc["pre_act"], d)
-        # Block 0 reads the network input, whose gradient nobody uses.
-        input_grad = bi > 0
+        input_grad = frozen < start(bi, 0)  # block 0 reads the network input
 
-        # Shortcut branch.
+        # Shortcut branch. The projection follows the block's convs in the
+        # layout, so when it is frozen the whole block is.
         if bc["proj"] is not None:
+            if frozen_through(f"b{bi}.proj.beta"):
+                break
             d_bn = _bn_backward_site(model, grads, f"b{bi}.proj", d_pre, bc["proj"])
             d_short, _, _ = kernels.conv1d_backward(
                 bc["x_in"], model.params.get(f"b{bi}.proj.w"), d_bn,
@@ -355,6 +373,8 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
         # residual sum directly (no ReLU in between).
         d_cur = d_pre
         for j in reversed(range(model.spec.convs_per_block)):
+            if frozen_through(f"b{bi}.c{j}.beta"):
+                break
             cc = bc["convs"][j]
             if j < last:
                 d_cur = kernels.relu_backward(cc["bn_out"], d_cur)
@@ -362,15 +382,16 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
             d_cur, _, dbias = kernels.multiscale_conv_backward(
                 cc["x"], _layer_weights(model, bi, j), d_bn,
                 [grads.get(f"b{bi}.c{j}.w{f}") for f in model.spec.filter_lengths],
-                input_grad or j > 0,
+                frozen < start(bi, j),
             )
             grads.get(f"b{bi}.c{j}.bias")[:] += dbias
 
-        if input_grad:
-            d = d_cur + d_short
+        if not input_grad:
+            break
+        d = d_cur + d_short
 
-    if model.freeze_mask is not None:
-        grads.values[model.freeze_mask] = 0.0
+    if mask is not None:
+        grads.values[mask] = 0.0
     return grads
 
 

@@ -206,9 +206,18 @@ def tap_buffer_filter_grads_reference(x, banks, upstream):
     bank and added into zeros: the path the in-place accumulation replaced.
     It walks the kernel's own tap plan, so it checks the write-out, not the
     GEMMs, and must match byte for byte."""
-    from fewts.kernels import _conv_inputs, _tap_block
+    from numpy.lib.stride_tricks import as_strided
 
-    banks, upstream, plan, xt = _conv_inputs(x, banks, upstream, "upstream")
+    from fewts.kernels import _conv_inputs
+
+    def tap_block(buf, s, g, t):
+        # Taps s .. s+g-1 of a time-major buffer as [t, b, g * c] columns.
+        _, b, c = buf.shape
+        st = buf.strides
+        win = as_strided(buf[s:], (t, b, g, c), (st[0], st[1], st[0], st[2]), writeable=False)
+        return win.reshape(t, b, g * c)
+
+    banks, upstream, plan, xt, _ = _conv_inputs(x, banks, upstream, "upstream")
     _, b, c = xt.shape
     t = upstream.shape[2]
     cols = plan.cols
@@ -218,7 +227,7 @@ def tap_buffer_filter_grads_reference(x, banks, upstream):
     x0 = xt[plan.pad_l : plan.pad_l + t].reshape(t * b, c)
     dwt = np.empty((taps, c, cols[-1]))
     for u, g, a in plan.flipped:
-        win = _tap_block(gp[:, :, cols[a] :], u, g, t).reshape(t * b, -1)
+        win = tap_block(gp[:, :, cols[a] :], u, g, t).reshape(t * b, -1)
         dw = (x0.T @ win).reshape(c, g, -1).transpose(1, 0, 2)
         dwt[taps - u - g : taps - u, :, cols[a] :] = dw[::-1]
     out = [None] * len(banks)

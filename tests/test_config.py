@@ -82,6 +82,15 @@ def test_sections_parse(tmp_path):
     assert config.methods == ("ed", "dtw")
 
 
+def test_finetune_entry_merges_over_the_method_default(tmp_path):
+    # fs2 fine-tunes 8 epochs by default; setting only its learning rate
+    # keeps them, rather than the dataclass's 16.
+    path = write_config(tmp_path, {"mode": "evaluate",
+                                   "finetune": {"fs2": {"inner_lr": 0.001}}})
+    assert load_experiment_config(path, {}).finetune == {
+        "fs2": FineTuneConfig(epochs=8, inner_lr=0.001)}
+
+
 def test_meta_takes_the_run_seed(tmp_path):
     # The inner mini-batch draws of meta-train use meta.seed, so it must be
     # the run seed, from the file or from --seed, with or without a meta section.

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from fewts import kernels
 from fewts.errors import ConfigError, UsageError
 from fewts.kernels import (
     BN_EPS,
@@ -182,6 +185,62 @@ def test_multiscale_conv_rows_independent_of_batch():
         for i in range(len(x)):
             alone = multiscale_conv_forward(x[i : i + 1], banks, bias)
             assert alone.tobytes() == batched[i : i + 1].tobytes()
+
+
+def conv_outputs(x, banks, bias, upstream):
+    out = multiscale_conv_forward(x, banks, bias)
+    dx, dbanks, dbias = multiscale_conv_backward(x, banks, upstream)
+    return [out, dx, *dbanks, dbias]
+
+
+@pytest.mark.parametrize("b", [1, 3, 10])
+@pytest.mark.parametrize("t", [11, 128])
+@pytest.mark.parametrize("lengths, in_ch, per_length", [
+    ((4, 8, 16, 32, 64), 165, 33),  # an inner layer of the default arch
+    ((9, 2, 5), 6, 4),  # unsorted lengths, in_ch != out_ch
+])
+def test_multiscale_conv_bitwise_independent_of_worker_count(monkeypatch, b, t, lengths,
+                                                             in_ch, per_length):
+    # Every layer is cut into parts here; 3 workers may outnumber the cores
+    # and b = 1 is fewer series than workers. A short switch interval makes
+    # the parts interleave.
+    rng = np.random.default_rng(b * 1000 + t)
+    banks = [rng.standard_normal((per_length, in_ch, f)) for f in lengths]
+    x = rng.standard_normal((b, in_ch, t))
+    bias = rng.standard_normal(per_length * len(lengths))
+    upstream = rng.standard_normal((b, per_length * len(lengths), t))
+    monkeypatch.setattr(kernels, "_SPLIT_MACS", 0)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        outputs = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            outputs[workers] = conv_outputs(x, banks, bias, upstream)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outputs[1]) == len(outputs[3]) == len(lengths) + 3
+    for one, three in zip(outputs[1], outputs[3]):
+        assert one.shape == three.shape and one.tobytes() == three.tobytes()
+
+
+class _NoPool:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("a layer below the split threshold used the worker pool")
+
+
+@pytest.mark.parametrize("lengths, in_ch, per_length", [
+    ((8, 5), 8, 4),  # an inner layer of the tiny arch
+    ((4, 8, 16, 32, 64), 1, 33),  # the first layer of the default arch
+])
+def test_small_layers_never_use_the_pool(monkeypatch, lengths, in_ch, per_length):
+    rng = np.random.default_rng(3)
+    banks = [rng.standard_normal((per_length, in_ch, f)) for f in lengths]
+    x = rng.standard_normal((10, in_ch, 128))
+    upstream = rng.standard_normal((10, per_length * len(lengths), 128))
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+    monkeypatch.setattr(kernels, "_POOL", _NoPool())
+    conv_outputs(x, banks, np.zeros(per_length * len(lengths)), upstream)
 
 
 def test_multiscale_conv_gradients_finite_difference_unsorted():

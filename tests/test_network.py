@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fewts import network
+from fewts import kernels, network
 from fewts.errors import CheckpointError, ConfigError, UsageError
 from fewts.kernels import BnState
 from fewts.network import (
@@ -138,6 +138,13 @@ def test_infer_chunks_match_single_rows_bitwise(monkeypatch):
     assert batched.shape == (7, 4)
     for i, s in enumerate(x):
         assert batched[i].tobytes() == embed_batch(model, s[None])[0].tobytes()
+
+
+def test_split_infer_chunks_match_single_rows_bitwise(monkeypatch):
+    # As above, with every conv layer cut into parts over 3 workers.
+    monkeypatch.setattr(kernels, "_SPLIT_MACS", 0)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+    test_infer_chunks_match_single_rows_bitwise(monkeypatch)
 
 
 def test_train_mode_rejects_mixed_lengths():
@@ -348,6 +355,26 @@ def test_frozen_gradients_are_zero():
     g = backward_batch(model, cache, dz)
     assert np.array_equal(g.values[model.freeze_mask], np.zeros(int(model.freeze_mask.sum())))
     assert np.abs(g.values[~model.freeze_mask]).max() > 0
+
+
+@pytest.mark.parametrize("frozen_layers", range(5))
+def test_frozen_backward_matches_masked_full_backward_bitwise(frozen_layers):
+    # The backward stops at the lowest unfrozen layer; what it returns must
+    # be the full backward's gradient with the frozen entries zeroed.
+    spec = ArchSpec(blocks=2, convs_per_block=2, filter_lengths=(3, 2), filters_per_length=2)
+    model = build_model(spec, np.random.default_rng(34))
+    frozen = apply_freeze(model, frozen_layers)
+    series = np.random.default_rng(35).standard_normal((4, 9))
+    triplets = enumerate_valid_triplets(np.array([0, 0, 1, 1]))
+    grads = []
+    for m in (model, frozen):
+        z, cache = embed_batch(m, series, mode="train", return_cache=True)
+        dz = triplet_loss_grad(z, triplets, TripletLossConfig(margin=5.0))
+        grads.append(backward_batch(m, cache, dz).values)
+    want, got = grads
+    want[frozen.freeze_mask] = 0.0
+    assert got.tobytes() == want.tobytes()
+    assert frozen_layers == spec.conv_layers or np.abs(got).max() > 0
 
 
 # ---------------------------------------------------------------------------

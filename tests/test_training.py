@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import logging
@@ -6,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from fewts import kernels
 from fewts.data import Dataset, DatasetBundle, LabeledSet, sample_task_seeded, task_seed
 from fewts.errors import ConfigError, TaskDegenerateError
 from fewts.network import ArchSpec, backward_batch, build_model, embed_batch, freeze_mask_for
@@ -315,6 +317,21 @@ def test_fs1_train_is_deterministic():
         result = fs1_train(tiny_model(), small_config(seed=9), stream)
         outs.append(result.model.params.values.tobytes())
     assert outs[0] == outs[1]
+
+
+def test_fs1_checkpoint_independent_of_worker_count(tmp_path, monkeypatch):
+    # Every conv layer is cut into parts, over 1 and over 3 workers.
+    monkeypatch.setattr(kernels, "_SPLIT_MACS", 0)
+    bundle = toy_bundle()
+    digests = []
+    for workers in (1, 3):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        run_dir = tmp_path / f"w{workers}"
+        fs1_train(tiny_model(), small_config(meta_iterations=1, checkpoint_every=1),
+                  meta_task_stream([bundle], 2, 0, 6), run_dir=run_dir)
+        (ckpt,) = (run_dir / "checkpoints").iterdir()
+        digests.append(hashlib.sha256(ckpt.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_fs1_train_artifacts_and_model_selection(tmp_path):
