@@ -7,7 +7,16 @@ without its validation hook and checkpoint), under ``tracemalloc``. The
 embed, backward, Adam and meta-update calls are wrapped where
 ``fewts.training`` looks them up; for each phase it reports the traced
 memory live when the call starts and the peak inside it, in MB, and the
-peak of the whole pass. Prints one JSON object.
+peak of the whole pass.
+
+Next to the traced figures it prints how far each phase's calls raised the
+process's ``ru_maxrss`` (``rss_raised_mb``, summed over the calls), and the
+``ru_maxrss`` before and after the pass: the high-water mark perfbench's
+``peak_rss_mb`` reads. tracemalloc counts what numpy asked for, including
+calloc'd pages never touched, and misses what the allocator keeps after a
+free; ``ru_maxrss`` sees only resident pages. ``ru_maxrss`` is the process's
+lifetime peak, so a phase that stays under an earlier high-water mark reads
+0. Prints one JSON object.
 
 Run it against any checkout's sources:
 
@@ -19,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -39,6 +49,11 @@ PHASES = {
 MB = 1 << 20
 
 
+def maxrss_mb() -> float:
+    """The process's peak resident set so far, in MB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def measure(meta_batch: int, seed: int) -> dict:
     tracemalloc.start()
     try:
@@ -55,7 +70,8 @@ def _measure(meta_batch: int, seed: int) -> dict:
     config = training.MetaConfig(meta_iterations=1, meta_batch=meta_batch, batch_size=10,
                                  epochs=1, k_train=2, seed=seed)
     stream = training.meta_task_stream(train, config.k_train, 0, config.seed)
-    phases = {name: {"calls": 0, "live_mb": 0.0, "peak_mb": 0.0} for name in PHASES}
+    phases = {name: {"calls": 0, "live_mb": 0.0, "peak_mb": 0.0, "added_mb": 0.0,
+                     "rss_raised_mb": 0.0} for name in PHASES}
     overall = [0]
 
     def wrap(name, fn):
@@ -63,6 +79,7 @@ def _measure(meta_batch: int, seed: int) -> dict:
             live, peak = tracemalloc.get_traced_memory()
             overall[0] = max(overall[0], peak)
             tracemalloc.reset_peak()
+            rss = maxrss_mb()
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -70,6 +87,7 @@ def _measure(meta_batch: int, seed: int) -> dict:
                 overall[0] = max(overall[0], peak)
                 rec = phases[name]
                 rec["calls"] += 1
+                rec["rss_raised_mb"] += maxrss_mb() - rss
                 if peak / MB > rec["peak_mb"]:
                     rec["live_mb"], rec["peak_mb"] = live / MB, peak / MB
         return traced
@@ -77,6 +95,7 @@ def _measure(meta_batch: int, seed: int) -> dict:
     saved = {attr: getattr(training, attr) for attr in PHASES.values()}
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
+    start_rss = maxrss_mb()
     try:
         for name, attr in PHASES.items():
             setattr(training, attr, wrap(name, saved[attr]))
@@ -87,13 +106,15 @@ def _measure(meta_batch: int, seed: int) -> dict:
             setattr(training, attr, fn)
     for rec in phases.values():
         rec["added_mb"] = rec["peak_mb"] - rec["live_mb"]
-        for key in ("live_mb", "peak_mb", "added_mb"):
+        for key in ("live_mb", "peak_mb", "added_mb", "rss_raised_mb"):
             rec[key] = round(rec[key], 1)
     return {
         "params": model.params.values.size,
         "meta_batch": meta_batch,
         "setup_live_mb": round(base / MB, 1),
         "pass_peak_mb": round(overall[0] / MB, 1),
+        "start_maxrss_mb": round(start_rss, 1),
+        "pass_maxrss_mb": round(maxrss_mb(), 1),
         "phases": phases,
     }
 

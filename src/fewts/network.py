@@ -22,7 +22,6 @@ whether it is embedded alone or in any batch.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import os
@@ -446,15 +445,13 @@ def checkpoint_bytes(model: ResNetModel) -> bytes:
                for n in bn_names],
         "dtype": "<f8",
     }
-    buf = io.BytesIO()
-    buf.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-    buf.write(b"\n")
-    buf.write(np.ascontiguousarray(model.params.values, dtype="<f8").tobytes())
+    arrays = [model.params.values]
     for name in bn_names:
-        st = model.bn[name]
-        buf.write(np.ascontiguousarray(st.mean, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(st.var, dtype="<f8").tobytes())
-    return buf.getvalue()
+        arrays += [model.bn[name].mean, model.bn[name].var]
+    # join reads each array's buffer in place: the parameters are copied
+    # once, into the result, and no 16 MB temporary is built on the way.
+    head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    return b"".join([head, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)])
 
 
 def write_atomic(path, data: bytes) -> None:

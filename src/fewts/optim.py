@@ -6,9 +6,14 @@ Update rule (bias-corrected moments):
     v_t = b2*v + (1-b2)*g^2      vhat = v_t / (1 - b2^t)
     p  -= lr * mhat / (sqrt(vhat) + eps)
 
-Steps are functional: inputs are never mutated. Freezing happens upstream,
-in ``network.backward_batch``: a zero gradient keeps an entry's moments at
-zero, so its step is exactly +0.0 and its value stays bit-identical.
+``adam_step`` updates the parameters and its state in place: its one caller,
+``training.inner_solve``, owns both the model copy it steps and the
+``AdamState``, and writing into them keeps a new set of three vectors of the
+model's size (2.03M entries at the default arch) from being live beside the
+old ones at every inner step. ``sgd_step`` stays functional; it allocates one
+vector either way. Freezing happens upstream, in ``network.backward_batch``:
+a zero gradient keeps an entry's moments at zero, so its step is exactly
++0.0 and its value stays bit-identical.
 """
 
 from __future__ import annotations
@@ -42,43 +47,45 @@ class AdamState:
         return cls(np.zeros(size), np.zeros(size), 0, lr, beta1, beta2, eps_hat)
 
 
-def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[ParamSet, AdamState]:
-    """One Adam update. Returns new (params, state); the inputs are untouched."""
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
+    """One Adam update, in place: ``state.m``, ``state.v``, ``state.t`` and
+    ``params.values`` hold the new values afterwards, and ``grads`` is only
+    read. Returns ``params``. The caller must own ``params``: a vector
+    shared with another model is changed for it too. The only allocation is
+    one scratch array of two cache blocks."""
     if params.layout != grads.layout:
         raise ConfigError("params and grads have different layouts")
     if state.m.shape != params.values.shape:
         raise ConfigError("optimizer state size does not match parameters")
-    g = grads.values
-    t = state.t + 1
+    g, m, v, p = grads.values, state.m, state.v, params.values
+    state.t += 1
     b1, b2 = state.beta1, state.beta2
-    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    m, v, new = np.empty_like(g), np.empty_like(g), np.empty_like(g)
-    scratch = np.empty(min(g.size, CACHE_BLOCK))
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    scratch = np.empty((2, min(g.size, CACHE_BLOCK)))
     # The update rule above, operation for operation and in numpy's
-    # evaluation order, block by block into the three outputs and one
-    # scratch block instead of a whole-vector temporary per operation:
+    # evaluation order, block by block in place and through two scratch
+    # rows instead of a whole-vector temporary per operation:
     #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
     #   p - (lr * (m / c1)) / (sqrt(v / c2) + eps)
     for lo in range(0, g.size, CACHE_BLOCK):
         hi = lo + CACHE_BLOCK
-        gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], new[lo:hi]
-        s = scratch[: gb.size]
+        gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
+        s, step = scratch[0, : gb.size], scratch[1, : gb.size]
         np.multiply(gb, 1.0 - b1, out=s)
-        np.multiply(state.m[lo:hi], b1, out=mb)
+        mb *= b1
         mb += s
         np.multiply(gb, 1.0 - b2, out=s)
         s *= gb
-        np.multiply(state.v[lo:hi], b2, out=vb)
+        vb *= b2
         vb += s
-        np.divide(mb, c1, out=pb)
-        pb *= state.lr
+        np.divide(mb, c1, out=step)
+        step *= state.lr
         np.divide(vb, c2, out=s)
         np.sqrt(s, out=s)
         s += state.eps_hat
-        pb /= s
-        np.subtract(params.values[lo:hi], pb, out=pb)
-    new_state = AdamState(m, v, t, state.lr, b1, b2, state.eps_hat)
-    return ParamSet(params.layout, new), new_state
+        step /= s
+        pb -= step
+    return params
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:

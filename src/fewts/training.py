@@ -210,9 +210,11 @@ def inner_solve(
                 f"step {step} of {k} (loss {loss})"
             )
         if optimizer == "adam":
-            new_params, adam = adam_step(work.params, grads, adam)
+            new_params = adam_step(work.params, grads, adam)
         else:
             new_params = sgd_step(work.params, grads, inner_lr)
+        # Adam steps work.params in place; set_params still bumps the
+        # revision, so this step's forward cache cannot be reused.
         work.set_params(new_params)
         violations.append(nviol)
         batches.append([int(i) for i in idx])

@@ -191,6 +191,42 @@ def adam_step_reference(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     return p - lr * mhat / (np.sqrt(vhat) + eps), m, v
 
 
+def inner_solve_reference(model, train_set, k, batch_size, inner_lr, margin, rng):
+    """``training.inner_solve`` with Adam, step for step: the same batches,
+    train-mode forward, batch-all triplet loss and backward, but each Adam
+    step is ``adam_step_reference`` on copies, and the model gets a fresh
+    ``ParamSet`` per step: the functional step that the in-place one
+    replaced; it must match byte for byte. Returns the adapted model and
+    ``(violations, batches, loss)``."""
+    from fewts.network import backward_batch, embed_batch
+    from fewts.params import ParamSet
+    from fewts.training import stratified_batch
+    from fewts.triplet import (
+        TripletLossConfig,
+        enumerate_valid_triplets,
+        triplet_loss,
+        triplet_loss_grad,
+    )
+
+    work = model.copy()
+    cfg = TripletLossConfig(margin=margin)
+    m = np.zeros(work.params.values.size)
+    v = np.zeros_like(m)
+    violations, batches, loss = [], [], 0.0
+    for t in range(1, k + 1):
+        idx = stratified_batch(train_set.labels, batch_size, rng)
+        z, cache = embed_batch(work, train_set.values[idx], mode="train", return_cache=True)
+        triplets = enumerate_valid_triplets(train_set.labels[idx])
+        loss, nviol = triplet_loss(z, triplets, cfg)
+        grads = backward_batch(work, cache, triplet_loss_grad(z, triplets, cfg))
+        p, m, v = adam_step_reference(work.params.values.copy(), grads.values.copy(),
+                                      m.copy(), v.copy(), t, inner_lr)
+        work.set_params(ParamSet(work.params.layout, p))
+        violations.append(nviol)
+        batches.append([int(i) for i in idx])
+    return work, (violations, batches, float(loss))
+
+
 def meta_update_reference(p, adapted, epsilon):
     """``p + epsilon * mean(adapted - p)`` with each column of deltas summed
     after ``np.sort``: the strided sort the library's sorting network

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,31 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert loaded.bn[name].updates == model.bn[name].updates
     # Saving the loaded model reproduces the file byte for byte.
     assert checkpoint_bytes(loaded) == path.read_bytes()
+
+
+def test_checkpoint_body_is_params_then_bn_buffers_with_one_copy():
+    # The body is the flat parameter vector, then each BN site's running
+    # mean and variance in site order, all little-endian float64; building
+    # it allocates little beyond the result itself.
+    spec = ArchSpec(blocks=2, convs_per_block=2, filter_lengths=(8, 5), filters_per_length=16)
+    model = build_model(spec, np.random.default_rng(46))
+    rng = np.random.default_rng(47)
+    embed_batch(model, [rng.standard_normal(32) for _ in range(4)], mode="train")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        blob = checkpoint_bytes(model)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    head, body = blob.split(b"\n", 1)
+    sites = bn_site_names(spec)
+    assert [entry["name"] for entry in json.loads(head)["bn"]] == sites
+    want = model.params.values.tobytes() + b"".join(
+        model.bn[name].mean.tobytes() + model.bn[name].var.tobytes() for name in sites)
+    assert body == want
+    assert peak <= len(blob) + 64 * 1024
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

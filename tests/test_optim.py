@@ -20,7 +20,7 @@ def test_first_step_is_signed_lr():
     params = flat_params([0.0])
     grads = flat_params([3.7])
     state = AdamState.fresh(1, lr=1e-4)
-    new, state = adam_step(params, grads, state)
+    new = adam_step(params, grads, state)
     # mhat = g, vhat = g^2 at t=1, so the step is lr * g / (|g| + eps).
     assert np.isclose(new.values[0], -1e-4, rtol=1e-6)
     assert state.t == 1
@@ -44,21 +44,27 @@ def test_two_steps_match_reference_loop():
 
     params = flat_params(p)
     state = AdamState.fresh(4, lr=lr, beta1=b1, beta2=b2, eps_hat=eps)
-    params, state = adam_step(params, flat_params(g1), state)
-    params, state = adam_step(params, flat_params(g2), state)
+    adam_step(params, flat_params(g1), state)
+    adam_step(params, flat_params(g2), state)
     assert np.allclose(params.values, ref, atol=1e-15)
 
 
-def test_step_is_functional():
-    params = flat_params([1.0, 2.0])
-    grads = flat_params([0.5, -0.5])
-    state = AdamState.fresh(2)
-    before = params.values.copy()
-    m_before = state.m.copy()
-    adam_step(params, grads, state)
-    assert np.array_equal(params.values, before)
-    assert np.array_equal(state.m, m_before)
-    assert state.t == 0
+def test_step_updates_in_place():
+    params = flat_params([1.0, 2.0, 0.0])
+    grads = flat_params([0.5, -0.5, 0.0])
+    state = AdamState.fresh(3, lr=1e-3)
+    arrays = (params.values, state.m, state.v)
+    g_before = grads.values.copy()
+    want_p, want_m, want_v = adam_step_reference(
+        params.values.copy(), g_before, state.m.copy(), state.v.copy(), 1, 1e-3)
+    result = adam_step(params, grads, state)
+    assert result is params
+    assert all(a is b for a, b in zip((params.values, state.m, state.v), arrays))
+    assert params.values.tobytes() == want_p.tobytes()
+    assert state.m.tobytes() == want_m.tobytes()
+    assert state.v.tobytes() == want_v.tobytes()
+    assert state.t == 1
+    assert grads.values.tobytes() == g_before.tobytes()
 
 
 def test_step_matches_reference_expression_bitwise():
@@ -75,19 +81,19 @@ def test_step_matches_reference_expression_bitwise():
         g[rng.integers(0, n, 1000)] = 0.0
         g[rng.integers(0, n, 1000)] = -0.0
         grads = flat_params(g)
-        inputs = [a.tobytes() for a in (params.values, grads.values, state.m, state.v)]
-        new, new_state = adam_step(params, grads, state)
-        want_p, m, v = adam_step_reference(p, g, m, v, t, 1e-3, 0.8, 0.99, 1e-7)
-        assert [a.tobytes() for a in (params.values, grads.values, state.m, state.v)] == inputs
-        assert new.values.tobytes() == want_p.tobytes()
-        assert new_state.m.tobytes() == m.tobytes()
-        assert new_state.v.tobytes() == v.tobytes()
-        assert new_state.t == t
-        params, state, p = new, new_state, want_p
+        g_before = grads.values.tobytes()
+        adam_step(params, grads, state)
+        p, m, v = adam_step_reference(p, g, m, v, t, 1e-3, 0.8, 0.99, 1e-7)
+        assert grads.values.tobytes() == g_before
+        assert params.values.tobytes() == p.tobytes()
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+        assert state.t == t
 
 
-def test_step_allocates_at_most_four_vectors():
-    # The new params, m and v plus one scratch block.
+def test_step_allocates_only_its_scratch_blocks():
+    # Two scratch rows of one cache block each; m, v and the params are
+    # written in place.
     n = 200_000
     params = flat_params(np.ones(n))
     grads = flat_params(np.full(n, 0.5))
@@ -96,12 +102,12 @@ def test_step_allocates_at_most_four_vectors():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        result = adam_step(params, grads, state)
+        adam_step(params, grads, state)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert result[1].t == 1
-    assert peak <= 4 * 8 * n + 4096
+    assert state.t == 1
+    assert peak <= 2 * 8 * CACHE_BLOCK + 4096
 
 
 def test_layout_mismatch_rejected():

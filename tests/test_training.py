@@ -31,7 +31,7 @@ from fewts.training import (
 )
 from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss_grad
 
-from helpers import meta_update_reference
+from helpers import inner_solve_reference, meta_update_reference
 
 TINY = ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(2, 3), filters_per_length=2)
 
@@ -140,6 +140,25 @@ def test_inner_solve_leaves_input_untouched():
     assert len(report.violations) == 3 and len(report.batches) == 3
     # One train-mode embed per step updates every BN site once.
     assert all(st.updates == 3 for st in solved.bn.values())
+
+
+def test_inner_solve_matches_functional_adam_reference_bitwise():
+    # In-place Adam against the functional step it replaced, through the
+    # whole inner loop: parameters, BN statistics and the report.
+    model = tiny_model()
+    train = noise_task_set(per_class=6)
+    solved, report = inner_solve(model, train, k=3, batch_size=8, inner_lr=1e-2,
+                                 margin=0.5, rng=np.random.default_rng(4))
+    want, (violations, batches, loss) = inner_solve_reference(
+        model, train, k=3, batch_size=8, inner_lr=1e-2, margin=0.5,
+        rng=np.random.default_rng(4))
+    assert solved.params.values.tobytes() == want.params.values.tobytes()
+    assert not np.array_equal(solved.params.values, model.params.values)
+    for name, st in solved.bn.items():
+        assert st.mean.tobytes() == want.bn[name].mean.tobytes()
+        assert st.var.tobytes() == want.bn[name].var.tobytes()
+        assert st.updates == want.bn[name].updates == 3
+    assert (report.violations, report.batches, report.final_loss) == (violations, batches, loss)
 
 
 def test_inner_solve_deterministic():
