@@ -15,12 +15,14 @@ BLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise. A
 checkout whose ``fewts.kernels`` has no ``multiscale_conv_forward`` is timed
 through a per-bank loop over ``conv1d_forward``/``conv1d_backward``, which
 is how such a checkout's network ran a layer; one without a worker pool is
-timed once, as one worker.
+timed once, as one worker. A checkout whose conv kernels still take a bias
+is passed a zero one.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -35,9 +37,18 @@ from fewts import kernels  # noqa: E402
 from fewts.network import ArchSpec  # noqa: E402
 
 
-def _per_bank_forward(x, banks, bias):
-    outs = [kernels.conv1d_forward(x, w, np.zeros(w.shape[0])) for w in banks]
-    return np.concatenate(outs, axis=1) + bias[None, :, None]
+_TAKES_BIAS = "bias" in inspect.signature(kernels.conv1d_forward).parameters
+
+
+def _bias(channels: int) -> tuple:
+    """The trailing bias argument of the checkout's conv forward, if any."""
+    return (np.zeros(channels),) if _TAKES_BIAS else ()
+
+
+def _per_bank_forward(x, banks, *bias):
+    # Such a checkout's kernels all take a bias: each bank gets a zero one.
+    outs = [kernels.conv1d_forward(x, w, *_bias(w.shape[0])) for w in banks]
+    return np.concatenate(outs, axis=1)
 
 
 def _per_bank_backward(x, banks, upstream):
@@ -45,11 +56,11 @@ def _per_bank_backward(x, banks, upstream):
     dws = []
     ofs = 0
     for w in banks:
-        dxi, dwi, _ = kernels.conv1d_backward(x, w, upstream[:, ofs : ofs + w.shape[0]])
+        dxi, dwi = kernels.conv1d_backward(x, w, upstream[:, ofs : ofs + w.shape[0]])[:2]
         dx += dxi
         dws.append(dwi)
         ofs += w.shape[0]
-    return dx, dws, upstream.sum(axis=(0, 2))
+    return dx, dws
 
 
 LAYER_FORWARD = getattr(kernels, "multiscale_conv_forward", _per_bank_forward)
@@ -62,10 +73,10 @@ def time_layer(in_ch: int, t: int, batch: int, repeats: int, seed: int = 0) -> d
     rng = np.random.default_rng(seed)
     banks = [rng.standard_normal((spec.filters_per_length, in_ch, f)) for f in spec.filter_lengths]
     x = rng.standard_normal((batch, in_ch, t))
-    bias = rng.standard_normal(spec.channels)
     upstream = rng.standard_normal((batch, spec.channels, t))
+    bias = _bias(spec.channels)
     ops = {
-        "fwd": lambda: LAYER_FORWARD(x, banks, bias),
+        "fwd": lambda: LAYER_FORWARD(x, banks, *bias),
         "bwd": lambda: LAYER_BACKWARD(x, banks, upstream),
     }
     counts = sorted({1, CPUS}) if hasattr(kernels, "_WORKERS") else [1]

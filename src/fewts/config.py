@@ -68,6 +68,8 @@ class ExperimentConfig:
 
 
 def _existing_path(value, key: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} is {value!r}, expected a path string")
     path = Path(value)
     if not path.exists():
         raise ConfigError(f"{key} does not exist: {path}")

@@ -392,6 +392,8 @@ def split_meta_sets(manifest_path) -> MetaSetSplit:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: manifest must be a JSON object of dataset-name lists")
     missing = [k for k in ("train", "validation", "test") if k not in raw]
     if missing:
         raise ConfigError(f"{path}: manifest lacks sections {missing}")

@@ -51,8 +51,9 @@ def gradient_check(
         down[i] -= h
         numeric[i] = (loss_at(up) - loss_at(down)) / (2.0 * h)
 
-    # Normalize by the gradient scale, not per coordinate: conv biases feed
-    # straight into batch norm, so their true gradient is zero and central
-    # differences return pure roundoff noise there.
+    # Normalize by the gradient scale, not per coordinate: a central
+    # difference carries a roundoff error of about eps * |loss| / h (eps the
+    # float64 machine epsilon) on every entry, so where the true gradient is
+    # near zero a per-coordinate ratio would measure that noise instead.
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)
     return float(np.max(np.abs(analytic - numeric)) / scale)

@@ -190,13 +190,11 @@ def _in_parts(body, bounds: list[int]) -> None:
         f.result()
 
 
-def _conv_inputs(x, banks, tail, name: str):
-    """Float64 ``(banks, tail, plan, xt, parts)`` after one shared shape
-    check.
+def _conv_inputs(x, banks):
+    """Float64 ``(banks, plan, xt, parts)`` after one shared shape check.
 
-    ``tail`` is the bias ``[out_ch]`` or the upstream gradient
-    ``[b, out_ch, T]``; ``xt`` is the padded time-major input buffer and
-    ``parts`` the number of parts the layer runs in.
+    ``xt`` is the padded time-major input buffer and ``parts`` the number of
+    parts the layer runs in.
     """
     x = _as_bct(x)
     banks = [np.asarray(w, dtype=np.float64) for w in banks]
@@ -208,34 +206,29 @@ def _conv_inputs(x, banks, tail, name: str):
         if w.shape[1] != x.shape[1]:
             raise ConfigError(f"input has {x.shape[1]} channels, filters expect {w.shape[1]}")
     b, c, t = x.shape
-    out_ch = sum(w.shape[0] for w in banks)
-    tail = np.asarray(tail, dtype=np.float64)
-    want = (out_ch,) if name == "bias" else (b, out_ch, t)
-    if tail.shape != want:
-        raise ConfigError(f"{name} must be {list(want)}, got shape {tail.shape}")
     plan = _tap_plan(tuple((w.shape[0], w.shape[2]) for w in banks), c, _WORKERS)
     xt = np.zeros((t + plan.pad_l + plan.pad_r, b, c))
     xt[plan.pad_l : plan.pad_l + t] = x.transpose(2, 0, 1)
     macs = b * t * c * sum(w.shape[0] * w.shape[2] for w in banks)
-    return banks, tail, plan, xt, _WORKERS if macs >= _SPLIT_MACS else 1
+    return banks, plan, xt, _WORKERS if macs >= _SPLIT_MACS else 1
 
 
-def multiscale_conv_forward(x: np.ndarray, banks, bias: np.ndarray) -> np.ndarray:
+def multiscale_conv_forward(x: np.ndarray, banks) -> np.ndarray:
     """Length-preserving 1-D convolution (correlation form) with several
-    filter banks at once.
+    filter banks at once. There is no bias: every conv output feeds a batch
+    norm, which subtracts any per-channel constant.
 
     Parameters
     ----------
     x : ndarray, [batch, in_ch, T]
     banks : sequence of ndarray, each [out_i, in_ch, f_i], f_i in any order
-    bias : ndarray, [sum out_i]
 
     Returns
     -------
     ndarray, [batch, sum out_i, T]: each bank's :func:`conv1d_forward`
-    output, concatenated along channels in the given order, plus ``bias``.
+    output, concatenated along channels in the given order.
     """
-    banks, bias, plan, xt, parts = _conv_inputs(x, banks, bias, "bias")
+    banks, plan, xt, parts = _conv_inputs(x, banks)
     _, b, c = xt.shape
     t = xt.shape[0] - plan.pad_l - plan.pad_r
     cols = plan.cols
@@ -245,8 +238,7 @@ def multiscale_conv_forward(x: np.ndarray, banks, bias: np.ndarray) -> np.ndarra
     for k, i in enumerate(plan.order):
         f0 = plan.first[k]
         wt[cols[k] : cols[k + 1], f0 : f0 + banks[i].shape[2]] = banks[i].transpose(0, 2, 1)
-    out = np.empty((b, cols[-1], t))
-    out[:] = bias[plan.perm, None]
+    out = np.zeros((b, cols[-1], t))
     result = np.empty_like(out)  # each group's GEMM output, then the result
     # Stacked taps of series lo .. hi-1 go to their own share of ``stack``.
     share = t * max(g for _, g, _ in plan.groups) * c
@@ -272,23 +264,25 @@ def multiscale_conv_backward(
     upstream: np.ndarray,
     dbanks: list[np.ndarray] | None = None,
     input_grad: bool = True,
-) -> tuple[np.ndarray | None, list[np.ndarray], np.ndarray]:
-    """Gradients of :func:`multiscale_conv_forward` w.r.t. input, each bank
-    and bias. ``upstream`` has the output's shape. Returns
-    ``(dx, [dbank_i], dbias)``.
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """Gradients of :func:`multiscale_conv_forward` w.r.t. input and each
+    bank. ``upstream`` has the output's shape. Returns ``(dx, [dbank_i])``.
 
     Each bank's filter gradient is added into ``dbanks[i]`` (an array of
     that bank's shape, written in place) when given, else into fresh zeros.
     With ``input_grad=False``, ``dx`` is not computed and is None.
     """
-    banks, upstream, plan, xt, parts = _conv_inputs(x, banks, upstream, "upstream")
+    banks, plan, xt, parts = _conv_inputs(x, banks)
+    _, b, c = xt.shape
+    t = xt.shape[0] - plan.pad_l - plan.pad_r
+    cols = plan.cols
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != (b, cols[-1], t):
+        raise ConfigError(f"upstream must be {[b, cols[-1], t]}, got shape {upstream.shape}")
     if dbanks is None:
         dbanks = [np.zeros_like(w) for w in banks]
     elif [d.shape for d in dbanks] != [w.shape for w in banks]:
         raise ConfigError("filter gradient buffers must match the banks' shapes")
-    _, b, c = xt.shape
-    t = upstream.shape[2]
-    cols = plan.cols
     taps = plan.pad_l + plan.pad_r + 1
     gp = np.zeros((t + taps - 1, b, cols[-1]))  # padded upstream, sorted channels
     gp[plan.pad_r : plan.pad_r + t] = upstream.transpose(2, 0, 1)[:, :, plan.perm]
@@ -341,25 +335,24 @@ def multiscale_conv_backward(
         _in_parts(filter_grads, [lo + i for i in _split(sizes[lo:hi], parts)])
         if input_grad:
             _in_parts(functools.partial(input_grads, lo, hi), series)
-    return (dx if input_grad else None), dbanks, upstream.sum(axis=(0, 2))
+    return (dx if input_grad else None), dbanks
 
 
-def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Length-preserving 1-D convolution (correlation form): the one-bank
-    call of :func:`multiscale_conv_forward`.
+def conv1d_forward(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """Length-preserving 1-D convolution (correlation form) without bias:
+    the one-bank call of :func:`multiscale_conv_forward`.
 
     Parameters
     ----------
     x : ndarray, [batch, in_ch, T]
     filters : ndarray, [out_ch, in_ch, f]
-    bias : ndarray, [out_ch]
 
     Returns
     -------
     ndarray, [batch, out_ch, T]:
-    ``out[b, o, t] = bias[o] + sum_{c, d} filters[o, c, d] * padded_x[b, c, t + d]``.
+    ``out[b, o, t] = sum_{c, d} filters[o, c, d] * padded_x[b, c, t + d]``.
     """
-    return multiscale_conv_forward(x, [filters], bias)
+    return multiscale_conv_forward(x, [filters])
 
 
 def conv1d_backward(
@@ -368,16 +361,16 @@ def conv1d_backward(
     upstream: np.ndarray,
     dfilters: np.ndarray | None = None,
     input_grad: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of :func:`conv1d_forward` w.r.t. input, filters and bias.
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of :func:`conv1d_forward` w.r.t. input and filters.
 
-    ``upstream`` has the output's shape. Returns ``(dx, dfilters, dbias)``;
+    ``upstream`` has the output's shape. Returns ``(dx, dfilters)``;
     ``dfilters`` and ``input_grad`` act as in :func:`multiscale_conv_backward`.
     """
-    dx, (dfilters,), dbias = multiscale_conv_backward(
+    dx, (dfilters,) = multiscale_conv_backward(
         x, [filters], upstream, None if dfilters is None else [dfilters], input_grad
     )
-    return dx, dfilters, dbias
+    return dx, dfilters
 
 
 # ---------------------------------------------------------------------------

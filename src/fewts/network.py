@@ -43,7 +43,7 @@ _MODEL_IDS = itertools.count(1)
 _INFER_CHUNK_CELLS = 1 << 11
 
 CHECKPOINT_MAGIC = "fewts-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,10 @@ class ArchSpec:
 
 def build_layout(spec: ArchSpec) -> Layout:
     """Parameter records in a fixed, documented order: for each block, each
-    conv layer contributes per-length filter banks, a bias and BN gamma/beta;
-    blocks that change channel count append projection filters plus BN. BN
-    sites, projections and the freeze prefix are all read off this layout."""
+    conv layer contributes per-length filter banks and BN gamma/beta; blocks
+    that change channel count append projection filters plus BN. Convs have
+    no bias, since the BN each feeds subtracts it again. BN sites,
+    projections and the freeze prefix are all read off this layout."""
     shapes: list[tuple[str, tuple[int, ...]]] = []
     m = spec.channels
     for bi in range(spec.blocks):
@@ -112,7 +113,6 @@ def build_layout(spec: ArchSpec) -> Layout:
             cin = block_in if j == 0 else m
             for f in spec.filter_lengths:
                 shapes.append((f"b{bi}.c{j}.w{f}", (spec.filters_per_length, cin, f)))
-            shapes.append((f"b{bi}.c{j}.bias", (m,)))
             shapes.append((f"b{bi}.c{j}.gamma", (m,)))
             shapes.append((f"b{bi}.c{j}.beta", (m,)))
         if block_in != m:
@@ -182,7 +182,7 @@ class ResNetModel:
 
 
 def build_model(spec: ArchSpec, rng: np.random.Generator) -> ResNetModel:
-    """Fresh model: orthogonal conv filters, zero biases, BN gamma=1/beta=0,
+    """Fresh model: orthogonal conv filters, BN gamma=1/beta=0,
     uninitialized BN buffers. The rng is consumed in layout-record order, so
     equal seeds give bit-identical models."""
     layout = build_layout(spec)
@@ -193,7 +193,7 @@ def build_model(spec: ArchSpec, rng: np.random.Generator) -> ResNetModel:
             params.set(rec.name, kernels.orthogonal_init(rec.shape, rng))
         elif leaf == "gamma":
             params.set(rec.name, np.ones(rec.shape))
-        # bias and beta stay zero
+        # beta stays zero
     return ResNetModel(spec, params)
 
 
@@ -247,15 +247,13 @@ def _forward(
         conv_caches = []
         cur = x_in
         for j in range(model.spec.convs_per_block):
-            bias = model.params.get(f"b{bi}.c{j}.bias")
-            pre_bn = kernels.multiscale_conv_forward(cur, _layer_weights(model, bi, j), bias)
+            pre_bn = kernels.multiscale_conv_forward(cur, _layer_weights(model, bi, j))
             y, bn_cache = _bn_forward_site(model, f"b{bi}.c{j}", pre_bn, mode, update_buffers)
             conv_caches.append({"x": cur, "bn": bn_cache, "bn_out": y})
             cur = kernels.relu_forward(y) if j < last else y
         proj_cache = None
         if f"b{bi}.proj.w" in model.params.layout:
-            pw = model.params.get(f"b{bi}.proj.w")
-            pre_bn_p = kernels.conv1d_forward(x_in, pw, np.zeros(pw.shape[0]))
+            pre_bn_p = kernels.conv1d_forward(x_in, model.params.get(f"b{bi}.proj.w"))
             shortcut, proj_cache = _bn_forward_site(
                 model, f"b{bi}.proj", pre_bn_p, mode, update_buffers
             )
@@ -361,7 +359,7 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
             if frozen_through(f"b{bi}.proj.beta"):
                 break
             d_bn = _bn_backward_site(model, grads, f"b{bi}.proj", d_pre, bc["proj"])
-            d_short, _, _ = kernels.conv1d_backward(
+            d_short, _ = kernels.conv1d_backward(
                 bc["x_in"], model.params.get(f"b{bi}.proj.w"), d_bn,
                 grads.get(f"b{bi}.proj.w"), input_grad,
             )
@@ -378,12 +376,11 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
             if j < last:
                 d_cur = kernels.relu_backward(cc["bn_out"], d_cur)
             d_bn = _bn_backward_site(model, grads, f"b{bi}.c{j}", d_cur, cc["bn"])
-            d_cur, _, dbias = kernels.multiscale_conv_backward(
+            d_cur, _ = kernels.multiscale_conv_backward(
                 cc["x"], _layer_weights(model, bi, j), d_bn,
                 [grads.get(f"b{bi}.c{j}.w{f}") for f in model.spec.filter_lengths],
                 frozen < start(bi, j),
             )
-            grads.get(f"b{bi}.c{j}.bias")[:] += dbias
 
         if not input_grad:
             break
@@ -401,7 +398,7 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
 
 def freeze_mask_for(spec: ArchSpec, frozen_layers: int) -> np.ndarray:
     """Boolean mask over the flat parameter vector freezing the lowest
-    ``frozen_layers`` conv layers (filters, bias and their BN gamma/beta).
+    ``frozen_layers`` conv layers (filters and their BN gamma/beta).
     A block's shortcut projection follows its convs in the layout, so it
     freezes with the whole block and the mask is a prefix of the vector."""
     if not (0 <= frozen_layers <= spec.conv_layers):

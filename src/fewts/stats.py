@@ -94,6 +94,9 @@ def aggregate(records: Iterable[Mapping]) -> RankTable:
         if missing:
             raise ConfigError(f"record {i} has no {missing[0]!r} field")
         dataset, method, value = rec["dataset"], rec["method"], rec["accuracy"]
+        for field, name in (("dataset", dataset), ("method", method)):
+            if not isinstance(name, str):
+                raise ConfigError(f"record {i} field {field!r} is not a string: {name!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
             raise ConfigError(f"record {i} field 'accuracy' is not a finite number: {value!r}")
         if method not in methods:

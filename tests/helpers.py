@@ -2,6 +2,8 @@
 enumeration by exhaustive loops. These deliberately avoid the library's own
 code paths so they can act as independent references."""
 
+import json
+
 import numpy as np
 
 FD_STEP = 1e-5
@@ -109,11 +111,11 @@ def write_ucr(bundle, root, name=None):
     return directory
 
 
-def multiscale_conv_reference(x, banks, bias, upstream):
+def multiscale_conv_reference(x, banks, upstream):
     """Per-bank im2col convolution, the loop the library's multi-bank tap
-    kernel replaced. Returns ``(out, dx, [dbank_i], dbias)`` for
-    ``x [b, c, T]``, banks ``[o_i, c, f_i]``, ``bias [sum o_i]`` and an
-    ``upstream`` gradient of the output's shape."""
+    kernel replaced. Returns ``(out, dx, [dbank_i])`` for ``x [b, c, T]``,
+    banks ``[o_i, c, f_i]`` and an ``upstream`` gradient of the output's
+    shape."""
     from numpy.lib.stride_tricks import sliding_window_view
 
     def windows(v, f, pad_l, pad_r):
@@ -141,8 +143,7 @@ def multiscale_conv_reference(x, banks, bias, upstream):
         wf = w[:, :, ::-1].transpose(1, 0, 2).reshape(c, o * f)
         dx += (gwin @ wf.T).transpose(0, 2, 1)[:, :, pad_l : pad_l + t]
         ofs += o
-    out = np.concatenate(outs, axis=1) + bias[None, :, None]
-    return out, dx, dws, upstream.sum(axis=(0, 2))
+    return np.concatenate(outs, axis=1), dx, dws
 
 
 def bn_sites_reference(spec):
@@ -159,8 +160,8 @@ def bn_sites_reference(spec):
 
 
 def freeze_mask_reference(spec, layout, frozen_layers):
-    """Freeze mask by marking records one by one: the filters, bias, gamma
-    and beta of each of the lowest ``frozen_layers`` conv layers, and a
+    """Freeze mask by marking records one by one: the filters, gamma and
+    beta of each of the lowest ``frozen_layers`` conv layers, and a
     block's projection once all of that block's layers are frozen."""
     mask = np.zeros(layout.total_size, dtype=bool)
     for bi in range(spec.blocks):
@@ -170,7 +171,7 @@ def freeze_mask_reference(spec, layout, frozen_layers):
             for f in spec.filter_lengths:
                 rec = layout[f"b{bi}.c{j}.w{f}"]
                 mask[rec.offset : rec.offset + rec.size] = True
-            for leaf in ("bias", "gamma", "beta"):
+            for leaf in ("gamma", "beta"):
                 rec = layout[f"b{bi}.c{j}.{leaf}"]
                 mask[rec.offset : rec.offset + rec.size] = True
         if f"b{bi}.proj.w" in layout and frozen_layers >= (bi + 1) * spec.convs_per_block:
@@ -253,7 +254,7 @@ def tap_buffer_filter_grads_reference(x, banks, upstream):
         win = as_strided(buf[s:], (t, b, g, c), (st[0], st[1], st[0], st[2]), writeable=False)
         return win.reshape(t, b, g * c)
 
-    banks, upstream, plan, xt, _ = _conv_inputs(x, banks, upstream, "upstream")
+    banks, plan, xt, _ = _conv_inputs(x, banks)
     _, b, c = xt.shape
     t = upstream.shape[2]
     cols = plan.cols
@@ -272,3 +273,28 @@ def tap_buffer_filter_grads_reference(x, banks, upstream):
         bank = dwt[f0 : f0 + banks[i].shape[2], :, cols[k] : cols[k + 1]].transpose(2, 1, 0)
         out[i] = np.zeros(bank.shape) + bank
     return out
+
+
+def version_1_checkpoint(model) -> bytes:
+    """``model`` as a format-1 checkpoint file: the conv layers then carried
+    a ``b{i}.c{j}.bias`` record before their BN gamma, stored here as
+    zeros."""
+    from fewts.network import checkpoint_bytes
+
+    head, body = checkpoint_bytes(model).split(b"\n", 1)
+    header = json.loads(head)
+    values = model.params.values
+    records, chunks, offset = [], [], 0
+    for rec in header["layout"]:
+        size = int(np.prod(rec["shape"]))
+        if ".c" in rec["name"] and rec["name"].endswith(".gamma"):
+            records.append({"name": rec["name"][: -len("gamma")] + "bias",
+                            "shape": rec["shape"], "offset": offset})
+            chunks.append(np.zeros(size))
+            offset += size
+        records.append({**rec, "offset": offset})
+        chunks.append(values[rec["offset"] : rec["offset"] + size])
+        offset += size
+    header.update(format_version=1, layout=records, param_count=offset)
+    params = np.concatenate(chunks).astype("<f8").tobytes()
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + params + body[values.size * 8 :]

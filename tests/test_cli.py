@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fewts.cli import main
+from fewts.network import ArchSpec, build_model
 from fewts.synthetic import ar_coefficient_domain, sine_frequency_domain, square_duty_domain
 
-from helpers import write_ucr
+from helpers import version_1_checkpoint, write_ucr
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +173,11 @@ def test_errors_are_single_line_on_stderr(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tail", ['{"dataset": "a", "task_in', '{"dataset": "a"}',
-                                  '{"accuracy": "x", "dataset": "a", "method": "ed"}'],
-                         ids=["torn-line", "no-method", "non-numeric-accuracy"])
+                                  '{"accuracy": "x", "dataset": "a", "method": "ed"}',
+                                  '{"accuracy": 0.5, "dataset": 3, "method": "ed"}',
+                                  '{"accuracy": 0.5, "dataset": ["a"], "method": "ed"}'],
+                         ids=["torn-line", "no-method", "non-numeric-accuracy", "int-dataset",
+                              "list-dataset"])
 def test_report_on_broken_records_is_one_error_line(tmp_path, capsys, tail):
     line = json.dumps({"accuracy": 0.5, "dataset": "a", "method": "ed", "task_index": 0,
                        "task_seed": 3, "wall_time_s": 0.01})
@@ -190,6 +195,20 @@ def test_missing_checkpoint_is_an_error(corpus, capsys):
                "--method", "fs1", "--out-dir", str(corpus / "never2")])
     assert rc == 1
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_version_1_checkpoint(corpus, capsys):
+    cfg = json.loads((corpus / "eval.json").read_text())
+    old = corpus / "format1.ckpt"
+    old.write_bytes(version_1_checkpoint(build_model(ArchSpec(**cfg["arch"]),
+                                                     np.random.default_rng(0))))
+    cfg["checkpoints"] = {"fs1": str(old)}
+    cfg_path = corpus / "eval_format1.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["evaluate", "--config", str(cfg_path), "--method", "fs1",
+               "--out-dir", str(corpus / "never3")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {old}: unsupported format version 1\n"
 
 
 def test_unknown_config_key_is_an_error(tmp_path, capsys):

@@ -137,11 +137,12 @@ def test_partial_sections_take_defaults(tmp_path):
 @pytest.mark.parametrize("section, match", [
     ({"finetune": {"fs_1": {"epochs": 2}}}, "fs_1"),
     ({"checkpoints": {"ed": __file__}}, "'ed'"),
+    ({"checkpoints": {"fs1": 3}}, "checkpoint for 'fs1' is 3, expected a path"),
     ({"arch": {"blocks": 1.5}}, "arch.*blocks"),
     ({"arch": [1, 2]}, "arch"),
     ({"finetune": {"fs1": {"epochs": "2"}}}, "finetune.fs1.*epochs"),
-], ids=["finetune-method", "checkpoint-method", "float-for-int", "not-an-object",
-        "string-for-int"])
+], ids=["finetune-method", "checkpoint-method", "int-for-checkpoint", "float-for-int",
+        "not-an-object", "string-for-int"])
 def test_bad_section_keys_name_the_section(tmp_path, section, match):
     path = write_config(tmp_path, {"mode": "report", **section})
     with pytest.raises(ConfigError, match=match):

@@ -341,6 +341,13 @@ def test_split_meta_sets_missing_file_and_sections(tmp_path):
         split_meta_sets(bad)
 
 
+def test_split_meta_sets_rejects_a_list_manifest(tmp_path):
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(["train", "validation", "test"]))
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        split_meta_sets(listed)
+
+
 def test_shipped_manifest_has_archive_counts():
     split = split_meta_sets(REPO_ROOT / "splits" / "meta_split_65.json")
     assert split.counts == (18, 6, 41)

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -46,10 +47,10 @@ def test_conv_padding_split():
 
 
 def test_conv_hand_example():
-    # Ones input, filter [1, 1], zero bias: left zero-pad of one gives [1, 2, 2].
+    # Ones input, filter [1, 1]: left zero-pad of one gives [1, 2, 2].
     x = np.ones((1, 1, 3))
     filters = np.array([[[1.0, 1.0]]])
-    out = conv1d_forward(x, filters, np.zeros(1))
+    out = conv1d_forward(x, filters)
     assert np.array_equal(out, np.array([[[1.0, 2.0, 2.0]]]))
 
 
@@ -59,7 +60,7 @@ def test_conv_preserves_length(f, t):
     rng = np.random.default_rng(f * 100 + t)
     x = rng.standard_normal((1, 3, t))
     filters = rng.standard_normal((4, 3, f))
-    out = conv1d_forward(x, filters, rng.standard_normal(4))
+    out = conv1d_forward(x, filters)
     assert out.shape == (1, 4, t)
 
 
@@ -69,18 +70,17 @@ def test_conv_matches_direct_sum():
     c, t, o, f = 2, 6, 3, 4
     x = rng.standard_normal((c, t))
     w = rng.standard_normal((o, c, f))
-    bias = rng.standard_normal(o)
     pad_l, pad_r = conv_padding(f)
     xp = np.pad(x, ((0, 0), (pad_l, pad_r)))
     expected = np.zeros((o, t))
     for oi in range(o):
         for ti in range(t):
-            acc = bias[oi]
+            acc = 0.0
             for ci in range(c):
                 for d in range(f):
                     acc += w[oi, ci, d] * xp[ci, ti + d]
             expected[oi, ti] = acc
-    out = conv1d_forward(x[None], w, bias)
+    out = conv1d_forward(x[None], w)
     assert np.allclose(out[0], expected, atol=1e-12)
 
 
@@ -88,17 +88,14 @@ def test_conv_batched_matches_single():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 2, 9))
     w = rng.standard_normal((4, 2, 3))
-    b = rng.standard_normal(4)
-    batched = conv1d_forward(x, w, b)
+    batched = conv1d_forward(x, w)
     for i in range(5):
-        assert np.allclose(batched[i], conv1d_forward(x[i : i + 1], w, b)[0], atol=1e-12)
+        assert np.allclose(batched[i], conv1d_forward(x[i : i + 1], w)[0], atol=1e-12)
 
 
 def test_conv_shape_errors():
-    with pytest.raises(ConfigError):
-        conv1d_forward(np.zeros((1, 2, 5)), np.zeros((3, 4, 2)), np.zeros(3))
-    with pytest.raises(ConfigError):
-        conv1d_forward(np.zeros((1, 2, 5)), np.zeros((3, 2, 2)), np.zeros(4))
+    with pytest.raises(ConfigError, match="input has 2 channels, filters expect 4"):
+        conv1d_forward(np.zeros((1, 2, 5)), np.zeros((3, 4, 2)))
 
 
 def test_conv_backward_shape_errors_match_forward():
@@ -110,19 +107,18 @@ def test_conv_backward_shape_errors_match_forward():
     with pytest.raises(ConfigError, match="upstream must be"):
         conv1d_backward(x, np.zeros((3, 2, 2)), np.zeros((1, 4, 5)))
     with pytest.raises(ConfigError, match="filters must be"):
-        conv1d_forward(x, np.zeros((3, 2)), np.zeros(3))
+        conv1d_forward(x, np.zeros((3, 2)))
 
 
 def test_multiscale_conv_shape_errors():
     x = np.zeros((2, 3, 6))
     banks = [np.zeros((2, 3, 4)), np.zeros((2, 3, 1))]
     with pytest.raises(ConfigError, match="at least one filter bank"):
-        multiscale_conv_forward(x, [], np.zeros(0))
+        multiscale_conv_forward(x, [])
     with pytest.raises(ConfigError, match="input has 3 channels, filters expect 2"):
         multiscale_conv_backward(x, banks + [np.zeros((2, 2, 3))], np.zeros((2, 6, 6)))
-    with pytest.raises(ConfigError, match="bias must be"):
-        multiscale_conv_forward(x, banks, np.zeros(3))
-    with pytest.raises(ConfigError, match="upstream must be"):
+    want = "upstream must be [2, 4, 6], got shape (2, 4, 5)"
+    with pytest.raises(ConfigError, match=re.escape(want)):
         multiscale_conv_backward(x, banks, np.zeros((2, 4, 5)))
 
 
@@ -136,17 +132,15 @@ def test_multiscale_conv_matches_per_bank_reference(lengths, in_ch, batch):
         banks = [rng.standard_normal((3, in_ch, f)) for f in lengths]
         out_ch = 3 * len(lengths)
         x = rng.standard_normal((batch, in_ch, t))
-        bias = rng.standard_normal(out_ch)
         upstream = rng.standard_normal((batch, out_ch, t))
-        out, dx, dbanks, dbias = multiscale_conv_reference(x, banks, bias, upstream)
-        assert np.abs(multiscale_conv_forward(x, banks, bias) - out).max() < 1e-12
-        got_dx, got_dbanks, got_dbias = multiscale_conv_backward(x, banks, upstream)
+        out, dx, dbanks = multiscale_conv_reference(x, banks, upstream)
+        assert np.abs(multiscale_conv_forward(x, banks) - out).max() < 1e-12
+        got_dx, got_dbanks = multiscale_conv_backward(x, banks, upstream)
         assert np.abs(got_dx - dx).max() < 1e-12
         assert len(got_dbanks) == len(banks)
         for got, want in zip(got_dbanks, dbanks):
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12
-        assert np.abs(got_dbias - dbias).max() < 1e-12
 
 
 @pytest.mark.parametrize("lengths, in_ch", [((4, 8, 16, 32, 64), 1), ((8, 5), 6),
@@ -157,17 +151,16 @@ def test_multiscale_conv_backward_writes_filter_grads_in_place(lengths, in_ch):
     x = rng.standard_normal((3, in_ch, 30))
     upstream = rng.standard_normal((3, 5 * len(lengths), 30))
     want = tap_buffer_filter_grads_reference(x, banks, upstream)
-    dx, fresh, dbias = multiscale_conv_backward(x, banks, upstream)
+    dx, fresh = multiscale_conv_backward(x, banks, upstream)
     # Views into one flat gradient vector, as backward_batch passes them.
     flat = np.zeros(sum(w.size for w in banks))
     ends = np.cumsum([w.size for w in banks])
     views = [flat[e - w.size : e].reshape(w.shape) for e, w in zip(ends, banks)]
-    got_dx, got, got_dbias = multiscale_conv_backward(x, banks, upstream, views, False)
+    got_dx, got = multiscale_conv_backward(x, banks, upstream, views, False)
     assert got_dx is None
     assert all(g is v for g, v in zip(got, views))
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     assert [g.tobytes() for g in fresh] == [w.tobytes() for w in want]
-    assert got_dbias.tobytes() == dbias.tobytes()
     assert dx.tobytes() == multiscale_conv_backward(x, banks, upstream, views)[0].tobytes()
     with pytest.raises(ConfigError, match="filter gradient buffers"):
         multiscale_conv_backward(x, banks, upstream, views[:-1] + [np.zeros(3)])
@@ -180,17 +173,16 @@ def test_multiscale_conv_rows_independent_of_batch():
     for in_ch in (1, 7, 40):
         banks = [rng.standard_normal((5, in_ch, f)) for f in (6, 3, 9)]
         x = rng.standard_normal((6, in_ch, 50))
-        bias = rng.standard_normal(15)
-        batched = multiscale_conv_forward(x, banks, bias)
+        batched = multiscale_conv_forward(x, banks)
         for i in range(len(x)):
-            alone = multiscale_conv_forward(x[i : i + 1], banks, bias)
+            alone = multiscale_conv_forward(x[i : i + 1], banks)
             assert alone.tobytes() == batched[i : i + 1].tobytes()
 
 
-def conv_outputs(x, banks, bias, upstream):
-    out = multiscale_conv_forward(x, banks, bias)
-    dx, dbanks, dbias = multiscale_conv_backward(x, banks, upstream)
-    return [out, dx, *dbanks, dbias]
+def conv_outputs(x, banks, upstream):
+    out = multiscale_conv_forward(x, banks)
+    dx, dbanks = multiscale_conv_backward(x, banks, upstream)
+    return [out, dx, *dbanks]
 
 
 @pytest.mark.parametrize("b", [1, 3, 10])
@@ -207,7 +199,6 @@ def test_multiscale_conv_bitwise_independent_of_worker_count(monkeypatch, b, t, 
     rng = np.random.default_rng(b * 1000 + t)
     banks = [rng.standard_normal((per_length, in_ch, f)) for f in lengths]
     x = rng.standard_normal((b, in_ch, t))
-    bias = rng.standard_normal(per_length * len(lengths))
     upstream = rng.standard_normal((b, per_length * len(lengths), t))
     monkeypatch.setattr(kernels, "_SPLIT_MACS", 0)
     interval = sys.getswitchinterval()
@@ -216,10 +207,10 @@ def test_multiscale_conv_bitwise_independent_of_worker_count(monkeypatch, b, t, 
         outputs = {}
         for workers in (1, 3):
             monkeypatch.setattr(kernels, "_WORKERS", workers)
-            outputs[workers] = conv_outputs(x, banks, bias, upstream)
+            outputs[workers] = conv_outputs(x, banks, upstream)
     finally:
         sys.setswitchinterval(interval)
-    assert len(outputs[1]) == len(outputs[3]) == len(lengths) + 3
+    assert len(outputs[1]) == len(outputs[3]) == len(lengths) + 2
     for one, three in zip(outputs[1], outputs[3]):
         assert one.shape == three.shape and one.tobytes() == three.tobytes()
 
@@ -240,7 +231,7 @@ def test_small_layers_never_use_the_pool(monkeypatch, lengths, in_ch, per_length
     upstream = rng.standard_normal((10, per_length * len(lengths), 128))
     monkeypatch.setattr(kernels, "_WORKERS", 3)
     monkeypatch.setattr(kernels, "_POOL", _NoPool())
-    conv_outputs(x, banks, np.zeros(per_length * len(lengths)), upstream)
+    conv_outputs(x, banks, upstream)
 
 
 def test_multiscale_conv_gradients_finite_difference_unsorted():
@@ -249,30 +240,27 @@ def test_multiscale_conv_gradients_finite_difference_unsorted():
     b, c, t, o = 2, 2, 7, 2
     x = rng.standard_normal((b, c, t))
     banks = [rng.standard_normal((o, c, f)) for f in lengths]
-    bias = rng.standard_normal(o * len(lengths))
     proj = rng.standard_normal((b, o * len(lengths), t))
     sizes = [w.size for w in banks]
 
-    def loss_from(xv, wv, bv):
+    def loss_from(xv, wv):
         parts = np.split(wv, np.cumsum(sizes)[:-1])
         ws = [p.reshape(w.shape) for p, w in zip(parts, banks)]
-        return float((multiscale_conv_forward(xv.reshape(x.shape), ws, bv) * proj).sum())
+        return float((multiscale_conv_forward(xv.reshape(x.shape), ws) * proj).sum())
 
     w_flat = np.concatenate([w.ravel() for w in banks])
-    dx, dbanks, dbias = multiscale_conv_backward(x, banks, proj)
-    num_dx = numeric_grad(lambda v: loss_from(v, w_flat, bias), x.ravel())
-    num_dw = numeric_grad(lambda v: loss_from(x.ravel(), v, bias), w_flat)
-    num_db = numeric_grad(lambda v: loss_from(x.ravel(), w_flat, v), bias)
+    dx, dbanks = multiscale_conv_backward(x, banks, proj)
+    num_dx = numeric_grad(lambda v: loss_from(v, w_flat), x.ravel())
+    num_dw = numeric_grad(lambda v: loss_from(x.ravel(), v), w_flat)
     assert max_rel_err(dx.ravel(), num_dx) < 1e-5
     assert max_rel_err(np.concatenate([d.ravel() for d in dbanks]), num_dw) < 1e-5
-    assert max_rel_err(dbias, num_db) < 1e-5
 
 
 def test_conv_and_bn_take_batched_input_only():
     x = np.zeros((2, 5))
     w = np.zeros((3, 2, 2))
     with pytest.raises(ConfigError):
-        conv1d_forward(x, w, np.zeros(3))
+        conv1d_forward(x, w)
     with pytest.raises(ConfigError):
         conv1d_backward(x, w, np.zeros((3, 5)))
     with pytest.raises(ConfigError):
@@ -288,20 +276,17 @@ def test_conv_gradients_finite_difference(f):
     c, t, o = 2, 7, 3
     x = rng.standard_normal((1, c, t))
     w = rng.standard_normal((o, c, f))
-    bias = rng.standard_normal(o)
     proj = rng.standard_normal((1, o, t))  # random scalarization
 
-    def loss_from(xv, wv, bv):
-        out = conv1d_forward(xv.reshape(1, c, t), wv.reshape(o, c, f), bv)
+    def loss_from(xv, wv):
+        out = conv1d_forward(xv.reshape(1, c, t), wv.reshape(o, c, f))
         return float((out * proj).sum())
 
-    dx, dw, db = conv1d_backward(x, w, proj)
-    num_dx = numeric_grad(lambda v: loss_from(v, w.ravel(), bias), x.ravel())
-    num_dw = numeric_grad(lambda v: loss_from(x.ravel(), v, bias), w.ravel())
-    num_db = numeric_grad(lambda v: loss_from(x.ravel(), w.ravel(), v), bias)
+    dx, dw = conv1d_backward(x, w, proj)
+    num_dx = numeric_grad(lambda v: loss_from(v, w.ravel()), x.ravel())
+    num_dw = numeric_grad(lambda v: loss_from(x.ravel(), v), w.ravel())
     assert max_rel_err(dx.ravel(), num_dx) < 1e-5
     assert max_rel_err(dw.ravel(), num_dw) < 1e-5
-    assert max_rel_err(db, num_db) < 1e-5
 
 
 def test_conv_gradients_batched_finite_difference():
@@ -312,10 +297,10 @@ def test_conv_gradients_batched_finite_difference():
     proj = rng.standard_normal((b, o, t))
 
     def loss_from(wv):
-        out = conv1d_forward(x, wv.reshape(o, c, f), np.zeros(o))
+        out = conv1d_forward(x, wv.reshape(o, c, f))
         return float((out * proj).sum())
 
-    _, dw, _ = conv1d_backward(x, w, proj)
+    _, dw = conv1d_backward(x, w, proj)
     assert max_rel_err(dw.ravel(), numeric_grad(loss_from, w.ravel())) < 1e-5
 
 

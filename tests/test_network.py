@@ -24,7 +24,13 @@ from fewts.network import (
 from fewts.params import ParamSet
 from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss, triplet_loss_grad
 
-from helpers import bn_sites_reference, freeze_mask_reference, max_rel_err, numeric_grad
+from helpers import (
+    bn_sites_reference,
+    freeze_mask_reference,
+    max_rel_err,
+    numeric_grad,
+    version_1_checkpoint,
+)
 
 TINY = ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(2, 3), filters_per_length=2)
 
@@ -61,18 +67,18 @@ def test_default_spec_matches_training_scale():
 
 
 def test_param_count_tiny_spec_hand_counted():
-    # Layer 0: (2x1x2 + 2x1x3) weights + 4 bias + 4 gamma + 4 beta = 22
-    # Layer 1: (2x4x2 + 2x4x3) weights + 4 bias + 4 gamma + 4 beta = 52
+    # Layer 0: (2x1x2 + 2x1x3) weights + 4 gamma + 4 beta = 18
+    # Layer 1: (2x4x2 + 2x4x3) weights + 4 gamma + 4 beta = 48
     # Projection: 4x1x1 weights + 4 gamma + 4 beta = 12
-    assert build_layout(TINY).total_size == 86
+    assert build_layout(TINY).total_size == 78
 
 
 def test_param_count_single_filter_closed_form():
     # One block, one length f, one filter: m = 1 = input channels, so no
-    # projection. Count = 2 * (f + 3).
+    # projection. Count = 2 * (f + 2).
     for f in (1, 3, 5):
         spec = ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(f,), filters_per_length=1)
-        assert build_layout(spec).total_size == 2 * (f + 3)
+        assert build_layout(spec).total_size == 2 * (f + 2)
         assert bn_site_names(spec) == ["b0.c0", "b0.c1"]
 
 
@@ -94,7 +100,6 @@ def test_build_model_deterministic_by_seed():
 
 def test_build_model_init_structure():
     model = tiny_model()
-    assert np.array_equal(model.params.get("b0.c0.bias"), np.zeros(4))
     assert np.array_equal(model.params.get("b0.c0.gamma"), np.ones(4))
     assert np.array_equal(model.params.get("b0.c0.beta"), np.zeros(4))
     w = model.params.get("b0.c1.w2").reshape(2, 8)
@@ -295,9 +300,9 @@ def test_freeze_mask_layer_counts():
     m0 = freeze_mask_for(TINY, 0)
     assert m0.sum() == 0
     m1 = freeze_mask_for(TINY, 1)
-    # First conv layer only: weights (4 + 6) + bias 4 + gamma 4 + beta 4 = 22.
-    assert m1.sum() == 22
-    for name in ("b0.c0.w2", "b0.c0.bias", "b0.c0.gamma"):
+    # First conv layer only: weights (4 + 6) + gamma 4 + beta 4 = 18.
+    assert m1.sum() == 18
+    for name in ("b0.c0.w2", "b0.c0.gamma", "b0.c0.beta"):
         rec = layout[name]
         assert m1[rec.offset: rec.offset + rec.size].all()
     rec = layout["b0.proj.w"]
@@ -423,6 +428,14 @@ def test_checkpoint_body_is_params_then_bn_buffers_with_one_copy():
         model.bn[name].mean.tobytes() + model.bn[name].var.tobytes() for name in sites)
     assert body == want
     assert peak <= len(blob) + 64 * 1024
+
+
+def test_checkpoint_refuses_format_version_1(tmp_path):
+    # Format 1 stored a bias record per conv layer; there is no mapping.
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(version_1_checkpoint(tiny_model(46)))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: unsupported format version 1")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -78,6 +78,17 @@ def test_aggregate_names_a_missing_field():
         aggregate(records)
 
 
+@pytest.mark.parametrize("field, value", [("dataset", 3), ("dataset", ["a"]), ("method", None)],
+                         ids=["int-dataset", "list-dataset", "null-method"])
+def test_aggregate_names_a_non_string_field(field, value):
+    records = [
+        {"dataset": "x", "method": "ed", "accuracy": 0.5},
+        {"dataset": "y", "method": "ed", "accuracy": 0.5, field: value},
+    ]
+    with pytest.raises(ConfigError, match=f"record 2 field '{field}' is not a string"):
+        aggregate(records)
+
+
 def test_aggregate_rejects_ragged_cells():
     records = [
         {"dataset": "a", "method": "x", "accuracy": 0.5},
