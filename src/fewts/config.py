@@ -161,6 +161,8 @@ def load_experiment_config(
         methods = raw["methods"]
         if isinstance(methods, str):
             methods = [methods]
+        if not all(isinstance(m, str) for m in methods):
+            raise ConfigError(f"methods is {raw['methods']!r}, expected method name strings")
         kwargs["methods"] = tuple(methods)
     for key in ("data_root", "split_manifest", "records"):
         if raw.get(key) is not None:

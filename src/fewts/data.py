@@ -91,13 +91,6 @@ class DatasetBundle:
     def length(self) -> int:
         return self.train.length
 
-    def pool(self, split: str) -> Dataset:
-        if split == "train":
-            return self.train
-        if split == "test":
-            return self.test
-        raise ConfigError(f"unknown split {split!r}")
-
 
 def znormalize(x: np.ndarray) -> np.ndarray:
     """(x - mean) / population std; constant series (std below 1e-12) map to
@@ -268,8 +261,9 @@ class LabeledSet:
 @dataclass
 class FewShotTask:
     """K-shot N-way episode. ``class_ids`` maps task labels back to the
-    dataset's dense class ids; ``train_refs``/``test_refs`` are (split, row)
-    pointers into the source pools, sufficient for exact replay."""
+    dataset's dense class ids; ``train_refs``/``test_refs`` are the (split,
+    row) pointers into the bundle's original-train and original-test pools
+    that the task's rows were drawn from."""
 
     dataset: str
     k: int
@@ -454,7 +448,9 @@ def split_classes(
 
 
 # ---------------------------------------------------------------------------
-# Task logs: one JSON record per task, enough to replay it exactly.
+# Task logs: one JSON record per task. A task is re-sampled from its logged
+# seed; its (split, row) refs record which rows it drew, and equal log text
+# shows that a re-sampled task is the one logged.
 # ---------------------------------------------------------------------------
 
 
@@ -490,39 +486,3 @@ def read_jsonl(path, what: str) -> list[dict]:
             raise ParseError(f"bad {what} (not a JSON object)", str(path), lineno)
         records.append(record)
     return records
-
-
-def read_task_log(path) -> list[dict]:
-    return read_jsonl(path, "task record")
-
-
-def replay_task(bundle: DatasetBundle, record: dict) -> FewShotTask:
-    """Rebuild a task from its log record by direct indexing."""
-    if record["dataset"] != bundle.name:
-        raise ConfigError(
-            f"record is for dataset {record['dataset']!r}, bundle is {bundle.name!r}"
-        )
-    class_ids = tuple(int(c) for c in record["classes"])
-    by_class = {c: i for i, c in enumerate(class_ids)}
-    train_refs = [(split, int(i)) for split, i in record["train"]]
-    test_refs = [(split, int(i)) for split, i in record["test"]]
-
-    def gather(refs):
-        values, labels = [], []
-        for split, i in refs:
-            pool = bundle.pool(split)
-            values.append(pool.values[i])
-            labels.append(by_class[int(pool.labels[i])])
-        return LabeledSet(np.reshape(values, (len(refs), bundle.length)), labels)
-
-    return FewShotTask(
-        dataset=bundle.name,
-        k=int(record["k"]),
-        k_prime=int(record["k_prime"]),
-        class_ids=class_ids,
-        train=gather(train_refs),
-        test=gather(test_refs),
-        train_refs=train_refs,
-        test_refs=test_refs,
-        seed=record["seed"],
-    )

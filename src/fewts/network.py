@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,9 @@ class ArchSpec:
         if any(int(f) < 1 for f in self.filter_lengths):
             raise ConfigError("filter lengths must be >= 1")
         lengths = tuple(int(f) for f in self.filter_lengths)
-        repeated = sorted({f for f in lengths if lengths.count(f) > 1})
+        repeated = [f for f, n in Counter(lengths).items() if n > 1]
         if repeated:
-            raise ConfigError(f"filter_lengths repeats length {repeated[0]}: {lengths}")
+            raise ConfigError(f"filter_lengths repeats length {min(repeated)}: {lengths}")
         if self.filters_per_length < 1:
             raise ConfigError("filters_per_length must be >= 1")
         object.__setattr__(self, "filter_lengths", lengths)
@@ -103,8 +104,8 @@ def build_layout(spec: ArchSpec) -> Layout:
     """Parameter records in a fixed, documented order: for each block, each
     conv layer contributes per-length filter banks and BN gamma/beta; blocks
     that change channel count append projection filters plus BN. Convs have
-    no bias, since the BN each feeds subtracts it again. BN sites,
-    projections and the freeze prefix are all read off this layout."""
+    no bias, since the BN each feeds subtracts it again. BN sites and
+    projections are read off this layout."""
     shapes: list[tuple[str, tuple[int, ...]]] = []
     m = spec.channels
     for bi in range(spec.blocks):
@@ -129,7 +130,8 @@ def bn_site_names(spec: ArchSpec) -> list[str]:
 
 
 class ResNetModel:
-    """Architecture + parameters + task-local BN buffers + freeze mask.
+    """Architecture + parameters + task-local BN buffers + the number of
+    lowest conv layers held fixed by :func:`backward_batch`.
 
     BN buffers are deliberately NOT part of the ParamSet: they are estimated
     per task and never touched by the optimizer or the meta-update.
@@ -140,7 +142,7 @@ class ResNetModel:
         spec: ArchSpec,
         params: ParamSet,
         bn: dict[str, BnState] | None = None,
-        freeze_mask: np.ndarray | None = None,
+        frozen_layers: int = 0,
     ):
         self.spec = spec
         expected = build_layout(spec)
@@ -153,7 +155,11 @@ class ResNetModel:
         if sorted(bn) != sorted(sites):
             raise ConfigError("BN buffer names do not match the architecture")
         self.bn = bn
-        self.freeze_mask = freeze_mask
+        if not (0 <= frozen_layers <= spec.conv_layers):
+            raise ConfigError(
+                f"frozen_layers must be in [0, {spec.conv_layers}], got {frozen_layers}"
+            )
+        self.frozen_layers = frozen_layers
         self._uid = next(_MODEL_IDS)
         self._revision = 0
 
@@ -168,17 +174,12 @@ class ResNetModel:
         self._revision += 1
 
     def copy(self) -> "ResNetModel":
-        mask = None if self.freeze_mask is None else self.freeze_mask.copy()
         return ResNetModel(
             self.spec,
             self.params.copy(),
             {name: st.copy() for name, st in self.bn.items()},
-            mask,
+            self.frozen_layers,
         )
-
-    def reset_bn(self) -> None:
-        """Forget task-local running statistics."""
-        self.bn = {name: BnState.fresh(self.spec.channels) for name in bn_site_names(self.spec)}
 
 
 def build_model(spec: ArchSpec, rng: np.random.Generator) -> ResNetModel:
@@ -318,9 +319,10 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
     """Reverse-mode through a train-mode forward pass.
 
     ``upstream`` is the loss gradient w.r.t. the embedding rows, [batch, dim].
-    Returns parameter gradients as a ParamSet; entries under the model's
-    freeze mask are zeroed. The pass stops at the lowest layer with an
-    entry outside the mask's leading run of frozen entries.
+    Returns parameter gradients as a ParamSet. Conv layer ``L`` (counted
+    bottom up over blocks) is frozen when ``L < model.frozen_layers``, and a
+    block's projection once all of the block's layers are; frozen records
+    get zero gradient. The pass stops below the lowest unfrozen layer.
     """
     if cache.get("uid") != model._uid or cache.get("revision") != model._revision:
         raise UsageError("stale forward cache: model parameters changed since the forward pass")
@@ -329,34 +331,21 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
         raise ConfigError(
             f"upstream must be [{cache['n_series']}, {model.embedding_dim}], got {upstream.shape}"
         )
-    layout = model.params.layout
-    grads = ParamSet(layout)
-    last = model.spec.convs_per_block - 1
-    # Entries [0, frozen) are frozen. A layer whose records all lie there
-    # gets no gradient, and neither does anything below it, since the layout
-    # lists layers bottom up; an input gradient is needed only when an entry
-    # below the layer is not frozen.
-    mask = model.freeze_mask
-    frozen = 0 if mask is None else int(np.argmin(mask)) if not mask.all() else mask.size
-    first_filter = f"w{model.spec.filter_lengths[0]}"
-
-    def start(bi: int, j: int) -> int:
-        return layout[f"b{bi}.c{j}.{first_filter}"].offset
-
-    def frozen_through(name: str) -> bool:
-        rec = layout[name]
-        return rec.offset + rec.size <= frozen
+    grads = ParamSet(model.params.layout)
+    cpb = model.spec.convs_per_block
+    frozen = model.frozen_layers
 
     d = kernels.gap_backward(upstream, cache["length"])
     for bi in reversed(range(model.spec.blocks)):
         bc = cache["blocks"][bi]
         d_pre = kernels.relu_backward(bc["pre_act"], d)
-        input_grad = frozen < start(bi, 0)  # block 0 reads the network input
+        # Layer L needs an input gradient only if a layer below it is
+        # unfrozen; block 0's first layer reads the network input.
+        input_grad = frozen < bi * cpb
 
-        # Shortcut branch. The projection follows the block's convs in the
-        # layout, so when it is frozen the whole block is.
+        # Shortcut branch: the projection freezes with the whole block.
         if bc["proj"] is not None:
-            if frozen_through(f"b{bi}.proj.beta"):
+            if (bi + 1) * cpb <= frozen:
                 break
             d_bn = _bn_backward_site(model, grads, f"b{bi}.proj", d_pre, bc["proj"])
             d_short, _ = kernels.conv1d_backward(
@@ -369,56 +358,25 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
         # Main branch, last conv first. The final conv's BN output feeds the
         # residual sum directly (no ReLU in between).
         d_cur = d_pre
-        for j in reversed(range(model.spec.convs_per_block)):
-            if frozen_through(f"b{bi}.c{j}.beta"):
+        for j in reversed(range(cpb)):
+            layer = bi * cpb + j
+            if layer < frozen:
                 break
             cc = bc["convs"][j]
-            if j < last:
+            if j < cpb - 1:
                 d_cur = kernels.relu_backward(cc["bn_out"], d_cur)
             d_bn = _bn_backward_site(model, grads, f"b{bi}.c{j}", d_cur, cc["bn"])
             d_cur, _ = kernels.multiscale_conv_backward(
                 cc["x"], _layer_weights(model, bi, j), d_bn,
                 [grads.get(f"b{bi}.c{j}.w{f}") for f in model.spec.filter_lengths],
-                frozen < start(bi, j),
+                frozen < layer,
             )
 
         if not input_grad:
             break
         d = d_cur + d_short
 
-    if mask is not None:
-        grads.values[mask] = 0.0
     return grads
-
-
-# ---------------------------------------------------------------------------
-# Freezing
-# ---------------------------------------------------------------------------
-
-
-def freeze_mask_for(spec: ArchSpec, frozen_layers: int) -> np.ndarray:
-    """Boolean mask over the flat parameter vector freezing the lowest
-    ``frozen_layers`` conv layers (filters and their BN gamma/beta).
-    A block's shortcut projection follows its convs in the layout, so it
-    freezes with the whole block and the mask is a prefix of the vector."""
-    if not (0 <= frozen_layers <= spec.conv_layers):
-        raise ConfigError(
-            f"frozen_layers must be in [0, {spec.conv_layers}], got {frozen_layers}"
-        )
-    layout = build_layout(spec)
-    bi, j = divmod(frozen_layers, spec.convs_per_block)
-    first = f"b{bi}.c{j}.w{spec.filter_lengths[0]}"
-    end = layout[first].offset if first in layout else layout.total_size
-    mask = np.zeros(layout.total_size, dtype=bool)
-    mask[:end] = True
-    return mask
-
-
-def apply_freeze(model: ResNetModel, frozen_layers: int) -> ResNetModel:
-    """Copy of the model with the freeze mask for ``frozen_layers`` set."""
-    out = model.copy()
-    out.freeze_mask = freeze_mask_for(model.spec, frozen_layers)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +450,10 @@ def load_checkpoint(path) -> ResNetModel:
         bn_entries = [(b["name"], int(b["updates"])) for b in header["bn"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
-    # Each conv layer has a record: reject a huge arch before laying it out.
-    if spec.conv_layers > len(stored):
-        raise CheckpointError(f"{path}: arch has more conv layers than layout records")
+    # Each conv layer has a record per filter length: reject a huge arch
+    # before laying it out.
+    if spec.conv_layers * len(spec.filter_lengths) > len(stored):
+        raise CheckpointError(f"{path}: arch has more conv filter banks than layout records")
     layout = build_layout(spec)
     derived = [(r.name, r.shape, r.offset) for r in layout.records]
     if stored != derived:

@@ -143,6 +143,12 @@ def run_protocol(
                 break
         else:
             scratch_spec = ArchSpec()
+    for m in methods:
+        if m in ft:
+            layers = (models[m].spec if m in CHECKPOINT_METHODS else scratch_spec).conv_layers
+            if ft[m].frozen_layers > layers:
+                raise ConfigError(f"finetune.{m}: frozen_layers must be in [0, {layers}], "
+                                  f"got {ft[m].frozen_layers}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -250,5 +256,10 @@ def report_from_records(
     if header is None:
         run_config = Path(records_path).parent / "run_config.json"
         if run_config.exists():
-            header = json.loads(run_config.read_text())
+            try:
+                header = json.loads(run_config.read_text())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"{run_config}: unreadable run config ({exc})") from exc
+            if not isinstance(header, dict):
+                raise ConfigError(f"{run_config}: run config is not a JSON object")
     return emit_report(table, out_dir, alpha=alpha, header=header)

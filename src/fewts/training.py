@@ -24,7 +24,6 @@ from .data import DatasetBundle, FewShotTask, LabeledSet, sample_task_seeded, ta
 from .errors import ConfigError, TaskDegenerateError
 from .network import (
     ResNetModel,
-    apply_freeze,
     backward_batch,
     embed_batch,
     save_checkpoint,
@@ -434,14 +433,13 @@ def finetune(
     """Adapt a trained initialization to one task's train split.
 
     Normalization statistics are re-estimated from this split alone, the
-    freeze selector pins the lowest layers, and ``epochs`` epochs of
-    stratified mini-batches run on top. The input model is not modified;
-    ``task_id`` names the task in errors.
+    lowest ``config.frozen_layers`` conv layers stay fixed, and ``epochs``
+    epochs of stratified mini-batches run on top. The input model is not
+    modified; ``task_id`` names the task in errors.
     """
     if train_set.n == 0:
         raise TaskDegenerateError("cannot fine-tune on an empty train split")
-    work = apply_freeze(model, config.frozen_layers)
-    work.reset_bn()
+    work = ResNetModel(model.spec, model.params.copy(), frozen_layers=config.frozen_layers)
     if config.epochs == 0:
         if train_set.n < 2:
             raise TaskDegenerateError("estimating normalization statistics needs >= 2 series")

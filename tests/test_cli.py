@@ -211,6 +211,20 @@ def test_evaluate_refuses_a_version_1_checkpoint(corpus, capsys):
     assert capsys.readouterr().err == f"error: {old}: unsupported format version 1\n"
 
 
+def test_evaluate_checks_frozen_layers_before_writing(corpus, capsys):
+    cfg = json.loads((corpus / "eval.json").read_text())
+    cfg["finetune"]["resnet"]["frozen_layers"] = 9
+    cfg_path = corpus / "eval_frozen9.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = corpus / "never4"
+    rc = main(["evaluate", "--config", str(cfg_path), "--method", "ed", "--method", "resnet",
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: finetune.resnet: frozen_layers must be in [0, 2], got 9\n")
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sedd": 1}))

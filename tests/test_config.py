@@ -171,6 +171,13 @@ def test_methods_string_is_promoted(tmp_path):
     assert config.methods == ("ed",)
 
 
+@pytest.mark.parametrize("methods", [[["ed"]], ["ed", 3], [None]])
+def test_methods_entries_must_be_strings(tmp_path, methods):
+    path = write_config(tmp_path, {"mode": "evaluate", "methods": methods})
+    with pytest.raises(ConfigError, match="methods"):
+        load_experiment_config(path, {})
+
+
 def test_validation_rules():
     with pytest.raises(ConfigError):
         ExperimentConfig(mode="dance")

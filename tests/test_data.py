@@ -8,14 +8,11 @@ import pytest
 from fewts.data import (
     Dataset,
     DatasetBundle,
-    FewShotTask,
     LabeledSet,
     MetaSetSplit,
     format_task_log,
     load_dataset,
     parse_ucr_file,
-    read_task_log,
-    replay_task,
     sample_task,
     sample_task_seeded,
     split_classes,
@@ -377,51 +374,7 @@ def test_split_classes_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def test_task_log_round_trip(tmp_path):
-    bundle = toy_bundle()
-    tasks = [sample_task_seeded(bundle, 3, 2, seed=s) for s in (11, 12, 13)]
-    path = tmp_path / "tasks.jsonl"
-    path.write_text(format_task_log(tasks))
-    records = read_task_log(path)
-    assert len(records) == 3
-    for task, record in zip(tasks, records):
-        replayed = replay_task(bundle, record)
-        assert replayed.train_refs == task.train_refs
-        assert replayed.test_refs == task.test_refs
-        assert np.array_equal(replayed.train.labels, task.train.labels)
-        assert np.array_equal(replayed.test.labels, task.test.labels)
-        for split in ("train", "test"):
-            a = getattr(replayed, split).values
-            b = getattr(task, split).values
-            assert a.shape == b.shape and a.dtype == b.dtype == np.float64
-            assert a.tobytes() == b.tobytes()
-
-
-def test_replay_accepts_logs_with_policy_key():
-    # Older task logs carry a "policy" key; replay reads only the refs.
-    bundle = toy_bundle()
-    task = sample_task_seeded(bundle, 3, 2, seed=21)
-    record = json.loads(format_task_log([task]))
-    record["policy"] = "split"
-    replayed = replay_task(bundle, record)
-    assert replayed.train_refs == task.train_refs
-    assert replayed.test_refs == task.test_refs
-    assert replayed.seed == task.seed
-
-
 def test_task_log_is_deterministic_text():
     bundle = toy_bundle()
     tasks = [sample_task_seeded(bundle, 2, 1, seed=7)]
     assert format_task_log(tasks) == format_task_log(tasks)
-
-
-def test_replay_rejects_wrong_dataset():
-    bundle = toy_bundle()
-    task = sample_task_seeded(bundle, 2, 1, seed=1)
-    record = read_task_log_path = None
-    from fewts.data import task_record
-
-    record = task_record(task)
-    record["dataset"] = "other"
-    with pytest.raises(ConfigError):
-        replay_task(bundle, record)

@@ -10,14 +10,13 @@ from fewts.errors import CheckpointError, ConfigError, UsageError
 from fewts.kernels import BnState
 from fewts.network import (
     ArchSpec,
-    apply_freeze,
+    ResNetModel,
     backward_batch,
     bn_site_names,
     build_layout,
     build_model,
     checkpoint_bytes,
     embed_batch,
-    freeze_mask_for,
     load_checkpoint,
     save_checkpoint,
 )
@@ -58,6 +57,9 @@ def test_arch_spec_rejects_repeated_filter_lengths():
         ArchSpec(filter_lengths=(4, 4))
     with pytest.raises(ConfigError, match="repeats length 8"):
         ArchSpec(filter_lengths=(8, 5, 8))
+    # The smallest repeated length is named, in one pass over a long list.
+    with pytest.raises(ConfigError, match="repeats length 7:"):
+        ArchSpec(filter_lengths=tuple(range(40_000, 0, -1)) + (9, 7))
 
 
 def test_default_spec_matches_training_scale():
@@ -295,37 +297,54 @@ def test_infer_mode_has_no_cache():
 # ---------------------------------------------------------------------------
 
 
+def with_frozen(model, frozen_layers):
+    return ResNetModel(model.spec, model.params.copy(), frozen_layers=frozen_layers)
+
+
+def triplet_grads(model, series):
+    """backward_batch of the margin-5 triplet loss over a 2+2-labelled batch."""
+    z, cache = embed_batch(model, series, mode="train", return_cache=True)
+    triplets = enumerate_valid_triplets(np.array([0, 0, 1, 1]))
+    dz = triplet_loss_grad(z, triplets, TripletLossConfig(margin=5.0))
+    return backward_batch(model, cache, dz).values
+
+
+def assert_frozen_exactly(grads, mask, layout):
+    """Zero gradient under the mask, and some nonzero entry in every record
+    outside it."""
+    assert not grads[mask].any()
+    for rec in layout.records:
+        part = slice(rec.offset, rec.offset + rec.size)
+        if not mask[part].any():
+            assert grads[part].any(), rec.name
+
+
 def test_freeze_mask_layer_counts():
     layout = build_layout(TINY)
-    m0 = freeze_mask_for(TINY, 0)
-    assert m0.sum() == 0
-    m1 = freeze_mask_for(TINY, 1)
-    # First conv layer only: weights (4 + 6) + gamma 4 + beta 4 = 18.
-    assert m1.sum() == 18
-    for name in ("b0.c0.w2", "b0.c0.gamma", "b0.c0.beta"):
-        rec = layout[name]
-        assert m1[rec.offset: rec.offset + rec.size].all()
-    rec = layout["b0.proj.w"]
-    assert not m1[rec.offset: rec.offset + rec.size].any()
-    # Freezing the whole block pulls in the projection.
-    m2 = freeze_mask_for(TINY, 2)
-    assert m2.all()
+    model = tiny_model(30)
+    series = np.random.default_rng(31).standard_normal((4, 8))
+    # First conv layer only: weights (4 + 6) + gamma 4 + beta 4 = 18;
+    # freezing the whole block pulls in the projection.
+    for frozen, count in ((0, 0), (1, 18), (2, layout.total_size)):
+        mask = freeze_mask_reference(TINY, layout, frozen)
+        assert mask.sum() == count
+        assert_frozen_exactly(triplet_grads(with_frozen(model, frozen), series), mask, layout)
 
 
 def test_freeze_mask_projection_joins_at_block_boundary():
     spec = ArchSpec(blocks=2, convs_per_block=2, filter_lengths=(2,), filters_per_length=2)
-    layout = build_layout(spec)
-    rec = layout["b0.proj.w"]
-    m1 = freeze_mask_for(spec, 1)
-    assert not m1[rec.offset: rec.offset + rec.size].any()
-    m2 = freeze_mask_for(spec, 2)
-    assert m2[rec.offset: rec.offset + rec.size].all()
-    m4 = freeze_mask_for(spec, 4)
-    assert m4.all()
+    model = build_model(spec, np.random.default_rng(32))
+    series = np.random.default_rng(33).standard_normal((4, 8))
+    rec = build_layout(spec)["b0.proj.w"]
+    proj = slice(rec.offset, rec.offset + rec.size)
+    assert triplet_grads(with_frozen(model, 1), series)[proj].any()
+    assert not triplet_grads(with_frozen(model, 2), series)[proj].any()
+    assert not triplet_grads(with_frozen(model, 4), series).any()
 
 
-# Every (blocks, convs_per_block) in 1..3 x 1..3 with each of these filter
-# lengths and filters per length, at every frozen_layers: 675 masks.
+# Every (blocks, convs_per_block) in 1..3 x 1..3: the BN sites with each of
+# these filter lengths and filters per length, and the frozen gradient
+# entries at every frozen_layers.
 ORACLE_LENGTHS = ((1,), (2, 3), (8, 5), (8, 4, 16), (4, 8, 16, 32, 64))
 ORACLE_FILTERS = (1, 2, 33)
 
@@ -337,30 +356,42 @@ def test_layout_derived_sites_and_masks_match_walks(blocks, convs_per_block):
         for filters in ORACLE_FILTERS:
             spec = ArchSpec(blocks=blocks, convs_per_block=convs_per_block,
                             filter_lengths=lengths, filters_per_length=filters)
-            layout = build_layout(spec)
             assert bn_site_names(spec) == bn_sites_reference(spec)
-            for frozen in range(spec.conv_layers + 1):
-                expected = freeze_mask_reference(spec, layout, frozen)
-                assert np.array_equal(freeze_mask_for(spec, frozen), expected), (spec, frozen)
+    # The backward stops below the lowest unfrozen layer; what it returns
+    # must be the full backward's gradient with the walk's entries zeroed.
+    spec = ArchSpec(blocks=blocks, convs_per_block=convs_per_block,
+                    filter_lengths=(1, 3), filters_per_length=2)
+    layout = build_layout(spec)
+    model = build_model(spec, np.random.default_rng(36))
+    series = np.random.default_rng(37).standard_normal((4, 9))
+    full = triplet_grads(model, series)
+    for frozen in range(spec.conv_layers + 1):
+        want = full.copy()
+        want[freeze_mask_reference(spec, layout, frozen)] = 0.0
+        got = triplet_grads(with_frozen(model, frozen), series)
+        assert got.tobytes() == want.tobytes(), frozen
 
 
 def test_freeze_out_of_range_rejected():
-    with pytest.raises(ConfigError):
-        freeze_mask_for(TINY, 3)
-    with pytest.raises(ConfigError):
-        freeze_mask_for(TINY, -1)
+    params = tiny_model().params
+    for frozen in (3, -1):
+        message = re.escape(f"frozen_layers must be in [0, 2], got {frozen}")
+        with pytest.raises(ConfigError, match=message):
+            ResNetModel(TINY, params, frozen_layers=frozen)
+
+
+def test_copy_keeps_frozen_layers():
+    model = with_frozen(tiny_model(38), 1)
+    assert model.copy().frozen_layers == 1
+    assert tiny_model(38).frozen_layers == 0
 
 
 def test_frozen_gradients_are_zero():
-    model = apply_freeze(tiny_model(32), 1)
-    rng = np.random.default_rng(33)
-    series = [rng.standard_normal(8) for _ in range(4)]
-    labels = np.array([0, 0, 1, 1])
-    z, cache = embed_batch(model, series, mode="train", return_cache=True)
-    dz = triplet_loss_grad(z, enumerate_valid_triplets(labels), TripletLossConfig(margin=5.0))
-    g = backward_batch(model, cache, dz)
-    assert np.array_equal(g.values[model.freeze_mask], np.zeros(int(model.freeze_mask.sum())))
-    assert np.abs(g.values[~model.freeze_mask]).max() > 0
+    model = with_frozen(tiny_model(32), 1)
+    mask = freeze_mask_reference(TINY, build_layout(TINY), 1)
+    g = triplet_grads(model, np.random.default_rng(33).standard_normal((4, 8)))
+    assert np.array_equal(g[mask], np.zeros(int(mask.sum())))
+    assert np.abs(g[~mask]).max() > 0
 
 
 @pytest.mark.parametrize("frozen_layers", range(5))
@@ -369,16 +400,10 @@ def test_frozen_backward_matches_masked_full_backward_bitwise(frozen_layers):
     # be the full backward's gradient with the frozen entries zeroed.
     spec = ArchSpec(blocks=2, convs_per_block=2, filter_lengths=(3, 2), filters_per_length=2)
     model = build_model(spec, np.random.default_rng(34))
-    frozen = apply_freeze(model, frozen_layers)
     series = np.random.default_rng(35).standard_normal((4, 9))
-    triplets = enumerate_valid_triplets(np.array([0, 0, 1, 1]))
-    grads = []
-    for m in (model, frozen):
-        z, cache = embed_batch(m, series, mode="train", return_cache=True)
-        dz = triplet_loss_grad(z, triplets, TripletLossConfig(margin=5.0))
-        grads.append(backward_batch(m, cache, dz).values)
-    want, got = grads
-    want[frozen.freeze_mask] = 0.0
+    want = triplet_grads(model, series)
+    got = triplet_grads(with_frozen(model, frozen_layers), series)
+    want[freeze_mask_reference(spec, build_layout(spec), frozen_layers)] = 0.0
     assert got.tobytes() == want.tobytes()
     assert frozen_layers == spec.conv_layers or np.abs(got).max() > 0
 
@@ -466,11 +491,15 @@ def test_checkpoint_malformed_header_names_path(tmp_path, edit):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["blocks", "convs_per_block"])
-def test_checkpoint_rejects_oversized_arch_before_layout(tmp_path, monkeypatch, key):
+# 40,000 distinct filter lengths would be 80,000 filter banks in the tiny
+# arch's two layers, against its 11 stored records.
+@pytest.mark.parametrize("key,value", [("blocks", 10 ** 9), ("convs_per_block", 10 ** 9),
+                                       ("filter_lengths", list(range(1, 40_001)))],
+                         ids=["blocks", "convs_per_block", "filter_lengths"])
+def test_checkpoint_rejects_oversized_arch_before_layout(tmp_path, monkeypatch, key, value):
     head, body = checkpoint_bytes(tiny_model(45)).split(b"\n", 1)
     header = json.loads(head)
-    header["arch"][key] = 10 ** 9
+    header["arch"][key] = value
     path = tmp_path / "huge.ckpt"
     path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 

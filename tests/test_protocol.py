@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fewts import protocol
+from fewts.data import format_task_log, sample_task_seeded, task_seed
 from fewts.errors import ConfigError, ParseError
 from fewts.network import ArchSpec, build_model
 from fewts.protocol import (
@@ -122,6 +123,42 @@ def test_run_protocol_keeps_finished_records_after_a_crash(bundles, tmp_path, mo
     assert len((tmp_path / "tasks.jsonl").read_text().splitlines()) == 2
 
 
+def test_task_log_lines_resample_from_their_seeds(bundles, tmp_path):
+    # A task is checked by re-sampling it from its logged seed: equal log
+    # text shows it is the task logged, and its refs index the rows it holds.
+    run_protocol(bundles, ["ed"], 3, 2, 2, 5, tmp_path)
+    lines = (tmp_path / "tasks.jsonl").read_text().splitlines(keepends=True)
+    expected = [(b, i) for b in bundles for i in range(2)]
+    assert len(lines) == len(expected)
+    for line, (bundle, index) in zip(lines, expected):
+        record = json.loads(line)
+        assert record["seed"] == task_seed(5, bundle.name, index)
+        task = sample_task_seeded(bundle, record["k"], record["k_prime"], seed=record["seed"])
+        assert format_task_log([task]) == line
+        for part in ("train", "test"):
+            held = getattr(task, part)
+            assert len(record[part]) == held.n
+            for row, (split, i) in enumerate(record[part]):
+                pool = getattr(bundle, split)
+                assert pool.values[i].tobytes() == held.values[row].tobytes()
+                assert task.class_ids[held.labels[row]] == pool.labels[i]
+
+
+@pytest.mark.parametrize("method", ["fs1", "resnet"])
+def test_run_protocol_checks_frozen_layers_before_writing(bundles, tmp_path, method):
+    model = build_model(TINY, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"finetune.{method}: frozen_layers must be in [0, 2], got 3")):
+        run_protocol(bundles, ["ed", method], 3, 2, 1, 0, tmp_path / "run",
+                     models={"fs1": model}, scratch_spec=TINY,
+                     finetune={method: FineTuneConfig(epochs=0, frozen_layers=3)})
+    assert not (tmp_path / "run").exists()
+    # At the model's layer count the run goes through.
+    run_protocol(bundles, ["ed", method], 3, 2, 1, 0, tmp_path / "run",
+                 models={"fs1": model}, scratch_spec=TINY,
+                 finetune={method: FineTuneConfig(epochs=0, frozen_layers=2)})
+
+
 def test_run_protocol_rejections(bundles, tmp_path):
     with pytest.raises(ConfigError):
         run_protocol([], ["ed"], 3, 2, 1, 0, tmp_path)
@@ -217,3 +254,11 @@ def test_report_from_records_picks_up_run_config(bundles, tmp_path):
     assert header["run_seed"] == 4
     assert header["methods"] == ["ed", "dtw"]
     assert header["datasets"] == [b.name for b in bundles]
+
+
+@pytest.mark.parametrize("text", ['{"run_seed": 4,', "[1, 2]\n"])
+def test_report_from_records_rejects_bad_run_config(bundles, tmp_path, text):
+    path = run_protocol(bundles, ["ed", "dtw"], 3, 2, 1, 4, tmp_path)
+    (tmp_path / "run_config.json").write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "run_config.json"))):
+        report_from_records(path, tmp_path)

@@ -10,7 +10,7 @@ import pytest
 from fewts import kernels
 from fewts.data import Dataset, DatasetBundle, LabeledSet, sample_task_seeded, task_seed
 from fewts.errors import ConfigError, TaskDegenerateError
-from fewts.network import ArchSpec, backward_batch, build_model, embed_batch, freeze_mask_for
+from fewts.network import ArchSpec, backward_batch, build_layout, build_model, embed_batch
 from fewts.optim import sgd_step
 from fewts.params import CACHE_BLOCK, Layout, ParamSet
 from fewts.training import (
@@ -31,7 +31,7 @@ from fewts.training import (
 )
 from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss_grad
 
-from helpers import inner_solve_reference, meta_update_reference
+from helpers import freeze_mask_reference, inner_solve_reference, meta_update_reference
 
 TINY = ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(2, 3), filters_per_length=2)
 
@@ -480,7 +480,7 @@ def test_finetune_partial_freeze_moves_only_unfrozen_entries():
     model = tiny_model(3)
     tuned = finetune(model, noise_task_set(per_class=5),
                      FineTuneConfig(epochs=4, frozen_layers=1))
-    mask = freeze_mask_for(TINY, 1)
+    mask = freeze_mask_reference(TINY, build_layout(TINY), 1)
     before, after = model.params.values, tuned.params.values
     assert mask.any() and not mask.all()
     assert after[mask].tobytes() == before[mask].tobytes()
