@@ -43,7 +43,7 @@ def main() -> None:
         for i in range(train.n):
             rest = LabeledSet([v for j, v in enumerate(train.values) if j != i],
                               np.delete(train.labels, i))
-            correct += int(dtw_1nn(rest, train.values[i], fraction) == train.labels[i])
+            correct += int(dtw_1nn(rest, train.values[i : i + 1], fraction)[0] == train.labels[i])
         print(f"{fraction:8.2f}  {w:5d}  {correct / train.n:.3f}")
 
     window = dtw_loocv_window(train, config)

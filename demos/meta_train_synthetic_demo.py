@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from fewts.network import ArchSpec, build_model
-from fewts.synthetic import synthetic_domains
+from fewts.synthetic import ar_coefficient_domain, sine_frequency_domain, square_duty_domain
 from fewts.training import (
     MetaConfig,
     fixed_task_pool,
@@ -28,6 +28,19 @@ from fewts.training import (
 )
 
 ARCH = ArchSpec(blocks=2, convs_per_block=2, filter_lengths=(8, 5), filters_per_length=4)
+
+DOMAIN_BUILDERS = {
+    "sine-frequency": sine_frequency_domain,
+    "square-duty": square_duty_domain,
+    "ar-coefficient": ar_coefficient_domain,
+}
+
+
+def synthetic_domains(seed: int) -> dict:
+    """All three domains keyed by family name, each from a distinct stream
+    of the seed."""
+    return {key: builder(seed + 1000 * i)
+            for i, (key, builder) in enumerate(DOMAIN_BUILDERS.items())}
 
 
 def main() -> None:

@@ -128,13 +128,16 @@ def dtw_distance(x: np.ndarray, y: np.ndarray, w: int) -> float:
     return float(_dtw_wavefront(x[None], y[None], np.array([w]))[0, 0])
 
 
-def _as_queries(queries) -> tuple[np.ndarray, bool]:
+def query_array(train_set: LabeledSet, queries) -> np.ndarray:
+    """``queries`` as an [n, T] float64 array whose T is the nonempty train
+    split's; any other shape, or an empty train split, raises ConfigError."""
+    if train_set.n == 0:
+        raise ConfigError("1NN needs a nonempty train set")
     q = np.asarray(queries, dtype=np.float64)
-    single = q.ndim == 1
-    q = q[None] if single else q
-    if q.ndim != 2 or q.shape[1] == 0:
-        raise ConfigError("queries must be one nonempty series or an [n, T] array")
-    return q, single
+    t = train_set.values.shape[1]
+    if q.ndim != 2 or q.shape[1] != t or t == 0:
+        raise ConfigError(f"queries must be [n, {t}] like the train split, got shape {q.shape}")
+    return q
 
 
 def _reject_non_finite(method: str, queries: np.ndarray, train: np.ndarray) -> None:
@@ -149,43 +152,29 @@ def _reject_non_finite(method: str, queries: np.ndarray, train: np.ndarray) -> N
 
 def euclidean_1nn(train_set: LabeledSet, queries) -> np.ndarray:
     """Label an [n, T] array of queries by the nearest train series under
-    squared Euclidean distance. Ties resolve to the smallest train index; a
-    single 1-D query returns a scalar label. Non-finite rows raise
-    ConfigError."""
-    if train_set.n == 0:
-        raise ConfigError("1NN needs a nonempty train set")
-    qs, single = _as_queries(queries)
-    t = train_set.values.shape[1]
-    if qs.shape[1] != t:
-        raise ConfigError(f"query length {qs.shape[1]} does not match train length {t}")
+    squared Euclidean distance. Ties resolve to the smallest train index.
+    Non-finite rows raise ConfigError."""
+    qs = query_array(train_set, queries)
     _reject_non_finite("ED 1NN", qs, train_set.values)
     out = np.empty(len(qs), dtype=train_set.labels.dtype)
     for qi, q in enumerate(qs):
         d2 = ((train_set.values - q[None, :]) ** 2).sum(axis=1)
         out[qi] = train_set.labels[int(np.argmin(d2))]
-    return out[0] if single else out
+    return out
 
 
 def dtw_1nn(train_set: LabeledSet, queries, window: float) -> np.ndarray:
     """Label an [n, T] array of queries by the nearest train series under
-    banded DTW. ``window`` is a fraction of the larger of the query and train
-    lengths; ties resolve to the smallest train index; a single 1-D query
-    returns a scalar label. Non-finite rows raise ConfigError."""
-    if train_set.n == 0:
-        raise ConfigError("1NN needs a nonempty train set")
-    qs, single = _as_queries(queries)
+    banded DTW. ``window`` is a fraction of T; ties resolve to the smallest
+    train index. Non-finite rows raise ConfigError."""
+    qs = query_array(train_set, queries)
     train = train_set.values
-    w = band_width(window, max(qs.shape[1], train.shape[1]))
-    if abs(qs.shape[1] - train.shape[1]) > w:
-        raise ConfigError(
-            f"band width {w} cannot align lengths {qs.shape[1]} and {train.shape[1]}"
-        )
+    w = band_width(window, train.shape[1])
     _reject_non_finite("DTW 1NN", qs, train)
     n = len(train)
     costs = _dtw_wavefront(np.repeat(qs, n, axis=0), np.tile(train, (len(qs), 1)),
                            np.array([w]))
-    out = train_set.labels[np.argmin(costs.reshape(len(qs), n), axis=1)]
-    return out[0] if single else out
+    return train_set.labels[np.argmin(costs.reshape(len(qs), n), axis=1)]
 
 
 def dtw_loocv_window(train_set: LabeledSet, config: DTWConfig = DTWConfig()) -> float:

@@ -98,9 +98,19 @@ def _section(cls, name: str, section, base=None, **fixed):
         raise ConfigError(f"bad {name} section: expected an object, got {section!r}")
     for f in fields(cls):
         kinds = _KINDS.get(type(f.default))
-        if kinds and f.name in section and type(section[f.name]) not in kinds:
-            raise ConfigError(f"bad {name} section: {f.name} is {section[f.name]!r}, "
+        if not kinds or f.name not in section:
+            continue
+        value = section[f.name]
+        if type(value) not in kinds:
+            raise ConfigError(f"bad {name} section: {f.name} is {value!r}, "
                               f"not of the type of its default {f.default!r}")
+        # A list's entries must have the type of the default's entries.
+        if isinstance(f.default, tuple):
+            entry_kinds = _KINDS[type(f.default[0])]
+            for entry in value:
+                if type(entry) not in entry_kinds:
+                    raise ConfigError(f"bad {name} section: {f.name} entry {entry!r} is "
+                                      f"not of the type of {f.default[0]!r}")
     try:
         return replace(base, **section, **fixed) if base is not None else cls(**section, **fixed)
     except (TypeError, ValueError) as exc:

@@ -112,15 +112,18 @@ def _detect_delimiter(line: str) -> str | None:
 
 
 def _label_sort_key(labels: set[str]):
+    # Ties in value ("1", "1.0", "01") break by the token, so the order does
+    # not depend on set iteration order, which varies with the hash seed.
     try:
         as_num = {s: float(s) for s in labels}
     except ValueError:
         return sorted(labels)
-    return sorted(labels, key=lambda s: as_num[s])
+    return sorted(labels, key=lambda s: (as_num[s], s))
 
 
-def parse_ucr_file(path, split: str | None = None, name: str | None = None) -> Dataset:
-    """Parse one UCR-format file into a Dataset of raw (unnormalized) rows.
+def parse_ucr_file(path, split: str, name: str) -> Dataset:
+    """Parse one UCR-format file into the ``split`` Dataset of dataset
+    ``name``, rows raw (unnormalized).
 
     Errors carry the 1-based line number: ragged rows, non-numeric fields and
     missing values (NaN/inf) are reported distinctly. The label is the first
@@ -128,20 +131,6 @@ def parse_ucr_file(path, split: str | None = None, name: str | None = None) -> D
     original tokens retained.
     """
     path = Path(path)
-    stem = path.name
-    for suffix in (".tsv", ".txt", ".csv"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
-    upper = stem.upper()
-    if split is None:
-        split = "test" if upper.endswith("_TEST") else "train"
-    if name is None:
-        name = stem
-        for tag in ("_TRAIN", "_TEST"):
-            if upper.endswith(tag):
-                name = stem[: -len(tag)]
-                break
-
     try:
         text = path.read_text()
     except OSError as exc:
@@ -213,9 +202,9 @@ def _find_split_file(root: Path, name: str, tag: str) -> Path:
     )
 
 
-def load_dataset(root, name: str, normalize: bool = True) -> DatasetBundle:
+def load_dataset(root, name: str) -> DatasetBundle:
     """Load both splits of a dataset from a UCR archive directory, rebuild a
-    shared label map over their union and (by default) z-normalize rows."""
+    shared label map over their union and z-normalize rows."""
     root = Path(root)
     train = parse_ucr_file(_find_split_file(root, name, "TRAIN"), split="train", name=name)
     test = parse_ucr_file(_find_split_file(root, name, "TEST"), split="test", name=name)
@@ -225,9 +214,7 @@ def load_dataset(root, name: str, normalize: bool = True) -> DatasetBundle:
 
     def remap(ds: Dataset) -> Dataset:
         labels = np.array([dense[ds.label_names[l]] for l in ds.labels], dtype=np.int64)
-        values = ds.values
-        if normalize:
-            values = np.vstack([znormalize(row) for row in values])
+        values = np.vstack([znormalize(row) for row in ds.values])
         return Dataset(name, values, labels, ds.split, names)
 
     return DatasetBundle(name, remap(train), remap(test))
@@ -370,10 +357,6 @@ class MetaSetSplit:
     validation: tuple[str, ...]
     test: tuple[str, ...]
 
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return len(self.train), len(self.validation), len(self.test)
-
 
 def split_meta_sets(manifest_path) -> MetaSetSplit:
     """Read a split manifest: JSON with "train", "validation" and "test"
@@ -424,22 +407,14 @@ class ClassPartition:
     test: tuple[int, ...]
 
 
-def split_classes(
-    n_classes: int,
-    rng: np.random.Generator,
-    fractions: tuple[float, float, float] = (0.5, 0.25, 0.25),
-) -> ClassPartition:
-    """Shuffle class ids and cut them into train/validation/test sections
-    (default one half and two quarters; remainders go to test)."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must sum to 1, got {fractions}")
-    if n_classes < 3:
-        raise ConfigError("class split needs at least 3 classes")
+def split_classes(n_classes: int, rng: np.random.Generator) -> ClassPartition:
+    """Shuffle class ids and cut them into train/validation/test sections:
+    a half, a quarter, and the rest (both cuts rounded down)."""
+    if n_classes < 4:
+        raise ConfigError(f"class split needs at least 4 classes, got {n_classes}")
     order = rng.permutation(n_classes)
-    n_tr = int(np.floor(n_classes * fractions[0]))
-    n_va = int(np.floor(n_classes * fractions[1]))
-    if n_tr < 2 or n_va < 1 or (n_classes - n_tr - n_va) < 1:
-        raise ConfigError(f"fractions {fractions} leave an empty section for {n_classes} classes")
+    n_tr = n_classes // 2
+    n_va = n_classes // 4
     return ClassPartition(
         tuple(sorted(int(c) for c in order[:n_tr])),
         tuple(sorted(int(c) for c in order[n_tr : n_tr + n_va])),

@@ -68,7 +68,8 @@ class ArchSpec:
         lengths = tuple(int(f) for f in self.filter_lengths)
         repeated = [f for f, n in Counter(lengths).items() if n > 1]
         if repeated:
-            raise ConfigError(f"filter_lengths repeats length {min(repeated)}: {lengths}")
+            raise ConfigError(f"filter_lengths repeats length {min(repeated)} "
+                              f"in a list of {len(lengths)}")
         if self.filters_per_length < 1:
             raise ConfigError("filters_per_length must be >= 1")
         object.__setattr__(self, "filter_lengths", lengths)

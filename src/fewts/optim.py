@@ -1,6 +1,6 @@
 """Adam and plain SGD steps over flat parameter vectors.
 
-Update rule (bias-corrected moments):
+Update rule (bias-corrected moments, b1 = BETA1, b2 = BETA2, eps = EPS):
 
     m_t = b1*m + (1-b1)*g        mhat = m_t / (1 - b1^t)
     v_t = b2*v + (1-b2)*g^2      vhat = v_t / (1 - b2^t)
@@ -18,12 +18,18 @@ a zero gradient keeps an entry's moments at zero, so its step is exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .params import CACHE_BLOCK, ParamSet
+
+
+# Adam's usual moment decay rates and denominator floor.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -32,19 +38,13 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
     @classmethod
-    def fresh(cls, size: int, lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps_hat: float = 1e-8) -> "AdamState":
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError("Adam betas must lie in [0, 1)")
+    def fresh(cls, size: int, lr: float = 1e-4) -> "AdamState":
         # lr 0 is allowed: a zero-rate solve is a useful identity check.
-        if lr < 0.0 or eps_hat <= 0.0:
-            raise ConfigError("Adam lr must be nonnegative and eps positive")
-        return cls(np.zeros(size), np.zeros(size), 0, lr, beta1, beta2, eps_hat)
+        if lr < 0.0:
+            raise ConfigError("Adam lr must be nonnegative")
+        return cls(np.zeros(size), np.zeros(size), 0, lr)
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
@@ -59,8 +59,7 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
         raise ConfigError("optimizer state size does not match parameters")
     g, m, v, p = grads.values, state.m, state.v, params.values
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    c1, c2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
     scratch = np.empty((2, min(g.size, CACHE_BLOCK)))
     # The update rule above, operation for operation and in numpy's
     # evaluation order, block by block in place and through two scratch
@@ -71,18 +70,18 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
         hi = lo + CACHE_BLOCK
         gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
         s, step = scratch[0, : gb.size], scratch[1, : gb.size]
-        np.multiply(gb, 1.0 - b1, out=s)
-        mb *= b1
+        np.multiply(gb, 1.0 - BETA1, out=s)
+        mb *= BETA1
         mb += s
-        np.multiply(gb, 1.0 - b2, out=s)
+        np.multiply(gb, 1.0 - BETA2, out=s)
         s *= gb
-        vb *= b2
+        vb *= BETA2
         vb += s
         np.divide(mb, c1, out=step)
         step *= state.lr
         np.divide(vb, c2, out=s)
         np.sqrt(s, out=s)
-        s += state.eps_hat
+        s += EPS
         step /= s
         pb -= step
     return params

@@ -64,9 +64,6 @@ class Layout:
     def __getitem__(self, name: str) -> LayoutRecord:
         return self._by_name[name]
 
-    def names(self) -> list[str]:
-        return [r.name for r in self.records]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Layout) and self.records == other.records
 

@@ -23,6 +23,7 @@ from .data import (
 from .errors import ConfigError
 from .network import ArchSpec, ResNetModel, build_model, write_atomic
 from .stats import (
+    ALPHA,
     RankTable,
     aggregate,
     cd_cliques,
@@ -185,7 +186,6 @@ def run_protocol(
 def emit_report(
     table: RankTable,
     out_dir: Path | str,
-    alpha: float = 0.05,
     header: Mapping | None = None,
 ) -> dict[str, Path]:
     """Write the accuracy table (CSV), a structured summary, and
@@ -199,7 +199,7 @@ def emit_report(
         raise ConfigError(f"cannot create report directory {out}: {exc}") from exc
 
     stat, k, n = friedman_statistic(table)
-    cd = nemenyi_cd(k, n, alpha)
+    cd = nemenyi_cd(k, n)
 
     csv_lines = ["dataset," + ",".join(table.methods)]
     for name, row in zip(table.datasets, table.accuracies):
@@ -217,7 +217,7 @@ def emit_report(
         for a in table.methods
     }
     summary = {
-        "alpha": alpha,
+        "alpha": ALPHA,
         "critical_difference": cd,
         "dataset_count": n,
         "friedman_chi2": stat,
@@ -232,7 +232,7 @@ def emit_report(
 
     order = np.argsort(table.mean_ranks, kind="stable")
     plot = {
-        "alpha": alpha,
+        "alpha": ALPHA,
         "critical_difference": cd,
         "entries": [
             {"mean_rank": float(table.mean_ranks[i]), "method": table.methods[i]}
@@ -245,21 +245,17 @@ def emit_report(
     return {"table": table_path, "summary": summary_path, "cd_plot": plot_path}
 
 
-def report_from_records(
-    records_path: Path | str,
-    out_dir: Path | str,
-    alpha: float = 0.05,
-    header: Mapping | None = None,
-) -> dict[str, Path]:
-    """Aggregate a records file and emit the report next to it."""
+def report_from_records(records_path: Path | str, out_dir: Path | str) -> dict[str, Path]:
+    """Aggregate a records file and emit the report, headed by the
+    ``run_config.json`` beside the records when there is one."""
     table = aggregate(read_records(records_path))
-    if header is None:
-        run_config = Path(records_path).parent / "run_config.json"
-        if run_config.exists():
-            try:
-                header = json.loads(run_config.read_text())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"{run_config}: unreadable run config ({exc})") from exc
-            if not isinstance(header, dict):
-                raise ConfigError(f"{run_config}: run config is not a JSON object")
-    return emit_report(table, out_dir, alpha=alpha, header=header)
+    header = None
+    run_config = Path(records_path).parent / "run_config.json"
+    if run_config.exists():
+        try:
+            header = json.loads(run_config.read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{run_config}: unreadable run config ({exc})") from exc
+        if not isinstance(header, dict):
+            raise ConfigError(f"{run_config}: run config is not a JSON object")
+    return emit_report(table, out_dir, header=header)

@@ -17,6 +17,8 @@ from scipy.stats import rankdata
 
 from .errors import ConfigError
 
+# The one significance level of the Friedman/Nemenyi comparison.
+ALPHA = 0.05
 # Accuracies closer than this compare as a tie; matches 3-decimal reporting.
 WTL_TOLERANCE = 5e-4
 
@@ -124,12 +126,10 @@ def friedman_statistic(table: RankTable) -> tuple[float, int, int]:
     return stat, k, n
 
 
-def nemenyi_cd(k: int, n: int, alpha: float = 0.05) -> float:
-    """Critical mean-rank difference: q_alpha * sqrt(k(k+1)/(6n)).
+def nemenyi_cd(k: int, n: int) -> float:
+    """Critical mean-rank difference at ``ALPHA``: q_alpha * sqrt(k(k+1)/(6n)).
 
     Two methods differ significantly iff their mean-rank gap exceeds this."""
-    if alpha != 0.05:
-        raise ConfigError("only the alpha=0.05 critical-value table is shipped")
     if k not in NEMENYI_Q_05:
         raise ConfigError(f"no critical value for k={k}; table covers k=2..10")
     if n < 1:
@@ -137,20 +137,15 @@ def nemenyi_cd(k: int, n: int, alpha: float = 0.05) -> float:
     return NEMENYI_Q_05[k] * np.sqrt(k * (k + 1) / (6.0 * n))
 
 
-def wtl_counts(
-    table: RankTable,
-    method_a: str,
-    method_b: str,
-    tolerance: float = WTL_TOLERANCE,
-) -> tuple[int, int, int]:
+def wtl_counts(table: RankTable, method_a: str, method_b: str) -> tuple[int, int, int]:
     """Per-dataset (wins, ties, losses) of method_a against method_b.
 
-    Accuracies within ``tolerance`` count as ties."""
+    Accuracies within ``WTL_TOLERANCE`` count as ties."""
     a = table.accuracies[:, table.method_index(method_a)]
     b = table.accuracies[:, table.method_index(method_b)]
     diff = a - b
-    wins = int(np.sum(diff > tolerance))
-    losses = int(np.sum(diff < -tolerance))
+    wins = int(np.sum(diff > WTL_TOLERANCE))
+    losses = int(np.sum(diff < -WTL_TOLERANCE))
     ties = table.accuracies.shape[0] - wins - losses
     return wins, ties, losses
 

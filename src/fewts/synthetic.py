@@ -19,6 +19,11 @@ import numpy as np
 from .data import Dataset, DatasetBundle, znormalize
 from .errors import ConfigError
 
+# Square waves run this many periods over the window.
+SQUARE_CYCLES = 2
+# AR(1) samples discard this many leading steps, so the start value fades.
+AR_BURN_IN = 32
+
 
 def _bundle(name: str, make_one, n_classes: int, length: int,
             train_per_class: int, test_per_class: int,
@@ -54,7 +59,7 @@ def sine_frequency_domain(seed: int, n_classes: int = 8, length: int = 64,
 
 def square_duty_domain(seed: int, n_classes: int = 8, length: int = 64,
                        train_per_class: int = 30, test_per_class: int = 30,
-                       noise: float = 0.3, cycles: int = 2) -> DatasetBundle:
+                       noise: float = 0.3) -> DatasetBundle:
     """Classes are square-wave duty cycles at a fixed base frequency; phase
     is uniform per sample."""
     if n_classes < 2:
@@ -65,7 +70,7 @@ def square_duty_domain(seed: int, n_classes: int = 8, length: int = 64,
 
     def make_one(c, rng):
         phase = rng.uniform(0.0, 1.0)
-        frac = (t * cycles + phase) % 1.0
+        frac = (t * SQUARE_CYCLES + phase) % 1.0
         wave = np.where(frac < duties[c], 1.0, -1.0)
         return wave + noise * rng.standard_normal(length)
 
@@ -74,8 +79,7 @@ def square_duty_domain(seed: int, n_classes: int = 8, length: int = 64,
 
 
 def ar_coefficient_domain(seed: int, n_classes: int = 8, length: int = 64,
-                          train_per_class: int = 30, test_per_class: int = 30,
-                          burn_in: int = 32) -> DatasetBundle:
+                          train_per_class: int = 30, test_per_class: int = 30) -> DatasetBundle:
     """Classes are AR(1) coefficients spread over (-0.9, 0.9); innovations
     are unit gaussian."""
     if n_classes < 2:
@@ -85,28 +89,12 @@ def ar_coefficient_domain(seed: int, n_classes: int = 8, length: int = 64,
 
     def make_one(c, rng):
         a = coeffs[c]
-        x = np.empty(length + burn_in)
+        x = np.empty(length + AR_BURN_IN)
         x[0] = rng.standard_normal()
-        eps = rng.standard_normal(length + burn_in)
-        for i in range(1, length + burn_in):
+        eps = rng.standard_normal(length + AR_BURN_IN)
+        for i in range(1, length + AR_BURN_IN):
             x[i] = a * x[i - 1] + eps[i]
-        return x[burn_in:]
+        return x[AR_BURN_IN:]
 
     return _bundle("synthetic-ar-coefficient", make_one, n_classes, length,
                    train_per_class, test_per_class, rng)
-
-
-DOMAIN_BUILDERS = {
-    "sine-frequency": sine_frequency_domain,
-    "square-duty": square_duty_domain,
-    "ar-coefficient": ar_coefficient_domain,
-}
-
-
-def synthetic_domains(seed: int, **kwargs) -> dict[str, DatasetBundle]:
-    """All three domains keyed by family name, each from a distinct stream
-    of the seed."""
-    out = {}
-    for i, (key, builder) in enumerate(DOMAIN_BUILDERS.items()):
-        out[key] = builder(seed + 1000 * i, **kwargs)
-    return out

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .baselines import euclidean_1nn
+from .baselines import euclidean_1nn, query_array
 from .data import DatasetBundle, FewShotTask, LabeledSet, sample_task_seeded, task_seed
 from .errors import ConfigError, TaskDegenerateError
 from .network import (
@@ -439,12 +439,15 @@ def finetune(
     """
     if train_set.n == 0:
         raise TaskDegenerateError("cannot fine-tune on an empty train split")
-    work = ResNetModel(model.spec, model.params.copy(), frozen_layers=config.frozen_layers)
     if config.epochs == 0:
         if train_set.n < 2:
             raise TaskDegenerateError("estimating normalization statistics needs >= 2 series")
+        work = ResNetModel(model.spec, model.params.copy(), frozen_layers=config.frozen_layers)
         embed_batch(work, train_set.values, mode="train", update_buffers=True)
         return work
+    # inner_solve copies the model before it steps, so this view of the
+    # input's parameters is never written.
+    work = ResNetModel(model.spec, model.params, frozen_layers=config.frozen_layers)
     if rng is None:
         rng = np.random.default_rng(0)
     k = max(1, train_set.n // config.batch_size) * config.epochs
@@ -462,26 +465,17 @@ def finetune(
 
 
 def classify_1nn(model: ResNetModel, train_set: LabeledSet, queries) -> np.ndarray:
-    """Label queries by :func:`~fewts.baselines.euclidean_1nn` over the
-    embeddings of one infer call on the train split plus the queries.
+    """Label an [n, T] array of queries by
+    :func:`~fewts.baselines.euclidean_1nn` over the embeddings of one infer
+    call on the train split plus the queries.
 
-    ``queries`` is an [n, T] array, or one 1-D query that returns a scalar
-    label. Ties resolve to the smallest training-sample index. Non-finite
+    Ties resolve to the smallest training-sample index. Non-finite
     embeddings raise ConfigError rather than picking an arbitrary neighbour.
     """
-    if train_set.n == 0:
-        raise ConfigError("1NN needs a nonempty train split")
-    queries = np.asarray(queries, dtype=np.float64)
-    single = queries.ndim == 1
-    queries = queries[None] if single else queries
-    if queries.ndim != 2 or queries.shape[1] != train_set.values.shape[1]:
-        raise ConfigError(
-            f"queries must be [n, {train_set.values.shape[1]}] like the train split, "
-            f"got shape {queries.shape}"
-        )
+    queries = query_array(train_set, queries)
     embedded = embed_batch(model, np.concatenate([train_set.values, queries]), mode="infer")
     anchors, z = embedded[: train_set.n], embedded[train_set.n :]
-    return euclidean_1nn(LabeledSet(anchors, train_set.labels), z[0] if single else z)
+    return euclidean_1nn(LabeledSet(anchors, train_set.labels), z)
 
 
 def evaluate_task(
@@ -549,11 +543,10 @@ def fixed_task_pool(
     k_prime: int,
     run_seed: int,
     count: int,
-    tag: str = "validation",
 ) -> list[FewShotTask]:
-    """A reproducible finite pool of tasks, seeded apart from the training
-    stream by ``tag``."""
+    """A reproducible finite pool of validation tasks, seeded apart from the
+    training stream."""
     if count < 1:
         raise ConfigError("task pool needs at least one task")
-    stream = meta_task_stream(bundles, k, k_prime, task_seed(run_seed, tag, 0))
+    stream = meta_task_stream(bundles, k, k_prime, task_seed(run_seed, "validation", 0))
     return [next(stream) for _ in range(count)]

@@ -98,9 +98,3 @@ def triplet_loss_grad(
         np.add.at(grad, n, 2.0 * (z[a] - z[n]))
     return grad
 
-
-def triplet_count_by_class(class_sizes: np.ndarray) -> int:
-    """Closed-form valid-triplet count from per-class sizes."""
-    c = np.asarray(class_sizes, dtype=np.int64)
-    total = int(c.sum())
-    return int((c * (c - 1) * (total - c)).sum())

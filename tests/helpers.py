@@ -87,6 +87,13 @@ def brute_force_triplets(labels):
     return out
 
 
+def triplet_count_by_class(class_sizes) -> int:
+    """Closed-form valid-triplet count from per-class sizes."""
+    c = np.asarray(class_sizes, dtype=np.int64)
+    total = int(c.sum())
+    return int((c * (c - 1) * (total - c)).sum())
+
+
 def sequential_squared_ed(x, y):
     """Squared Euclidean distance accumulated strictly left to right, matching
     the order a width-0 DTW band adds its diagonal costs."""

@@ -128,26 +128,29 @@ def test_band_width_examples():
 
 def test_euclidean_1nn_hand_example():
     train = LabeledSet([np.array([0.0, 0.0]), np.array([1.0, 1.0])], np.array([0, 1]))
-    assert euclidean_1nn(train, np.array([0.4, 0.4])) == 0
-    assert euclidean_1nn(train, np.array([0.6, 0.6])) == 1
+    assert np.array_equal(euclidean_1nn(train, np.array([[0.4, 0.4], [0.6, 0.6]])), [0, 1])
 
 
 def test_euclidean_1nn_self_and_tie():
     train = LabeledSet([np.array([0.0, 1.0]), np.array([2.0, 3.0])], np.array([1, 0]))
-    assert euclidean_1nn(train, train.values[1]) == 0
+    assert np.array_equal(euclidean_1nn(train, train.values[1:2]), [0])
     # Equidistant query: picks the smaller index.
     tie = LabeledSet([np.array([0.0]), np.array([2.0])], np.array([5, 9]))
-    assert euclidean_1nn(tie, np.array([1.0])) == 5
+    assert np.array_equal(euclidean_1nn(tie, np.array([[1.0]])), [5])
 
 
 def test_euclidean_1nn_batch_and_errors():
     train = LabeledSet([np.zeros(4), np.ones(4)], np.array([0, 1]))
     out = euclidean_1nn(train, [np.full(4, 0.1), np.full(4, 0.9)])
     assert np.array_equal(out, [0, 1])
-    with pytest.raises(ConfigError):
-        euclidean_1nn(train, np.zeros(5))
-    with pytest.raises(ConfigError):
-        euclidean_1nn(LabeledSet(np.empty((0, 4)), np.array([], dtype=np.int64)), np.zeros(4))
+    for bad in (np.zeros(4), np.zeros((1, 5)), np.zeros((1, 2, 4))):
+        with pytest.raises(ConfigError, match=r"queries must be \[n, 4\]"):
+            euclidean_1nn(train, bad)
+    with pytest.raises(ConfigError, match="nonempty train set"):
+        euclidean_1nn(LabeledSet(np.empty((0, 4)), np.array([], dtype=np.int64)),
+                      np.zeros((1, 4)))
+    with pytest.raises(ConfigError, match=r"queries must be \[n, 0\]"):
+        euclidean_1nn(LabeledSet(np.empty((2, 0)), np.array([0, 1])), np.empty((1, 0)))
 
 
 def test_euclidean_1nn_rejects_non_finite_rows():
@@ -158,7 +161,7 @@ def test_euclidean_1nn_rejects_non_finite_rows():
         euclidean_1nn(train, queries)
     train.values[2, 3] = np.nan
     with pytest.raises(ConfigError, match="0 of 1 query rows and 1 of 3 train rows"):
-        euclidean_1nn(train, np.ones(4))
+        euclidean_1nn(train, np.ones((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +197,15 @@ def test_dtw_1nn_lagged_twin_fixture():
     assert dtw_distance(query, lagged_twin, full) == d_twin
     assert np.sum((query - lagged_twin) ** 2) > np.sum((query - noisy_near) ** 2)
 
-    assert dtw_1nn(train, query, 1.0) == 0
-    assert euclidean_1nn(train, query) == 1
+    assert np.array_equal(dtw_1nn(train, query[None], 1.0), [0])
+    assert np.array_equal(euclidean_1nn(train, query[None]), [1])
 
 
 def test_dtw_1nn_self_match():
     rng = np.random.default_rng(10)
     train = LabeledSet([rng.standard_normal(10) for _ in range(5)],
                        np.array([3, 1, 4, 1, 5]))
-    assert dtw_1nn(train, train.values[2], 0.5) == 4
+    assert np.array_equal(dtw_1nn(train, train.values[2:3], 0.5), [4])
 
 
 def test_dtw_1nn_rejects_non_finite_rows():
@@ -211,6 +214,13 @@ def test_dtw_1nn_rejects_non_finite_rows():
     train.values[3, 5] = -np.inf
     with pytest.raises(ConfigError, match="0 of 2 query rows and 2 of 4 train rows"):
         dtw_1nn(train, np.ones((2, 6)), 0.5)
+
+
+def test_dtw_1nn_refuses_other_query_shapes():
+    train = LabeledSet(np.zeros((2, 6)), np.array([0, 1]))
+    for bad in (np.zeros(6), np.zeros((1, 5)), np.zeros((1, 7))):
+        with pytest.raises(ConfigError, match=r"queries must be \[n, 6\]"):
+            dtw_1nn(train, bad, 1.0)
 
 
 # ---------------------------------------------------------------------------

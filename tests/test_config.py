@@ -141,8 +141,14 @@ def test_partial_sections_take_defaults(tmp_path):
     ({"arch": {"blocks": 1.5}}, "arch.*blocks"),
     ({"arch": [1, 2]}, "arch"),
     ({"finetune": {"fs1": {"epochs": "2"}}}, "finetune.fs1.*epochs"),
+    ({"arch": {"filter_lengths": [4.7, 8]}}, "bad arch section: filter_lengths entry 4.7"),
+    ({"arch": {"filter_lengths": [4, "8"]}}, "bad arch section: filter_lengths entry '8'"),
+    ({"arch": {"filter_lengths": [4, True]}}, "bad arch section: filter_lengths entry True"),
+    ({"dtw": {"fractions": [True]}}, "bad dtw section: fractions entry True"),
+    ({"dtw": {"fractions": [0.1, "0.5"]}}, "bad dtw section: fractions entry '0.5'"),
 ], ids=["finetune-method", "checkpoint-method", "int-for-checkpoint", "float-for-int",
-        "not-an-object", "string-for-int"])
+        "not-an-object", "string-for-int", "float-filter-length", "string-filter-length",
+        "bool-filter-length", "bool-fraction", "string-fraction"])
 def test_bad_section_keys_name_the_section(tmp_path, section, match):
     path = write_config(tmp_path, {"mode": "report", **section})
     with pytest.raises(ConfigError, match=match):

@@ -1,5 +1,8 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +70,7 @@ def test_parse_three_delimiters_identical(tmp_path):
     for delim, fname in ((",", "a.csv"), ("\t", "b.tsv"), (" ", "c.txt")):
         path = tmp_path / fname
         path.write_text(rows_text(delim, rows))
-        parsed.append(parse_ucr_file(path))
+        parsed.append(parse_ucr_file(path, "train", "d"))
     base = parsed[0]
     for other in parsed[1:]:
         assert other.values.tobytes() == base.values.tobytes()
@@ -75,30 +78,39 @@ def test_parse_three_delimiters_identical(tmp_path):
         assert other.label_names == base.label_names
 
 
-def test_parse_infers_name_and_split(tmp_path):
-    rows = sample_rows()
-    p = tmp_path / "Coffee_TEST.tsv"
-    p.write_text(rows_text("\t", rows))
-    ds = parse_ucr_file(p)
-    assert ds.name == "Coffee"
-    assert ds.split == "test"
-
-
 def test_parse_labels_numeric_sort(tmp_path):
     # Labels -1/1/10 must densify in numeric order, not lexical.
     lines = ["10,0,0,0,0", "-1,1,1,1,1", "1,2,2,2,2"]
     p = tmp_path / "d.csv"
     p.write_text("\n".join(lines))
-    ds = parse_ucr_file(p)
+    ds = parse_ucr_file(p, "train", "d")
     assert ds.label_names == ("-1", "1", "10")
     assert list(ds.labels) == [2, 0, 1]
+
+
+def test_label_order_does_not_depend_on_hash_seed(tmp_path):
+    # "1", "1.0" and "01" are equal numbers; their dense ids must not follow
+    # set iteration order, which changes with PYTHONHASHSEED.
+    tokens = ["1", "1.0", "01", "2", "02", "2.0"]
+    p = tmp_path / "ties.csv"
+    p.write_text("".join(f"{tok},0,1,2,3\n" for tok in tokens))
+    script = ("import sys; from fewts.data import parse_ucr_file; "
+              "print(parse_ucr_file(sys.argv[1], 'train', 'd').label_names)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    orders = []
+    for hash_seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script, str(p)], env=env,
+                             capture_output=True, text=True, check=True)
+        orders.append(out.stdout)
+    assert orders == ["('01', '1', '1.0', '02', '2', '2.0')\n"] * 2
 
 
 def test_parse_ragged_row_reports_line(tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("1,0,0,0,0\n2,1,1,1\n")
     with pytest.raises(ParseError) as err:
-        parse_ucr_file(p)
+        parse_ucr_file(p, "train", "d")
     assert err.value.line == 2
     assert "ragged" in str(err.value)
 
@@ -107,7 +119,7 @@ def test_parse_non_numeric_reports_line(tmp_path):
     p = tmp_path / "n.csv"
     p.write_text("1,0,0,0,0\n2,1,oops,1,1\n")
     with pytest.raises(ParseError) as err:
-        parse_ucr_file(p)
+        parse_ucr_file(p, "train", "d")
     assert err.value.line == 2
     assert "oops" in str(err.value)
 
@@ -116,7 +128,7 @@ def test_parse_rejects_missing_values(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,0,0,NaN,0\n2,1,1,1,1\n")
     with pytest.raises(ParseError) as err:
-        parse_ucr_file(p)
+        parse_ucr_file(p, "train", "d")
     assert err.value.line == 1
 
 
@@ -124,7 +136,7 @@ def test_parse_empty_file(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("\n\n")
     with pytest.raises(ParseError) as err:
-        parse_ucr_file(p)
+        parse_ucr_file(p, "train", "d")
     assert "no data rows" in str(err.value)
 
 
@@ -132,25 +144,25 @@ def test_parse_length_bounds(tmp_path):
     short = tmp_path / "s.csv"
     short.write_text("1,0,0,0\n2,1,1,1\n")  # T = 3
     with pytest.raises(ParseError):
-        parse_ucr_file(short)
+        parse_ucr_file(short, "train", "d")
     long = tmp_path / "l.csv"
     row_a = "1," + ",".join(["0"] * 513)
     row_b = "2," + ",".join(["1"] * 513)
     long.write_text(row_a + "\n" + row_b + "\n")
     with pytest.raises(ParseError):
-        parse_ucr_file(long)
+        parse_ucr_file(long, "train", "d")
     edge = tmp_path / "edge.csv"
     row_a = "1," + ",".join(["0"] * 512)
     row_b = "2," + ",".join(["1"] * 512)
     edge.write_text(row_a + "\n" + row_b + "\n")
-    assert parse_ucr_file(edge).length == 512
+    assert parse_ucr_file(edge, "train", "d").length == 512
 
 
 def test_parse_single_class_rejected(tmp_path):
     p = tmp_path / "one.csv"
     p.write_text("1,0,0,0,0\n1,1,1,1,1\n")
     with pytest.raises(ParseError):
-        parse_ucr_file(p)
+        parse_ucr_file(p, "train", "d")
 
 
 def write_archive_dataset(root, name, n_train=8, n_test=6, t=10, seed=3):
@@ -173,8 +185,10 @@ def test_load_dataset_normalizes_and_unifies_labels(tmp_path):
     assert bundle.train.split == "train" and bundle.test.split == "test"
     for row in bundle.train.values:
         assert abs(row.mean()) < 1e-10
-    raw = load_dataset(tmp_path, "Toy", normalize=False)
-    assert not np.allclose(raw.train.values[0].mean(), 0.0, atol=1e-10)
+    raw = parse_ucr_file(tmp_path / "Toy" / "Toy_TRAIN.tsv", "train", "Toy")
+    assert not np.allclose(raw.values[0].mean(), 0.0, atol=1e-10)
+    normalized = np.vstack([znormalize(row) for row in raw.values])
+    assert bundle.train.values.tobytes() == normalized.tobytes()
 
 
 def test_load_dataset_missing_file(tmp_path):
@@ -309,7 +323,6 @@ def test_split_meta_sets_round_trip(tmp_path):
     manifest.write_text(json.dumps({"train": ["A", "B"], "validation": ["C"], "test": ["D"]}))
     split = split_meta_sets(manifest)
     assert split == MetaSetSplit(("A", "B"), ("C",), ("D",))
-    assert split.counts == (2, 1, 1)
 
 
 def test_split_meta_sets_rejects_overlap(tmp_path):
@@ -347,7 +360,7 @@ def test_split_meta_sets_rejects_a_list_manifest(tmp_path):
 
 def test_shipped_manifest_has_archive_counts():
     split = split_meta_sets(REPO_ROOT / "splits" / "meta_split_65.json")
-    assert split.counts == (18, 6, 41)
+    assert (len(split.train), len(split.validation), len(split.test)) == (18, 6, 41)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +368,18 @@ def test_shipped_manifest_has_archive_counts():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,expected", [(60, (30, 15, 15)), (37, (18, 9, 10)), (50, (25, 12, 13))])
+@pytest.mark.parametrize("n,expected", [(60, (30, 15, 15)), (37, (18, 9, 10)), (50, (25, 12, 13)),
+                                        (4, (2, 1, 1))])
 def test_split_classes_counts(n, expected):
     part = split_classes(n, np.random.default_rng(0))
     assert (len(part.train), len(part.validation), len(part.test)) == expected
     everything = sorted(part.train + part.validation + part.test)
     assert everything == list(range(n))
+
+
+def test_split_classes_needs_four_classes():
+    with pytest.raises(ConfigError, match="at least 4 classes, got 3"):
+        split_classes(3, np.random.default_rng(0))
 
 
 def test_split_classes_deterministic():

@@ -15,7 +15,7 @@ def test_layout_offsets_and_size():
     assert layout["w"].offset == 0
     assert layout["b"].offset == 6
     assert layout["g"].offset == 8
-    assert layout.names() == ["w", "b", "g"]
+    assert [r.name for r in layout.records] == ["w", "b", "g"]
 
 
 def test_duplicate_names_rejected():

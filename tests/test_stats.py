@@ -171,8 +171,6 @@ def test_nemenyi_out_of_table():
         nemenyi_cd(11, 10)
     with pytest.raises(ConfigError):
         nemenyi_cd(1, 10)
-    with pytest.raises(ConfigError):
-        nemenyi_cd(4, 10, alpha=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from fewts.synthetic import (
-    DOMAIN_BUILDERS,
-    ar_coefficient_domain,
-    sine_frequency_domain,
-    square_duty_domain,
-    synthetic_domains,
-)
+from fewts.synthetic import ar_coefficient_domain, sine_frequency_domain, square_duty_domain
 
 
 def test_domain_shapes_and_normalization():
@@ -51,15 +45,6 @@ def test_ar_domain_distinct_classes():
         rows = bundle.train.values[bundle.train.labels == c]
         means.append(np.mean([lag1(r) for r in rows]))
     assert means[0] < means[1] < means[2]
-
-
-def test_synthetic_domains_registry():
-    assert set(DOMAIN_BUILDERS) == {"sine-frequency", "square-duty", "ar-coefficient"}
-    domains = synthetic_domains(seed=5, n_classes=3, train_per_class=3, test_per_class=3)
-    assert set(domains) == set(DOMAIN_BUILDERS)
-    # Different per-domain seeds: the three bundles should not be identical.
-    values = [b.train.values.tobytes() for b in domains.values()]
-    assert len(set(values)) == len(values)
 
 
 def test_bad_arguments_rejected():

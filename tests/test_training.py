@@ -463,7 +463,7 @@ def test_finetune_zero_epochs_estimates_buffers_only():
     assert all(st.updates == 1 for st in tuned.bn.values())
     assert all(st.updates == 0 for st in model.bn.values())
     # Buffers are freshly estimated, so infer mode now works.
-    classify_1nn(tuned, train, train.values[0])
+    classify_1nn(tuned, train, train.values[:1])
 
 
 def test_finetune_freeze_all_keeps_parameters_bitwise():
@@ -500,6 +500,25 @@ def test_evaluate_task_names_the_task_on_non_finite_step():
         evaluate_task(model, task, FineTuneConfig(epochs=1))
 
 
+def test_finetune_copies_the_parameters_once(monkeypatch):
+    # inner_solve's model copy is the only one; the input stays bitwise.
+    copies = []
+    original = ParamSet.copy
+
+    def counting_copy(self):
+        copies.append(self.values.size)
+        return original(self)
+
+    model = tiny_model(4)
+    before = model.params.values.tobytes()
+    monkeypatch.setattr(ParamSet, "copy", counting_copy)
+    tuned = finetune(model, noise_task_set(per_class=5), FineTuneConfig(epochs=2))
+    assert copies == [model.params.values.size]
+    assert model.params.values.tobytes() == before
+    assert tuned.params.values is not model.params.values
+    assert tuned.params.values.tobytes() != before
+
+
 def test_finetune_step_count_via_buffer_updates():
     # 5-shot 2-way with b=10: max(1, 10//10) * 16 = 16 steps.
     model = tiny_model()
@@ -524,13 +543,12 @@ def test_classify_1nn_self_match_and_tie_rule():
     tuned = finetune(tiny_model(), train, FineTuneConfig(epochs=0))
     labels = classify_1nn(tuned, train, train.values)
     assert np.array_equal(labels, train.labels)
-    single = classify_1nn(tuned, train, train.values[4])
-    assert single == train.labels[4]
+    assert np.array_equal(classify_1nn(tuned, train, train.values[4:5]), train.labels[4:5])
     # Identical series under different labels: the smaller index wins.
     dup = LabeledSet([train.values[0], train.values[0].copy(), train.values[3]],
                      np.array([1, 0, 0]))
     est = finetune(tiny_model(), dup, FineTuneConfig(epochs=0))
-    assert classify_1nn(est, dup, dup.values[0]) == 1
+    assert np.array_equal(classify_1nn(est, dup, dup.values[:1]), [1])
 
 
 def test_classify_1nn_matches_per_row_embeddings():
@@ -549,8 +567,9 @@ def test_classify_1nn_matches_per_row_embeddings():
 def test_classify_1nn_rejects_query_length_mismatch():
     train = level_task_set(per_class=3, seed=4)
     tuned = finetune(tiny_model(), train, FineTuneConfig(epochs=0))
-    with pytest.raises(ConfigError, match=r"queries must be \[n, 8\]"):
-        classify_1nn(tuned, train, np.zeros((2, 9)))
+    for bad in (np.zeros((2, 9)), np.zeros(8)):
+        with pytest.raises(ConfigError, match=r"queries must be \[n, 8\]"):
+            classify_1nn(tuned, train, bad)
 
 
 def test_classify_1nn_rejects_non_finite_embeddings():

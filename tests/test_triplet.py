@@ -6,12 +6,11 @@ from fewts.kernels import orthogonal_init
 from fewts.triplet import (
     TripletLossConfig,
     enumerate_valid_triplets,
-    triplet_count_by_class,
     triplet_loss,
     triplet_loss_grad,
 )
 
-from helpers import brute_force_triplets, max_rel_err, numeric_grad
+from helpers import brute_force_triplets, max_rel_err, numeric_grad, triplet_count_by_class
 
 
 def test_two_class_hand_example():
