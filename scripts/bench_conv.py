@@ -1,11 +1,16 @@
-"""Per-layer timing of the multi-scale conv at the default architecture.
+"""Per-layer timing of the multi-scale conv and its batch norm.
 
-Times one conv layer's forward and backward for the first layer
-(in_ch = 1) and an inner layer (in_ch = channels), at T in {128, 512} and
-b = 10, on one worker and on as many workers as the process has CPUs, and
-prints one JSON object with the figures and the machine. Each figure is
-the minimum over ``--repeats`` runs, in milliseconds; the two worker
-counts alternate run by run.
+Times one conv layer's forward and backward, and the batch norm that
+follows it (train-mode forward and backward on the layer's output), for
+the default architecture's first layer (in_ch = 1) and inner layer
+(in_ch = channels) at T in {128, 512}, the tiny architecture's two layer
+shapes (filter lengths (8, 5), 4 per length, in_ch 1 and 8) at T = 128,
+and the 1x1 shortcut projection of both architectures at T = 128; b = 10.
+Each runs on one worker and on as many workers as the process has CPUs,
+and one JSON object with the figures and the machine is printed. Each
+figure is the minimum over ``--repeats`` samples, in milliseconds, of one
+call, a sample averaging as many calls as fill about a millisecond; the two
+worker counts alternate sample by sample.
 
 Run it against any checkout's sources:
 
@@ -68,16 +73,47 @@ LAYER_BACKWARD = getattr(kernels, "multiscale_conv_backward", _per_bank_backward
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def time_layer(in_ch: int, t: int, batch: int, repeats: int, seed: int = 0) -> dict:
-    spec = ArchSpec()
+_DEFAULT = ArchSpec()
+_TINY = ArchSpec(filter_lengths=(8, 5), filters_per_length=4)
+# (name, filter lengths, filters per length, in_ch, T)
+LAYERS = [
+    *((f"default in_ch={c} T={t}", _DEFAULT.filter_lengths, _DEFAULT.filters_per_length, c, t)
+      for t in (128, 512) for c in (1, _DEFAULT.channels)),
+    *((f"tiny in_ch={c}", _TINY.filter_lengths, _TINY.filters_per_length, c, 128)
+      for c in (1, _TINY.channels)),
+    ("default proj", (1,), _DEFAULT.channels, 1, 128),
+    ("tiny proj", (1,), _TINY.channels, 1, 128),
+]
+
+
+def _sample(fn) -> float:
+    """Seconds per call of ``fn``, averaged over enough calls to fill about
+    a millisecond."""
+    t0 = time.perf_counter()
+    fn()
+    calls = max(1, int(1e-3 / max(time.perf_counter() - t0, 1e-6)))
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - t0) / calls
+
+
+def time_layer(lengths, per_length: int, in_ch: int, t: int, batch: int, repeats: int,
+               seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
-    banks = [rng.standard_normal((spec.filters_per_length, in_ch, f)) for f in spec.filter_lengths]
+    banks = [rng.standard_normal((per_length, in_ch, f)) for f in lengths]
+    channels = per_length * len(lengths)
     x = rng.standard_normal((batch, in_ch, t))
-    upstream = rng.standard_normal((batch, spec.channels, t))
-    bias = _bias(spec.channels)
+    upstream = rng.standard_normal((batch, channels, t))
+    bias = _bias(channels)
+    gamma, beta = rng.standard_normal(channels), rng.standard_normal(channels)
+    state = kernels.BnState.fresh(channels)
+    _, _, cache = kernels.batchnorm_forward(upstream, gamma, beta, state)
     ops = {
         "fwd": lambda: LAYER_FORWARD(x, banks, *bias),
         "bwd": lambda: LAYER_BACKWARD(x, banks, upstream),
+        "bn_fwd": lambda: kernels.batchnorm_forward(upstream, gamma, beta, state),
+        "bn_bwd": lambda: kernels.batchnorm_backward(upstream, gamma, cache),
     }
     counts = sorted({1, CPUS}) if hasattr(kernels, "_WORKERS") else [1]
     best = {(n, op): float("inf") for n in counts for op in ops}
@@ -86,12 +122,10 @@ def time_layer(in_ch: int, t: int, batch: int, repeats: int, seed: int = 0) -> d
             if hasattr(kernels, "_WORKERS"):
                 kernels._WORKERS = n
             for op, fn in ops.items():
-                t0 = time.perf_counter()
-                fn()
-                best[n, op] = min(best[n, op], time.perf_counter() - t0)
-    row = {"in_ch": in_ch, "T": t, "b": batch}
+                best[n, op] = min(best[n, op], _sample(fn))
+    row = {"lengths": list(lengths), "per_length": per_length, "in_ch": in_ch, "T": t, "b": batch}
     for (n, op), s in best.items():
-        row[f"{op}_ms_{n}w"] = round(s * 1e3, 2)
+        row[f"{op}_ms_{n}w"] = round(s * 1e3, 4)
     return row
 
 
@@ -112,11 +146,9 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--batch", type=int, default=10)
     args = parser.parse_args(argv)
-    channels = ArchSpec().channels
     layers = [
-        time_layer(in_ch, t, args.batch, args.repeats)
-        for t in (128, 512)
-        for in_ch in (1, channels)
+        {"layer": name, **time_layer(lengths, per, in_ch, t, args.batch, args.repeats)}
+        for name, lengths, per, in_ch, t in LAYERS
     ]
     print(json.dumps({"machine": machine(), "layers": layers}, indent=2))
 

@@ -23,8 +23,8 @@ def gradient_check(
     h: float = 1e-5,
     seed: int = 0,
 ) -> float:
-    """Max relative error between analytic and numeric gradients of the
-    batch-all triplet loss with respect to every parameter."""
+    """Max over parameter records of the relative error between analytic
+    and numeric gradients of the batch-all triplet loss."""
     rng = np.random.default_rng(seed)
     model = build_model(spec, rng)
     series = [rng.standard_normal(length) for _ in range(batch_size)]
@@ -51,9 +51,15 @@ def gradient_check(
         down[i] -= h
         numeric[i] = (loss_at(up) - loss_at(down)) / (2.0 * h)
 
-    # Normalize by the gradient scale, not per coordinate: a central
-    # difference carries a roundoff error of about eps * |loss| / h (eps the
-    # float64 machine epsilon) on every entry, so where the true gradient is
-    # near zero a per-coordinate ratio would measure that noise instead.
-    scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)
-    return float(np.max(np.abs(analytic - numeric)) / scale)
+    # Normalize by each record's gradient scale, not per coordinate: a
+    # central difference carries a roundoff error of about eps * |loss| / h
+    # (eps the float64 machine epsilon) on every entry, so where the true
+    # gradient is near zero a per-coordinate ratio would measure that noise
+    # instead. One scale for all records would let the largest gradient
+    # (b0.proj.w's, about 100x the conv filters') hide an error elsewhere.
+    worst = 0.0
+    for rec in model.params.layout.records:
+        a, n = (v[rec.offset : rec.offset + rec.size] for v in (analytic, numeric))
+        scale = max(np.abs(a).max(), np.abs(n).max(), 1e-8)
+        worst = max(worst, float(np.abs(a - n).max() / scale))
+    return worst

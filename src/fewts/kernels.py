@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -45,33 +46,49 @@ def conv_padding(filter_len: int) -> tuple[int, int]:
 # [pad_l - l_i, pad_l + r_i] of it, and those ranges nest. Taking the banks
 # shortest first, the banks active at a tap are a suffix of that order, which
 # is one contiguous block of (sorted) output channels. The buffer is
-# time-major, [T + pad_l + pad_r, b, c], so tap s reads xt[s : s + T] without
-# a copy, and a layer is a sum of one GEMM per tap group. The backward pass
-# runs the same sum backwards, the padded upstream read at flipped taps: each
-# upstream block gives the filter gradient of its taps and, through the
-# transposed filters, a term of the input gradient.
+# channel-major, [b, c, pad_l + T + pad_r]: each (series, channel) row is a
+# contiguous run of time, so tap s of series i is the view buf[i, :, s : s + T]
+# and a stack of taps is a copy of whole time runs. A layer is a sum of one
+# GEMM per tap group. The backward pass runs the same sum backwards, the
+# padded upstream read at flipped taps: each upstream block gives the filter
+# gradient of its taps and, through the transposed filters, a term of the
+# input gradient.
 
-# Neighbouring taps with the same active banks are stacked along K (one copy
-# of their input columns) while taps * in_cols <= _STACK_RATIO * out_cols;
-# beyond that, a separate GEMM per tap and a read-modify-write of its output
-# columns is cheaper than the copy. So a 165-channel layer runs its outer
-# taps one by one forward and stacks its 33-channel bank rings backward,
-# while the 1-channel first layer stacks whole rings forward and runs tap by
-# tap backward.
-_STACK_RATIO = 4
+# A tap group is a run of neighbouring taps that one GEMM serves. Its output
+# columns are those of the banks active at any of its taps; a bank inactive
+# at some of them gets zero filters there. The plan picks the groups with the
+# least cost in units of one copied float64, counting a multiply-add as _MAC,
+# each cell a group adds into its output as _ACC and a group's calls as _CALL
+# per series (measured on a 2-vCPU AVX-512 host with OpenBLAS, one thread).
+# So the tiny arch's layers run every tap in one GEMM both ways; the default
+# arch's in_ch = 1 first layer runs three stacked groups forward and one tap
+# per GEMM backward, and its 165-channel layers one tap per GEMM forward
+# (but for three four-tap stacks near the centre) and one GEMM per bank ring
+# backward. A one-tap group reads a view; a stacked copy never exceeds
+# _STACK_CELLS cells (32 MB), so no layer builds an im2col (108 MB for a
+# 165-channel layer at b = 10, T = 128).
+_MAC = 0.12
+_ACC = 2.0
+_CALL = 3000.0
+_STACK_CELLS = 1 << 22
+
+# The input gradient folds every series into one GEMM per tap group and
+# block of _DX_STEPS time steps, a fixed count: the blocks do not depend on
+# the worker count.
+_DX_STEPS = 64
 
 # A layer of at least _SPLIT_MACS multiply-adds is cut into parts whose
 # outputs do not overlap, one per worker: the forward by series, the filter
-# gradient by flipped tap groups and the input gradient by series again.
-# Each part runs the GEMMs one part would, and each output sums its terms in
-# the same order, so every output is bitwise the same on one core or many.
-# The parts run GEMMs and copies into buffers the calling thread allocated,
-# so that no worker grows a malloc arena of its own. On a 2-vCPU x86 host
-# with both vCPUs free, two parts ran a 165-channel layer at b = 10,
-# T = 128 (864M multiply-adds) 1.4x faster and one at b = 3, T = 64 (130M)
-# 1.7x faster, while the tiny arch's layers (0.5M) and the in_ch = 1 first
-# layer at T = 128 (5.2M) ran no faster or slower: there a hop to a pool
-# thread costs what it saves.
+# gradient by tap groups and the input gradient by time blocks. Each part
+# runs the GEMMs one part would, and each output sums its terms in the same
+# order, so every output is bitwise the same on one core or many. The parts
+# run GEMMs and copies into buffers the calling thread allocated, so that no
+# worker grows a malloc arena of its own. On a 2-vCPU x86 host with both
+# vCPUs free, two parts ran a 165-channel layer at b = 10, T = 128 (864M
+# multiply-adds) 1.4x faster and one at b = 3, T = 64 (130M) 1.7x faster,
+# while the tiny arch's layers (0.5M) and the in_ch = 1 first layer at
+# T = 128 (5.2M) ran no faster or slower: there a hop to a pool thread costs
+# what it saves.
 _SPLIT_MACS = 1 << 25
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -80,91 +97,157 @@ _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="fewts-conv")
 
 @dataclass(frozen=True)
 class _TapPlan:
+    shapes: tuple[tuple[int, int], ...]  # (out_ch, filter length) of each bank
     order: tuple[int, ...]  # bank indices, shortest filter first (stable)
     first: tuple[int, ...]  # first buffer tap of each sorted bank
     cols: tuple[int, ...]  # channel offsets of the sorted banks, plus the total
-    perm: np.ndarray  # caller's channel index of each sorted channel
+    perm: np.ndarray | None  # caller's channel of each sorted one; None if the same
+    unsort: np.ndarray | None  # sorted channel of each caller's one
     pad_l: int
     pad_r: int
-    groups: tuple[tuple[int, int, int], ...]  # (s, g, a): g taps from s, banks a..
-    flipped: tuple[tuple[int, int, int], ...]  # (u, g, a), u = taps - 1 - s
-    # The backward pass's upstream blocks, one per flipped group, have
-    # g * (out_ch - cols[a]) columns each (``sizes``); those with g > 1 are
-    # copies. The groups run in chunks (bounds ``chunks``) whose copies fit
-    # in ``store`` columns, each at column ``at`` of it; ``store`` holds the
-    # largest copy once per worker.
-    sizes: tuple[int, ...]
-    chunks: tuple[int, ...]
-    at: tuple[int, ...]
-    store: int
-
-
-def _stack_taps(active: list[int], width) -> tuple[tuple[int, int, int], ...]:
-    # Split runs of equal active suffixes into groups of at most width(a) taps.
-    groups = []
-    s = 0
-    while s < len(active):
-        a = active[s]
-        g = 1
-        while g < width(a) and s + g < len(active) and active[s + g] == a:
-            g += 1
-        groups.append((s, g, a))
-        s += g
-    return tuple(groups)
+    active: tuple[int, ...]  # lowest sorted bank active at each buffer tap
 
 
 @functools.lru_cache(maxsize=64)
-def _tap_plan(shapes: tuple[tuple[int, int], ...], in_ch: int, workers: int) -> _TapPlan:
-    """Tap layout of banks with the given (out_ch, filter length) shapes;
-    a backward chunk holds the copies of up to ``workers`` largest blocks."""
+def _tap_plan(shapes: tuple[tuple[int, int], ...]) -> _TapPlan:
+    """Tap layout of banks with the given (out_ch, filter length) shapes."""
     order = tuple(sorted(range(len(shapes)), key=lambda i: shapes[i][1]))
     pads = [conv_padding(shapes[i][1]) for i in order]
     pad_l = max(p[0] for p in pads)
     pad_r = max(p[1] for p in pads)
     first = tuple(pad_l - p[0] for p in pads)
-    active = [
+    active = tuple(
         next(k for k, p in enumerate(pads) if first[k] <= s <= pad_l + p[1])
         for s in range(pad_l + pad_r + 1)
-    ]
+    )
     starts = np.cumsum([0] + [o for o, _ in shapes])
     perm = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
     perm.flags.writeable = False
     cols = tuple(np.cumsum([0] + [shapes[i][0] for i in order]).tolist())
-    width = [cols[-1] - cols[a] for a in range(len(order))]  # active columns
-    flipped = _stack_taps(active[::-1], lambda a: max(1, _STACK_RATIO * in_ch // width[a]))
-    sizes = tuple(g * width[a] for _, g, a in flipped)
-    copied = [size if g > 1 else 0 for size, (_, g, _) in zip(sizes, flipped)]
-    store = workers * max(copied)
+    if order == tuple(range(len(order))):
+        return _TapPlan(shapes, order, first, cols, None, None, pad_l, pad_r, active)
+    unsort = np.argsort(perm)
+    unsort.flags.writeable = False
+    return _TapPlan(shapes, order, first, cols, perm, unsort, pad_l, pad_r, active)
+
+
+def _cheapest_groups(active, cost) -> tuple[tuple[int, int, int], ...]:
+    """Runs (s, g, a) of g taps from s covering every tap of ``active``, a
+    the lowest bank active in the run, with the least total ``cost(g, a)``."""
+    best = [0.0] + [math.inf] * len(active)
+    last = [(0, 0, 0)] * (len(active) + 1)
+    for e in range(1, len(active) + 1):
+        a = active[e - 1]
+        for s in range(e - 1, -1, -1):
+            a = min(a, active[s])
+            total = best[s] + cost(e - s, a)
+            if total < best[e]:
+                best[e], last[e] = total, (s, e - s, a)
+    groups, e = [], len(active)
+    while e:
+        groups.append(last[e])
+        e = last[e][0]
+    return tuple(reversed(groups))
+
+
+@functools.lru_cache(maxsize=64)
+def _forward_groups(shapes, c: int, t: int):
+    """Forward tap groups (s, g, a), the first one spanning every bank; the
+    series per stacked copy; whether some group has zero filters. All are
+    independent of the batch size, so that a row's output is the same alone
+    or in any batch."""
+    plan = _tap_plan(shapes)
+    cols = plan.cols
+
+    def cost(g, a):
+        n = cols[-1] - cols[a]
+        if g > 1 and g * c * t > _STACK_CELLS:
+            return math.inf
+        return t * (_MAC * n * g * c + (g * c if g > 1 else 0) + _ACC * n) + _CALL
+
+    groups = _cheapest_groups(plan.active, cost)
+    k = next(i for i, (_, _, a) in enumerate(groups) if a == 0)
+    groups = (groups[k],) + groups[:k] + groups[k + 1 :]
+    widest = max(g for _, g, _ in groups)
+    per = max(1, _STACK_CELLS // max(1, widest * c * t))
+    return groups, per, _zero_filled(groups, plan.active)
+
+
+@dataclass(frozen=True)
+class _BackwardPlan:
+    groups: tuple[tuple[int, int, int], ...]  # (u, g, a): g flipped taps from u
+    # A group's upstream block [g * n, T * b] is a view when g == 1, else a
+    # copy into ``store`` at ``at``. The groups run in chunks (bounds
+    # ``chunks``) whose copies fit in it together; it holds at least one
+    # copy per part.
+    chunks: tuple[int, ...]
+    at: tuple[int, ...]
+    store: int
+    zero: bool  # some group has zero filters
+    # Per group, the banks active at some of its taps: (bank, k0, k1, d0,
+    # d1, c0, c1), its taps k0 .. k1-1 being the bank's taps d1-1 down to
+    # d0, at columns c0 .. c1-1 of the group.
+    pieces: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _backward_plan(shapes, c: int, b: int, t: int, parts: int) -> _BackwardPlan:
+    """Backward tap groups over flipped taps and the chunks they run in.
+    The groups may depend on the batch size: the backward has no per-row
+    contract, and the part count changes only the chunks."""
+    plan = _tap_plan(shapes)
+    cols = plan.cols
+
+    def cost(g, a):
+        n = cols[-1] - cols[a]
+        if g > 1 and g * n * b * t > _STACK_CELLS:
+            return math.inf
+        return t * (2 * _MAC * n * g * c + (g * n if g > 1 else 0) + _ACC * c) + _CALL
+
+    groups = _cheapest_groups(plan.active[::-1], cost)
+    sizes = [g * (cols[-1] - cols[a]) * b * t if g > 1 else 0 for _, g, a in groups]
+    store = min(sum(sizes), parts * max(sizes))
     chunks, at, used = [0], [], 0
-    for i, size in enumerate(copied):
+    for i, size in enumerate(sizes):
         if used + size > store:
             chunks.append(i)
             used = 0
         at.append(used)
         used += size
-    chunks.append(len(flipped))
-    return _TapPlan(
-        order, first, cols, perm, pad_l, pad_r,
-        _stack_taps(active, lambda a: max(1, _STACK_RATIO * width[a] // in_ch)),
-        flipped, sizes, tuple(chunks), tuple(at), store,
-    )
+    chunks.append(len(groups))
+    taps = len(plan.active)
+    pieces = []
+    for u, g, a in groups:
+        pieces.append([])
+        for j in range(a, len(plan.order)):
+            f0, f = plan.first[j], shapes[plan.order[j]][1]
+            p, q = max(u, taps - f0 - f), min(u + g, taps - f0)
+            if p < q:
+                pieces[-1].append((plan.order[j], p - u, q - u, taps - q - f0, taps - p - f0,
+                                   cols[j] - cols[a], cols[j + 1] - cols[a]))
+    return _BackwardPlan(groups, tuple(chunks), tuple(at), store,
+                         _zero_filled(groups, plan.active[::-1]),
+                         tuple(tuple(p) for p in pieces))
 
 
-def _tap_block(buf, col, s, g, t, lo, hi, scratch) -> np.ndarray:
-    # Taps s .. s+g-1 of a C-contiguous time-major buffer [., b, C] at the
-    # series lo .. hi-1 and channels col .., columns (tap, channel):
-    # [t, hi - lo, g * c]. A view when g == 1, else a copy into the front of
-    # flat ``scratch``.
-    if g == 1:
-        return buf[s : s + t, lo:hi, col:]
-    c = buf.shape[2] - col
-    into = scratch[: t * (hi - lo) * g * c].reshape(t, hi - lo, g, c)
-    # Tap k of time step i reads buffer row s + i + k: the time stride twice.
-    st = buf.strides
-    win = np.ndarray(into.shape, buf.dtype, buf, s * st[0] + lo * st[1] + col * st[2],
-                     (st[0], st[1], st[0], st[2]))
-    np.copyto(into, win)
-    return into.reshape(t, hi - lo, -1)
+def _zero_filled(groups, active) -> bool:
+    """Whether some group spans taps with different active banks."""
+    return any(len(set(active[s : s + g])) > 1 for s, g, _ in groups)
+
+
+def _copy_taps(buf, lo, hi, s, g, t, time, into) -> np.ndarray:
+    # Taps s .. s+g-1 of rows lo .. hi-1 of a C-contiguous padded buffer
+    # whose axis ``time`` (1 or 2) is padded time, copied into the front of
+    # flat ``into`` with a tap axis inserted at ``time - 1``:
+    # [hi - lo, g, ., t] for time = 2, [g, hi - lo, t, .] for time = 1.
+    shape, strides = list(buf.shape), list(buf.strides)
+    shape[0], shape[time] = hi - lo, t
+    shape.insert(time - 1, g)
+    strides.insert(time - 1, buf.strides[time])
+    win = np.ndarray(shape, buf.dtype, buf, lo * buf.strides[0] + s * buf.strides[time], strides)
+    block = into[: win.size].reshape(shape)
+    np.copyto(block, win)
+    return block
 
 
 def _split(weights: list[int], parts: int) -> list[int]:
@@ -191,11 +274,8 @@ def _in_parts(body, bounds: list[int]) -> None:
 
 
 def _conv_inputs(x, banks):
-    """Float64 ``(banks, plan, xt, parts)`` after one shared shape check.
-
-    ``xt`` is the padded time-major input buffer and ``parts`` the number of
-    parts the layer runs in.
-    """
+    """Float64 ``(x, banks, plan, parts)`` after one shared shape check;
+    ``parts`` is the number of parts the layer runs in."""
     x = _as_bct(x)
     banks = [np.asarray(w, dtype=np.float64) for w in banks]
     if not banks:
@@ -206,11 +286,9 @@ def _conv_inputs(x, banks):
         if w.shape[1] != x.shape[1]:
             raise ConfigError(f"input has {x.shape[1]} channels, filters expect {w.shape[1]}")
     b, c, t = x.shape
-    plan = _tap_plan(tuple((w.shape[0], w.shape[2]) for w in banks), c, _WORKERS)
-    xt = np.zeros((t + plan.pad_l + plan.pad_r, b, c))
-    xt[plan.pad_l : plan.pad_l + t] = x.transpose(2, 0, 1)
+    plan = _tap_plan(tuple((w.shape[0], w.shape[2]) for w in banks))
     macs = b * t * c * sum(w.shape[0] * w.shape[2] for w in banks)
-    return banks, plan, xt, _WORKERS if macs >= _SPLIT_MACS else 1
+    return x, banks, plan, _WORKERS if macs >= _SPLIT_MACS else 1
 
 
 def multiscale_conv_forward(x: np.ndarray, banks) -> np.ndarray:
@@ -228,34 +306,52 @@ def multiscale_conv_forward(x: np.ndarray, banks) -> np.ndarray:
     ndarray, [batch, sum out_i, T]: each bank's :func:`conv1d_forward`
     output, concatenated along channels in the given order.
     """
-    banks, plan, xt, parts = _conv_inputs(x, banks)
-    _, b, c = xt.shape
-    t = xt.shape[0] - plan.pad_l - plan.pad_r
+    x, banks, plan, parts = _conv_inputs(x, banks)
+    b, c, t = x.shape
+    if plan.pad_l + plan.pad_r == 0:
+        buf = np.ascontiguousarray(x)
+    else:
+        buf = np.zeros((b, c, plan.pad_l + t + plan.pad_r))
+        buf[:, :, plan.pad_l : plan.pad_l + t] = x
     cols = plan.cols
+    groups, per, zero = _forward_groups(plan.shapes, c, t)
     # Filters by sorted output channel and buffer tap, so that a tap group's
-    # filters [n, g * c] are a view. Only active banks' taps are written.
-    wt = np.empty((cols[-1], plan.pad_l + plan.pad_r + 1, c))
+    # filters [n, g * c] are a view.
+    wt = (np.zeros if zero else np.empty)((cols[-1], plan.pad_l + plan.pad_r + 1, c))
     for k, i in enumerate(plan.order):
         f0 = plan.first[k]
         wt[cols[k] : cols[k + 1], f0 : f0 + banks[i].shape[2]] = banks[i].transpose(0, 2, 1)
-    out = np.zeros((b, cols[-1], t))
-    result = np.empty_like(out)  # each group's GEMM output, then the result
-    # Stacked taps of series lo .. hi-1 go to their own share of ``stack``.
-    share = t * max(g for _, g, _ in plan.groups) * c
-    stack = np.empty(b * share)
+    out = np.empty((b, cols[-1], t))
+    prod = np.empty((b, max((cols[-1] - cols[a] for _, _, a in groups[1:]), default=0), t))
+    bounds = _split([1] * b, parts)
+    # Part k stacks up to ``per`` of its series at a time in its share of
+    # ``stack``.
+    widest = max(g for _, g, _ in groups)
+    most = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    share = min(per, most) * widest * c * t if widest > 1 else 0
+    stack = np.empty((len(bounds) - 1) * share)
 
     def run(k, lo, hi):
         # One [n, g * c] @ [g * c, t] GEMM per series: a row's output never
         # depends on the batch around it, which keeps batched infer bitwise.
-        for s, g, a in plan.groups:
-            blk = _tap_block(xt, 0, s, g, t, lo, hi, stack[lo * share :])
-            dst = result[lo:hi, cols[a] :]
-            np.matmul(wt[cols[a] :, s : s + g].reshape(-1, g * c), blk.transpose(1, 2, 0), out=dst)
-            out[lo:hi, cols[a] :] += dst
+        for lo2 in range(lo, hi, per):
+            hi2 = min(hi, lo2 + per)
+            for j, (s, g, a) in enumerate(groups):
+                w = wt[cols[a] :, s : s + g].reshape(-1, g * c)
+                if g == 1:
+                    blk = buf[lo2:hi2, :, s : s + t]
+                else:
+                    blk = _copy_taps(buf, lo2, hi2, s, g, t, 2, stack[k * share :])
+                    blk = blk.reshape(hi2 - lo2, g * c, t)
+                if j == 0:
+                    np.matmul(w, blk, out=out[lo2:hi2])
+                else:
+                    dst = prod[lo2:hi2, : cols[-1] - cols[a]]
+                    np.matmul(w, blk, out=dst)
+                    out[lo2:hi2, cols[a] :] += dst
 
-    _in_parts(run, _split([1] * b, parts))
-    result[:, plan.perm] = out
-    return result
+    _in_parts(run, bounds)
+    return out if plan.perm is None else out.take(plan.unsort, axis=1)
 
 
 def multiscale_conv_backward(
@@ -272,70 +368,88 @@ def multiscale_conv_backward(
     that bank's shape, written in place) when given, else into fresh zeros.
     With ``input_grad=False``, ``dx`` is not computed and is None.
     """
-    banks, plan, xt, parts = _conv_inputs(x, banks)
-    _, b, c = xt.shape
-    t = xt.shape[0] - plan.pad_l - plan.pad_r
+    x, banks, plan, parts = _conv_inputs(x, banks)
+    b, c, t = x.shape
     cols = plan.cols
+    n_out = cols[-1]
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (b, cols[-1], t):
-        raise ConfigError(f"upstream must be {[b, cols[-1], t]}, got shape {upstream.shape}")
+    if upstream.shape != (b, n_out, t):
+        raise ConfigError(f"upstream must be {[b, n_out, t]}, got shape {upstream.shape}")
     if dbanks is None:
         dbanks = [np.zeros_like(w) for w in banks]
     elif [d.shape for d in dbanks] != [w.shape for w in banks]:
         raise ConfigError("filter gradient buffers must match the banks' shapes")
+    bp = _backward_plan(plan.shapes, c, b, t, parts)
+    groups = bp.groups
     taps = plan.pad_l + plan.pad_r + 1
-    gp = np.zeros((t + taps - 1, b, cols[-1]))  # padded upstream, sorted channels
-    gp[plan.pad_r : plan.pad_r + t] = upstream.transpose(2, 0, 1)[:, :, plan.perm]
-    x0t = xt[plan.pad_l : plan.pad_l + t].reshape(t * b, c).T  # the unpadded input
-    # A flipped tap group's upstream block, row t holding gp[t + u + k] for
-    # its taps k, is [t, b, g * n]: a view of gp when g == 1, else a copy
-    # into ``store``. Each chunk's filter gradients are split by group, then
-    # its input-gradient terms by series, both reading the chunk's blocks.
-    # ``wdx`` holds each group's transposed filters [c, g * n] at ``ofs``,
-    # in its block's column order.
-    sizes = plan.sizes
-    ofs = [c * n for n in itertools.accumulate(sizes, initial=0)]
-    store = np.empty(t * b * plan.store)
-    dws = np.empty((parts, c * max(sizes)))
-    wdx = np.empty(ofs[-1] if input_grad else 0)
-    blocks = [None] * len(sizes)
+    # Both operands put time before series, so that a (time, series) block
+    # is one GEMM dimension: the input, which is read unpadded, as
+    # [c, t * b], and the padded upstream by sorted channel,
+    # [n_out, t + taps - 1, b], whose flipped tap u is the view
+    # gq[:, u : u + t] and a stack of taps a copy of whole runs of t * b.
+    x0 = np.empty((c, t, b))
+    np.copyto(x0, x.transpose(1, 2, 0))
+    x0 = x0.reshape(c, t * b)
+    gq = np.zeros((n_out, t + taps - 1, b))
+    up = upstream.transpose(1, 2, 0)
+    gq[:, plan.pad_r : plan.pad_r + t] = up if plan.perm is None else up[plan.perm]
+    dws = np.empty((parts, c * max(g * (n_out - cols[a]) for _, g, a in groups)))
+    store = np.empty(bp.store)
+    blocks = [None] * len(groups)
 
     def filter_grads(k, lo, hi):
-        # Against the unpadded input rows, a group's block gives the filter
-        # gradient of buffer taps s = taps - 1 - u - k, which each active
-        # bank takes at its own taps s - first.
+        # Against the unpadded input, a group's block [g * n, t * b] gives
+        # the filter gradient of its taps in one GEMM with K = b * t, added
+        # into each bank's taps with one add per bank it holds.
         for i in range(lo, hi):
-            u, g, a = plan.flipped[i]
-            n = cols[-1] - cols[a]
-            blocks[i] = _tap_block(gp, cols[a], u, g, t, 0, b, store[t * b * plan.at[i] :])
-            win = blocks[i].reshape(t * b, -1)
-            dw = np.matmul(x0t, win, out=dws[k, : c * sizes[i]].reshape(c, -1))
-            dw = dw.reshape(c, g, n)[:, ::-1].transpose(2, 0, 1)  # [col, c, tap]
-            if input_grad:
-                w = wdx[ofs[i] : ofs[i + 1]].reshape(c, g, n)[:, ::-1].transpose(2, 0, 1)
-            for j in range(a, len(plan.order)):
-                d0 = taps - u - g - plan.first[j]
-                col = slice(cols[j] - cols[a], cols[j + 1] - cols[a])
-                dbanks[plan.order[j]][:, :, d0 : d0 + g] += dw[col]
-                if input_grad:
-                    w[col] = banks[plan.order[j]][:, :, d0 : d0 + g]
-
-    def input_grads(first, end, k, lo, hi):
-        # Groups first .. end-1's terms of each series, added in their order.
-        for i in range(first, end):
-            w = wdx[ofs[i] : ofs[i + 1]].reshape(c, -1)
-            np.matmul(w, blocks[i][:, lo:hi].transpose(1, 2, 0), out=prod[lo:hi])
-            dx[lo:hi] += prod[lo:hi]
+            u, g, a = groups[i]
+            n = n_out - cols[a]
+            if g == 1:
+                blocks[i] = gq[cols[a] :, u : u + t].reshape(n, t * b)
+            else:
+                blk = _copy_taps(gq, cols[a], n_out, u, g, t, 1, store[bp.at[i] :])
+                blocks[i] = blk.reshape(g * n, t * b)
+            dw = np.matmul(x0, blocks[i].T, out=dws[k, : c * g * n].reshape(c, g * n))
+            dw = dw.reshape(c, g, n)
+            for bank, k0, k1, d0, d1, c0, c1 in bp.pieces[i]:
+                dbanks[bank][:, :, d0:d1] += dw[:, k0:k1, c0:c1][:, ::-1].transpose(2, 0, 1)
 
     if input_grad:
-        dx = np.zeros((b, c, t))
+        # Each group's filters [c, g * n] by input channel, then flipped
+        # tap and sorted output channel.
+        ofs = list(itertools.accumulate((c * g * (n_out - cols[a]) for _, g, a in groups),
+                                        initial=0))
+        wdx = (np.zeros if bp.zero else np.empty)(ofs[-1])
+        wd = []
+        for i, (_, g, a) in enumerate(groups):
+            w = wdx[ofs[i] : ofs[i + 1]].reshape(c, g, n_out - cols[a])
+            for bank, k0, k1, d0, d1, c0, c1 in bp.pieces[i]:
+                w[:, k0:k1, c0:c1] = banks[bank][:, :, d0:d1][:, :, ::-1].transpose(1, 2, 0)
+            wd.append(w.reshape(c, -1))
+        dx = np.empty((c, t * b))
         prod = np.empty_like(dx)
-    series = _split([1] * b, parts)
-    for lo, hi in zip(plan.chunks, plan.chunks[1:]):
-        _in_parts(filter_grads, [lo + i for i in _split(sizes[lo:hi], parts)])
+        steps = list(range(0, t, _DX_STEPS)) + [t]
+
+    def input_grads(first, end, k, lo, hi):
+        # Groups first .. end-1's terms of time blocks lo .. hi-1, added in
+        # group order: one [c, g * n] @ [g * n, steps * b] GEMM each.
+        for j in range(lo, hi):
+            span = slice(steps[j] * b, steps[j + 1] * b)
+            for i in range(first, end):
+                if i == 0:
+                    np.matmul(wd[i], blocks[i][:, span], out=dx[:, span])
+                else:
+                    np.matmul(wd[i], blocks[i][:, span], out=prod[:, span])
+                    dx[:, span] += prod[:, span]
+
+    for lo, hi in zip(bp.chunks, bp.chunks[1:]):
+        weights = [g * (n_out - cols[a]) for _, g, a in groups[lo:hi]]
+        _in_parts(filter_grads, [lo + i for i in _split(weights, parts)])
         if input_grad:
-            _in_parts(functools.partial(input_grads, lo, hi), series)
-    return (dx if input_grad else None), dbanks
+            _in_parts(functools.partial(input_grads, lo, hi), _split([1] * (len(steps) - 1), parts))
+    if not input_grad:
+        return None, dbanks
+    return np.ascontiguousarray(dx.reshape(c, t, b).transpose(2, 0, 1)), dbanks
 
 
 def conv1d_forward(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
@@ -409,13 +523,14 @@ class BnState:
 
 def pooled_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-channel mean and population variance of a [b, ch, T] array,
-    pooled across batch and time."""
+    pooled across batch and time, in one pass over ``x``: the variance is
+    the mean square less the squared mean, floored at zero."""
     n_total = x.shape[0] * x.shape[2]
     if n_total < 2:
         raise ConfigError("batch normalization needs at least 2 elements per channel")
-    mean = x.sum(axis=(0, 2)) / n_total
-    var = ((x - mean[None, :, None]) ** 2).sum(axis=(0, 2)) / n_total
-    return mean, var, n_total
+    mean = x.sum(axis=2).sum(axis=0) / n_total
+    var = np.einsum("bct,bct->c", x, x) / n_total - mean * mean
+    return mean, np.maximum(var, 0.0, out=var), n_total
 
 
 def bn_apply(
@@ -426,9 +541,12 @@ def bn_apply(
     var: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalize [b, ch, T] with the given statistics. Returns (y, xhat)."""
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean[None, :, None]) * inv[None, :, None]
-    return gamma[None, :, None] * xhat + beta[None, :, None], xhat
+    inv = (1.0 / np.sqrt(var + BN_EPS))[:, None]
+    xhat = x - mean[:, None]
+    xhat *= inv
+    y = xhat * gamma[:, None]
+    y += beta[:, None]
+    return y, xhat
 
 
 def bn_backward_pooled(
@@ -443,13 +561,14 @@ def bn_backward_pooled(
     The batch mean and variance are treated as functions of the inputs,
     which yields the usual centering terms.
     """
-    dbeta = upstream.sum(axis=(0, 2))
-    dgamma = (upstream * xhat).sum(axis=(0, 2))
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    coeff = (gamma * inv)[None, :, None]
-    mean_dy = (dbeta / n_total)[None, :, None]
-    mean_dy_xhat = (dgamma / n_total)[None, :, None]
-    return coeff * (upstream - mean_dy - xhat * mean_dy_xhat), dgamma, dbeta
+    dbeta = upstream.sum(axis=2).sum(axis=0)
+    dgamma = np.einsum("bct,bct->c", upstream, xhat)
+    # coeff * (upstream - dbeta / n - xhat * dgamma / n), in place.
+    dx = xhat * (dgamma / -n_total)[:, None]
+    dx += upstream
+    dx -= (dbeta / n_total)[:, None]
+    dx *= (gamma / np.sqrt(var + BN_EPS))[:, None]
+    return dx, dgamma, dbeta
 
 
 def batchnorm_forward(

@@ -245,40 +245,33 @@ def meta_update_reference(p, adapted, epsilon):
 
 
 def tap_buffer_filter_grads_reference(x, banks, upstream):
-    """Filter gradients of ``kernels.multiscale_conv_backward`` through one
-    ``[taps, c, out]`` buffer indexed by padded-buffer tap, copied out bank by
-    bank and added into zeros: the path the in-place accumulation replaced.
-    It walks the kernel's own tap plan, so it checks the write-out, not the
-    GEMMs, and must match byte for byte."""
-    from numpy.lib.stride_tricks import as_strided
+    """Filter gradients of ``kernels.multiscale_conv_backward``, each
+    group's GEMM result copied out tap by tap and bank by bank into zeros.
+    It walks the kernel's own backward plan and stacks each group's upstream
+    block [g, n, T, b] with ``np.stack`` of shifted slices, so it checks the
+    blocks and the write-out, not the GEMMs, and must match byte for byte."""
+    from fewts.kernels import _backward_plan, _conv_inputs
 
-    from fewts.kernels import _conv_inputs
-
-    def tap_block(buf, s, g, t):
-        # Taps s .. s+g-1 of a time-major buffer as [t, b, g * c] columns.
-        _, b, c = buf.shape
-        st = buf.strides
-        win = as_strided(buf[s:], (t, b, g, c), (st[0], st[1], st[0], st[2]), writeable=False)
-        return win.reshape(t, b, g * c)
-
-    banks, plan, xt, _ = _conv_inputs(x, banks)
-    _, b, c = xt.shape
-    t = upstream.shape[2]
-    cols = plan.cols
+    x, banks, plan, parts = _conv_inputs(x, banks)
+    b, c, t = x.shape
     taps = plan.pad_l + plan.pad_r + 1
-    gp = np.zeros((t + taps - 1, b, cols[-1]))
-    gp[plan.pad_r : plan.pad_r + t] = upstream.transpose(2, 0, 1)[:, :, plan.perm]
-    x0 = xt[plan.pad_l : plan.pad_l + t].reshape(t * b, c)
-    dwt = np.empty((taps, c, cols[-1]))
-    for u, g, a in plan.flipped:
-        win = tap_block(gp[:, :, cols[a] :], u, g, t).reshape(t * b, -1)
-        dw = (x0.T @ win).reshape(c, g, -1).transpose(1, 0, 2)
-        dwt[taps - u - g : taps - u, :, cols[a] :] = dw[::-1]
-    out = [None] * len(banks)
-    for k, i in enumerate(plan.order):
-        f0 = plan.first[k]
-        bank = dwt[f0 : f0 + banks[i].shape[2], :, cols[k] : cols[k + 1]].transpose(2, 1, 0)
-        out[i] = np.zeros(bank.shape) + bank
+    cols = plan.cols
+    x0 = np.ascontiguousarray(x.transpose(1, 2, 0)).reshape(c, t * b)
+    # Upstream by sorted channel, padded: flipped tap u reads gq[:, u : u + t].
+    starts = np.cumsum([0] + [w.shape[0] for w in banks])
+    sorted_up = np.concatenate([upstream[:, starts[i] : starts[i + 1]] for i in plan.order], axis=1)
+    gq = np.pad(sorted_up.transpose(1, 2, 0), ((0, 0), (plan.pad_r, plan.pad_l), (0, 0)))
+    out = [np.zeros(w.shape) for w in banks]
+    for u, g, a in _backward_plan(plan.shapes, c, b, t, parts).groups:
+        n = cols[-1] - cols[a]
+        block = np.stack([gq[cols[a] :, u + k : u + k + t] for k in range(g)])
+        dw = (x0 @ block.reshape(g * n, t * b).T).reshape(c, g, n)
+        for k in range(g):
+            s = taps - 1 - u - k  # the forward's buffer tap
+            for j in range(a, len(plan.order)):
+                d = s - plan.first[j]
+                if 0 <= d < banks[plan.order[j]].shape[2]:
+                    out[plan.order[j]][:, :, d] += dw[:, k, cols[j] - cols[a] : cols[j + 1] - cols[a]].T
     return out
 
 

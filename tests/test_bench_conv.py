@@ -1,13 +1,17 @@
 """Smoke test of ``scripts/bench_conv.py``: one layer at a tiny size returns
-a row with the figures of each timed op and worker count."""
+a row with the figures of each timed op and worker count, and the script
+times the default and tiny architectures' layers and projections."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_conv.py"
 
 
-def test_time_layer_reports_every_op_and_worker_count(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
     # The script pins the BLAS thread variables on import; keep that out of
     # the environment later tests see.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -17,10 +21,33 @@ def test_time_layer_reports_every_op_and_worker_count(monkeypatch):
     spec.loader.exec_module(module)
     # time_layer sets the worker count it times; restore the library's.
     monkeypatch.setattr(module.kernels, "_WORKERS", module.kernels._WORKERS)
+    return module
 
-    row = module.time_layer(in_ch=1, t=16, batch=2, repeats=1)
 
-    timed = {f"{op}_ms_{n}w" for op in ("fwd", "bwd") for n in sorted({1, module.CPUS})}
-    assert set(row) == {"in_ch", "T", "b"} | timed
-    assert (row["in_ch"], row["T"], row["b"]) == (1, 16, 2)
+def test_time_layer_reports_every_op_and_worker_count(bench):
+    assert_row(bench, (4, 8, 16, 32, 64), 33, 1)
+
+
+@pytest.mark.parametrize("lengths, per_length, in_ch", [((8, 5), 4, 8), ((1,), 8, 1)])
+def test_time_layer_times_small_layers_and_projections(bench, lengths, per_length, in_ch):
+    assert_row(bench, lengths, per_length, in_ch)
+
+
+def assert_row(bench, lengths, per_length, in_ch):
+    row = bench.time_layer(lengths, per_length, in_ch, t=16, batch=2, repeats=1)
+
+    timed = {f"{op}_ms_{n}w" for op in ("fwd", "bwd", "bn_fwd", "bn_bwd")
+             for n in sorted({1, bench.CPUS})}
+    assert set(row) == {"lengths", "per_length", "in_ch", "T", "b"} | timed
+    assert (row["lengths"], row["per_length"], row["in_ch"], row["T"], row["b"]) == (
+        list(lengths), per_length, in_ch, 16, 2)
     assert all(row[key] >= 0.0 for key in timed)
+
+
+def test_layers_cover_both_archs_and_projections(bench):
+    shapes = {(tuple(lengths), per, in_ch, t) for _, lengths, per, in_ch, t in bench.LAYERS}
+    default = (4, 8, 16, 32, 64)
+    assert {(default, 33, c, t) for c in (1, 165) for t in (128, 512)} <= shapes
+    assert {((8, 5), 4, c, 128) for c in (1, 8)} <= shapes
+    assert {((1,), 165, 1, 128), ((1,), 8, 1, 128)} <= shapes
+    assert len({name for name, *_ in bench.LAYERS}) == len(bench.LAYERS)

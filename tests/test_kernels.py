@@ -168,11 +168,14 @@ def test_multiscale_conv_backward_writes_filter_grads_in_place(lengths, in_ch):
 
 def test_multiscale_conv_rows_independent_of_batch():
     # Batched infer relies on this: a row's output is bitwise the same alone
-    # or in any batch.
+    # or in any batch. The last four are the efficacy arch's layers.
     rng = np.random.default_rng(12)
-    for in_ch in (1, 7, 40):
-        banks = [rng.standard_normal((5, in_ch, f)) for f in (6, 3, 9)]
-        x = rng.standard_normal((6, in_ch, 50))
+    for lengths, per_length, in_ch, b, t in [((6, 3, 9), 5, 1, 6, 50), ((6, 3, 9), 5, 7, 6, 50),
+                                             ((6, 3, 9), 5, 40, 6, 50), ((8, 5), 4, 1, 10, 64),
+                                             ((8, 5), 4, 8, 10, 64), ((8, 5), 4, 1, 10, 128),
+                                             ((8, 5), 4, 8, 10, 128)]:
+        banks = [rng.standard_normal((per_length, in_ch, f)) for f in lengths]
+        x = rng.standard_normal((b, in_ch, t))
         batched = multiscale_conv_forward(x, banks)
         for i in range(len(x)):
             alone = multiscale_conv_forward(x[i : i + 1], banks)
@@ -193,6 +196,16 @@ def conv_outputs(x, banks, upstream):
 ])
 def test_multiscale_conv_bitwise_independent_of_worker_count(monkeypatch, b, t, lengths,
                                                              in_ch, per_length):
+    assert_same_on_1_and_3_workers(monkeypatch, b, t, lengths, in_ch, per_length)
+
+
+@pytest.mark.parametrize("t", [64, 128])
+@pytest.mark.parametrize("in_ch", [1, 8])
+def test_efficacy_arch_layers_bitwise_independent_of_worker_count(monkeypatch, t, in_ch):
+    assert_same_on_1_and_3_workers(monkeypatch, 10, t, (8, 5), in_ch, 4)
+
+
+def assert_same_on_1_and_3_workers(monkeypatch, b, t, lengths, in_ch, per_length):
     # Every layer is cut into parts here; 3 workers may outnumber the cores
     # and b = 1 is fewer series than workers. A short switch interval makes
     # the parts interleave.
@@ -213,6 +226,31 @@ def test_multiscale_conv_bitwise_independent_of_worker_count(monkeypatch, b, t, 
     assert len(outputs[1]) == len(outputs[3]) == len(lengths) + 2
     for one, three in zip(outputs[1], outputs[3]):
         assert one.shape == three.shape and one.tobytes() == three.tobytes()
+
+
+@pytest.mark.parametrize("in_ch, t", [(1, 128), (1, 512), (165, 128), (165, 512)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stacked_copies_stay_within_the_cell_budget(monkeypatch, in_ch, t, workers):
+    # The default arch's layers at b = 10: a full im2col would be far
+    # larger than the budget, and no stacked copy of either pass exceeds it.
+    spec_lengths, per_length, b = (4, 8, 16, 32, 64), 33, 10
+    if in_ch > 1:
+        assert kernels._STACK_CELLS < b * in_ch * t * max(spec_lengths)
+    sizes = []
+    copy_taps = kernels._copy_taps
+
+    def recording(*args):
+        block = copy_taps(*args)
+        sizes.append(block.size)
+        return block
+
+    monkeypatch.setattr(kernels, "_copy_taps", recording)
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    rng = np.random.default_rng(in_ch + t)
+    banks = [rng.standard_normal((per_length, in_ch, f)) for f in spec_lengths]
+    x = rng.standard_normal((b, in_ch, t))
+    conv_outputs(x, banks, rng.standard_normal((b, per_length * len(spec_lengths), t)))
+    assert sizes and max(sizes) <= kernels._STACK_CELLS
 
 
 class _NoPool:
