@@ -6,11 +6,14 @@ the default architecture's first layer (in_ch = 1) and inner layer
 (in_ch = channels) at T in {128, 512}, the tiny architecture's two layer
 shapes (filter lengths (8, 5), 4 per length, in_ch 1 and 8) at T = 128,
 and the 1x1 shortcut projection of both architectures at T = 128; b = 10.
-Each runs on one worker and on as many workers as the process has CPUs,
-and one JSON object with the figures and the machine is printed. Each
-figure is the minimum over ``--repeats`` samples, in milliseconds, of one
-call, a sample averaging as many calls as fill about a millisecond; the two
-worker counts alternate sample by sample.
+Each runs on one worker and on as many workers as the process has CPUs.
+It also times whole training steps, one train-mode ``embed_batch`` plus
+``backward_batch``, of the tiny architecture at T = 64 and the default one
+at T = 128, on the library's own worker count. One JSON object with the
+figures and the machine is printed. Each figure is the minimum over
+``--repeats`` samples, in milliseconds, of one call, a sample averaging as
+many calls as fill about a millisecond; the two worker counts alternate
+sample by sample.
 
 Run it against any checkout's sources:
 
@@ -39,7 +42,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from fewts import kernels  # noqa: E402
-from fewts.network import ArchSpec  # noqa: E402
+from fewts.network import ArchSpec, backward_batch, build_model, embed_batch  # noqa: E402
 
 
 _TAKES_BIAS = "bias" in inspect.signature(kernels.conv1d_forward).parameters
@@ -84,6 +87,8 @@ LAYERS = [
     ("default proj", (1,), _DEFAULT.channels, 1, 128),
     ("tiny proj", (1,), _TINY.channels, 1, 128),
 ]
+# (name, arch, T) of the whole-step rows.
+STEPS = [("tiny step", _TINY, 64), ("default step", _DEFAULT, 128)]
 
 
 def _sample(fn) -> float:
@@ -129,6 +134,22 @@ def time_layer(lengths, per_length: int, in_ch: int, t: int, batch: int, repeats
     return row
 
 
+def time_step(spec: ArchSpec, t: int, batch: int, repeats: int, seed: int = 0) -> dict:
+    """One train-mode forward plus backward of ``batch`` series through a
+    fresh model of ``spec``, through the public network API only."""
+    rng = np.random.default_rng(seed)
+    model = build_model(spec, rng)
+    series = rng.standard_normal((batch, t))
+    upstream = rng.standard_normal((batch, spec.channels))
+
+    def step():
+        _, cache = embed_batch(model, series, mode="train", return_cache=True)
+        backward_batch(model, cache, upstream)
+
+    best = min(_sample(step) for _ in range(repeats))
+    return {"arch": spec.to_dict(), "T": t, "b": batch, "step_ms": round(best * 1e3, 4)}
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -146,11 +167,13 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--batch", type=int, default=10)
     args = parser.parse_args(argv)
+    steps = [{"step": name, **time_step(spec, t, args.batch, args.repeats)}
+             for name, spec, t in STEPS]
     layers = [
         {"layer": name, **time_layer(lengths, per, in_ch, t, args.batch, args.repeats)}
         for name, lengths, per, in_ch, t in LAYERS
     ]
-    print(json.dumps({"machine": machine(), "layers": layers}, indent=2))
+    print(json.dumps({"machine": machine(), "layers": layers, "steps": steps}, indent=2))
 
 
 if __name__ == "__main__":

@@ -22,11 +22,14 @@ whether it is embedded alone or in any batch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,39 +104,76 @@ class ArchSpec:
         )
 
 
+class _Layer(NamedTuple):
+    """A conv layer or a projection: its BN site, and the slices of the flat
+    parameter vector holding its filter banks (with their shapes, in
+    ``filter_lengths`` order; one bank for a projection), BN gamma and beta."""
+
+    site: str
+    banks: tuple[tuple[slice, tuple[int, ...]], ...]
+    gamma: slice
+    beta: slice
+
+    def filters(self, values: np.ndarray) -> list[np.ndarray]:
+        return [values[part].reshape(shape) for part, shape in self.banks]
+
+
+class _StepPlan(NamedTuple):
+    layout: Layout
+    layers: tuple[_Layer, ...]  # in record order
+    blocks: tuple[tuple[tuple[_Layer, ...], _Layer | None], ...]  # (convs, projection)
+
+
+@functools.lru_cache(maxsize=64)
+def _step_plan(spec: ArchSpec) -> _StepPlan:
+    """The one walk over the architecture: it names each record, lays it out
+    and cuts its slice. A block's projection is None when its shortcut is
+    the identity."""
+    m, shapes, layers, blocks, end = spec.channels, [], [], [], 0
+
+    def layer(site: str, banks: list) -> _Layer:
+        nonlocal end
+        parts = []
+        for leaf, shape in (*banks, ("gamma", (m,)), ("beta", (m,))):
+            shapes.append((f"{site}.{leaf}", shape))
+            parts.append(slice(end, end + math.prod(shape)))
+            end = parts[-1].stop
+        layers.append(_Layer(site, tuple(zip(parts, [shape for _, shape in banks])), *parts[-2:]))
+        return layers[-1]
+
+    for bi in range(spec.blocks):
+        block_in = 1 if bi == 0 else m
+        convs = tuple(
+            layer(f"b{bi}.c{j}", [(f"w{f}", (spec.filters_per_length, m if j else block_in, f))
+                                  for f in spec.filter_lengths])
+            for j in range(spec.convs_per_block)
+        )
+        proj = layer(f"b{bi}.proj", [("w", (m, block_in, 1))]) if block_in != m else None
+        blocks.append((convs, proj))
+    return _StepPlan(Layout(shapes), tuple(layers), tuple(blocks))
+
+
 def build_layout(spec: ArchSpec) -> Layout:
     """Parameter records in a fixed, documented order: for each block, each
     conv layer contributes per-length filter banks and BN gamma/beta; blocks
     that change channel count append projection filters plus BN. Convs have
-    no bias, since the BN each feeds subtracts it again. BN sites and
-    projections are read off this layout."""
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    m = spec.channels
-    for bi in range(spec.blocks):
-        block_in = 1 if bi == 0 else m
-        for j in range(spec.convs_per_block):
-            cin = block_in if j == 0 else m
-            for f in spec.filter_lengths:
-                shapes.append((f"b{bi}.c{j}.w{f}", (spec.filters_per_length, cin, f)))
-            shapes.append((f"b{bi}.c{j}.gamma", (m,)))
-            shapes.append((f"b{bi}.c{j}.beta", (m,)))
-        if block_in != m:
-            shapes.append((f"b{bi}.proj.w", (m, block_in, 1)))
-            shapes.append((f"b{bi}.proj.gamma", (m,)))
-            shapes.append((f"b{bi}.proj.beta", (m,)))
-    return Layout.from_shapes(shapes)
+    no bias, since the BN each feeds subtracts it again. The layout comes
+    from the same walk as the per-layer slices that the forward, backward
+    and init read, and the BN sites."""
+    return _step_plan(spec).layout
 
 
 def bn_site_names(spec: ArchSpec) -> list[str]:
-    """Prefix of every ``.gamma`` record, in layout order."""
-    return [r.name[: -len(".gamma")] for r in build_layout(spec).records
-            if r.name.endswith(".gamma")]
+    """BN site of every conv layer and projection, in record order."""
+    return [layer.site for layer in _step_plan(spec).layers]
 
 
 class ResNetModel:
-    """Architecture + parameters + task-local BN buffers + the number of
-    lowest conv layers held fixed by :func:`backward_batch`.
+    """Architecture + its step plan + parameters + task-local BN buffers +
+    the number of lowest conv layers held fixed by :func:`backward_batch`.
 
+    The forward, backward and init walk ``plan``, which cuts each layer's
+    parameter views out of the flat vector; none looks a record up by name.
     BN buffers are deliberately NOT part of the ParamSet: they are estimated
     per task and never touched by the optimizer or the meta-update.
     """
@@ -146,8 +186,8 @@ class ResNetModel:
         frozen_layers: int = 0,
     ):
         self.spec = spec
-        expected = build_layout(spec)
-        if params.layout != expected:
+        self.plan = _step_plan(spec)
+        if params.layout != self.plan.layout:
             raise ConfigError("parameter layout does not match the architecture")
         self.params = params
         sites = bn_site_names(spec)
@@ -187,15 +227,12 @@ def build_model(spec: ArchSpec, rng: np.random.Generator) -> ResNetModel:
     """Fresh model: orthogonal conv filters, BN gamma=1/beta=0,
     uninitialized BN buffers. The rng is consumed in layout-record order, so
     equal seeds give bit-identical models."""
-    layout = build_layout(spec)
-    params = ParamSet(layout)
-    for rec in layout.records:
-        leaf = rec.name.rsplit(".", 1)[1]
-        if leaf.startswith("w"):
-            params.set(rec.name, kernels.orthogonal_init(rec.shape, rng))
-        elif leaf == "gamma":
-            params.set(rec.name, np.ones(rec.shape))
-        # beta stays zero
+    plan = _step_plan(spec)
+    params = ParamSet(plan.layout)
+    for layer in plan.layers:
+        for part, shape in layer.banks:
+            params.values[part] = kernels.orthogonal_init(shape, rng).ravel()
+        params.values[layer.gamma] = 1.0  # beta stays zero
     return ResNetModel(spec, params)
 
 
@@ -204,68 +241,59 @@ def build_model(spec: ArchSpec, rng: np.random.Generator) -> ResNetModel:
 # ---------------------------------------------------------------------------
 
 
-def _layer_weights(model: ResNetModel, block: int, conv: int) -> list[np.ndarray]:
-    return [model.params.get(f"b{block}.c{conv}.w{f}") for f in model.spec.filter_lengths]
-
-
 def _bn_forward_site(
-    model: ResNetModel, site: str, x: np.ndarray, mode: str, update_buffers: bool
+    model: ResNetModel, layer: _Layer, x: np.ndarray, mode: str, update_buffers: bool
 ) -> tuple[np.ndarray, dict | None]:
-    state = model.bn[site]
+    state = model.bn[layer.site]
     if mode == "infer" and state.updates == 0:
-        raise UsageError(f"BN site {site!r}: infer mode before any running-stat update")
+        raise UsageError(f"BN site {layer.site!r}: infer mode before any running-stat update")
+    values = model.params.values
     y, state, cache = kernels.batchnorm_forward(
-        x, model.params.get(f"{site}.gamma"), model.params.get(f"{site}.beta"), state, mode
+        x, values[layer.gamma], values[layer.beta], state, mode
     )
     if update_buffers:
-        model.bn[site] = state
+        model.bn[layer.site] = state
     return y, cache
 
 
 def _bn_backward_site(
-    model: ResNetModel, grads: ParamSet, site: str, upstream: np.ndarray, cache: dict
+    model: ResNetModel, grads: ParamSet, layer: _Layer, upstream: np.ndarray, cache: dict
 ) -> np.ndarray:
-    dx, dgamma, dbeta = kernels.batchnorm_backward(
-        upstream, model.params.get(f"{site}.gamma"), cache
-    )
-    grads.get(f"{site}.gamma")[:] += dgamma
-    grads.get(f"{site}.beta")[:] += dbeta
+    gamma = model.params.values[layer.gamma]
+    dx, dgamma, dbeta = kernels.batchnorm_backward(upstream, gamma, cache)
+    grads.values[layer.gamma] += dgamma
+    grads.values[layer.beta] += dbeta
     return dx
 
 
 def _forward(
     model: ResNetModel, x: np.ndarray, mode: str, update_buffers: bool
-) -> tuple[np.ndarray, list[dict]]:
+) -> tuple[np.ndarray, list[tuple]]:
     """Run the conv blocks over a [b, 1, T] batch.
 
-    Returns the last block's output [b, ch, T] and a per-block cache
-    sufficient for the backward pass.
+    Returns the last block's output [b, ch, T] and per block the cache the
+    backward reads: (block input, per conv layer (input, BN cache, BN
+    output), projection BN cache, residual sum).
     """
+    values = model.params.values
     h = x
     block_caches = []
     last = model.spec.convs_per_block - 1
-    for bi in range(model.spec.blocks):
-        x_in = h
+    for convs, proj in model.plan.blocks:
+        x_in = cur = h
         conv_caches = []
-        cur = x_in
-        for j in range(model.spec.convs_per_block):
-            pre_bn = kernels.multiscale_conv_forward(cur, _layer_weights(model, bi, j))
-            y, bn_cache = _bn_forward_site(model, f"b{bi}.c{j}", pre_bn, mode, update_buffers)
-            conv_caches.append({"x": cur, "bn": bn_cache, "bn_out": y})
+        for j, layer in enumerate(convs):
+            pre_bn = kernels.multiscale_conv_forward(cur, layer.filters(values))
+            y, bn_cache = _bn_forward_site(model, layer, pre_bn, mode, update_buffers)
+            conv_caches.append((cur, bn_cache, y))
             cur = kernels.relu_forward(y) if j < last else y
-        proj_cache = None
-        if f"b{bi}.proj.w" in model.params.layout:
-            pre_bn_p = kernels.conv1d_forward(x_in, model.params.get(f"b{bi}.proj.w"))
-            shortcut, proj_cache = _bn_forward_site(
-                model, f"b{bi}.proj", pre_bn_p, mode, update_buffers
-            )
-        else:
-            shortcut = x_in
+        shortcut, proj_cache = x_in, None
+        if proj is not None:
+            pre_bn_p = kernels.conv1d_forward(x_in, *proj.filters(values))
+            shortcut, proj_cache = _bn_forward_site(model, proj, pre_bn_p, mode, update_buffers)
         pre_act = cur + shortcut
         h = kernels.relu_forward(pre_act)
-        block_caches.append(
-            {"x_in": x_in, "convs": conv_caches, "proj": proj_cache, "pre_act": pre_act}
-        )
+        block_caches.append((x_in, conv_caches, proj_cache, pre_act))
     return h, block_caches
 
 
@@ -338,20 +366,21 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
 
     d = kernels.gap_backward(upstream, cache["length"])
     for bi in reversed(range(model.spec.blocks)):
-        bc = cache["blocks"][bi]
-        d_pre = kernels.relu_backward(bc["pre_act"], d)
+        x_in, conv_caches, proj_cache, pre_act = cache["blocks"][bi]
+        convs, proj = model.plan.blocks[bi]
+        d_pre = kernels.relu_backward(pre_act, d)
         # Layer L needs an input gradient only if a layer below it is
         # unfrozen; block 0's first layer reads the network input.
         input_grad = frozen < bi * cpb
 
         # Shortcut branch: the projection freezes with the whole block.
-        if bc["proj"] is not None:
+        if proj is not None:
             if (bi + 1) * cpb <= frozen:
                 break
-            d_bn = _bn_backward_site(model, grads, f"b{bi}.proj", d_pre, bc["proj"])
+            d_bn = _bn_backward_site(model, grads, proj, d_pre, proj_cache)
             d_short, _ = kernels.conv1d_backward(
-                bc["x_in"], model.params.get(f"b{bi}.proj.w"), d_bn,
-                grads.get(f"b{bi}.proj.w"), input_grad,
+                x_in, *proj.filters(model.params.values), d_bn, *proj.filters(grads.values),
+                input_grad,
             )
         else:
             d_short = d_pre
@@ -363,13 +392,12 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
             layer = bi * cpb + j
             if layer < frozen:
                 break
-            cc = bc["convs"][j]
+            x, bn_cache, bn_out = conv_caches[j]
             if j < cpb - 1:
-                d_cur = kernels.relu_backward(cc["bn_out"], d_cur)
-            d_bn = _bn_backward_site(model, grads, f"b{bi}.c{j}", d_cur, cc["bn"])
+                d_cur = kernels.relu_backward(bn_out, d_cur)
+            d_bn = _bn_backward_site(model, grads, convs[j], d_cur, bn_cache)
             d_cur, _ = kernels.multiscale_conv_backward(
-                cc["x"], _layer_weights(model, bi, j), d_bn,
-                [grads.get(f"b{bi}.c{j}.w{f}") for f in model.spec.filter_lengths],
+                x, convs[j].filters(model.params.values), d_bn, convs[j].filters(grads.values),
                 frozen < layer,
             )
 
@@ -448,9 +476,12 @@ def load_checkpoint(path) -> ResNetModel:
         spec = ArchSpec.from_dict(header["arch"])
         stored = [(r["name"], tuple(r["shape"]), r["offset"]) for r in header["layout"]]
         param_count = header["param_count"]
-        bn_entries = [(b["name"], int(b["updates"])) for b in header["bn"]]
+        bn_entries = [(b["name"], b["updates"]) for b in header["bn"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
+    # A negative count would pass the infer-mode guard, which checks for 0.
+    if any(type(updates) is not int or updates < 0 for _, updates in bn_entries):
+        raise CheckpointError(f"{path}: BN update counts must be non-negative integers")
     # Each conv layer has a record per filter length: reject a huge arch
     # before laying it out.
     if spec.conv_layers * len(spec.filter_lengths) > len(stored):

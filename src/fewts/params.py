@@ -2,8 +2,8 @@
 
 All trainable parameters of a model live in one contiguous float64 vector so
 that optimizer steps and meta-updates are plain elementwise arithmetic on
-``ParamSet.values``. A ``Layout`` maps record names to (shape, offset) slices
-of that vector; callers that combine two ``ParamSet`` objects compare their
+``ParamSet.values``. A ``Layout`` lists the named (shape, offset) records of
+that vector; callers that combine two ``ParamSet`` objects compare their
 layouts first.
 """
 
@@ -35,34 +35,18 @@ class LayoutRecord:
 
 
 class Layout:
-    """Ordered collection of named parameter records."""
+    """Ordered collection of named parameter records, laid out back to back
+    in the order given."""
 
-    def __init__(self, records: list[LayoutRecord]):
-        self.records = tuple(records)
-        self._by_name = {r.name: r for r in self.records}
-        if len(self._by_name) != len(self.records):
-            raise ConfigError("duplicate record names in layout")
-        expected = 0
-        for r in self.records:
-            if r.offset != expected:
-                raise ConfigError(f"record {r.name!r} offset {r.offset} != {expected}")
-            expected += r.size
-        self.total_size = expected
-
-    @classmethod
-    def from_shapes(cls, shapes: list[tuple[str, tuple[int, ...]]]) -> "Layout":
+    def __init__(self, shapes: list[tuple[str, tuple[int, ...]]]):
         records, offset = [], 0
         for name, shape in shapes:
-            rec = LayoutRecord(name, tuple(int(s) for s in shape), offset)
-            records.append(rec)
-            offset += rec.size
-        return cls(records)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __getitem__(self, name: str) -> LayoutRecord:
-        return self._by_name[name]
+            records.append(LayoutRecord(name, tuple(int(s) for s in shape), offset))
+            offset += records[-1].size
+        if len({r.name for r in records}) != len(records):
+            raise ConfigError("duplicate record names in layout")
+        self.records = tuple(records)
+        self.total_size = offset
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Layout) and self.records == other.records
@@ -72,11 +56,7 @@ class Layout:
 
 
 class ParamSet:
-    """A layout plus one flat float64 value vector.
-
-    ``get`` returns a reshaped view, so in-place writes through it update the
-    flat vector; use ``set`` for whole-record assignment with a shape check.
-    """
+    """A layout plus one flat float64 value vector."""
 
     def __init__(self, layout: Layout, values: np.ndarray | None = None):
         self.layout = layout
@@ -88,17 +68,6 @@ class ParamSet:
                 f"value vector has length {values.shape}, layout wants {layout.total_size}"
             )
         self.values = values
-
-    def get(self, name: str) -> np.ndarray:
-        rec = self.layout[name]
-        return self.values[rec.offset : rec.offset + rec.size].reshape(rec.shape)
-
-    def set(self, name: str, arr: np.ndarray) -> None:
-        rec = self.layout[name]
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.shape != rec.shape:
-            raise ConfigError(f"record {name!r} expects shape {rec.shape}, got {arr.shape}")
-        self.values[rec.offset : rec.offset + rec.size] = arr.ravel()
 
     def copy(self) -> "ParamSet":
         return ParamSet(self.layout, self.values.copy())

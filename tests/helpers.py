@@ -171,19 +171,20 @@ def freeze_mask_reference(spec, layout, frozen_layers):
     beta of each of the lowest ``frozen_layers`` conv layers, and a
     block's projection once all of that block's layers are frozen."""
     mask = np.zeros(layout.total_size, dtype=bool)
+    records = {r.name: r for r in layout.records}
     for bi in range(spec.blocks):
         for j in range(spec.convs_per_block):
             if bi * spec.convs_per_block + j >= frozen_layers:
                 continue
             for f in spec.filter_lengths:
-                rec = layout[f"b{bi}.c{j}.w{f}"]
+                rec = records[f"b{bi}.c{j}.w{f}"]
                 mask[rec.offset : rec.offset + rec.size] = True
             for leaf in ("gamma", "beta"):
-                rec = layout[f"b{bi}.c{j}.{leaf}"]
+                rec = records[f"b{bi}.c{j}.{leaf}"]
                 mask[rec.offset : rec.offset + rec.size] = True
-        if f"b{bi}.proj.w" in layout and frozen_layers >= (bi + 1) * spec.convs_per_block:
+        if f"b{bi}.proj.w" in records and frozen_layers >= (bi + 1) * spec.convs_per_block:
             for leaf in ("w", "gamma", "beta"):
-                rec = layout[f"b{bi}.proj.{leaf}"]
+                rec = records[f"b{bi}.proj.{leaf}"]
                 mask[rec.offset : rec.offset + rec.size] = True
     return mask
 

@@ -1,6 +1,7 @@
 """Smoke test of ``scripts/bench_conv.py``: one layer at a tiny size returns
-a row with the figures of each timed op and worker count, and the script
-times the default and tiny architectures' layers and projections."""
+a row with the figures of each timed op and worker count, one training step
+returns its time, and the script times the default and tiny architectures'
+layers, projections and steps."""
 
 import importlib.util
 from pathlib import Path
@@ -51,3 +52,14 @@ def test_layers_cover_both_archs_and_projections(bench):
     assert {((8, 5), 4, c, 128) for c in (1, 8)} <= shapes
     assert {((1,), 165, 1, 128), ((1,), 8, 1, 128)} <= shapes
     assert len({name for name, *_ in bench.LAYERS}) == len(bench.LAYERS)
+    tiny = bench.ArchSpec(filter_lengths=(8, 5), filters_per_length=4)
+    assert {(spec, t) for _, spec, t in bench.STEPS} == {(tiny, 64), (bench.ArchSpec(), 128)}
+
+
+def test_time_step_reports_a_whole_step(bench):
+    spec = bench.ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(3, 2),
+                          filters_per_length=2)
+    row = bench.time_step(spec, t=16, batch=3, repeats=2)
+    assert set(row) == {"arch", "T", "b", "step_ms"}
+    assert (row["arch"], row["T"], row["b"]) == (spec.to_dict(), 16, 3)
+    assert row["step_ms"] > 0.0

@@ -143,6 +143,29 @@ def test_multiscale_conv_matches_per_bank_reference(lengths, in_ch, batch):
             assert np.abs(got - want).max() < 1e-12
 
 
+def test_default_inner_layer_matches_per_bank_reference():
+    # The default arch's 165 -> 165 layer at b = 3, T = 128. Its forward runs
+    # one-tap GEMMs on views and stacked groups, summing rings into the
+    # output; its backward stacks taps and runs them in several chunks of
+    # the shared store. The shapes alone would not say so; the plans do.
+    rng = np.random.default_rng(16)
+    banks = [rng.standard_normal((33, 165, f)) for f in (4, 8, 16, 32, 64)]
+    x = rng.standard_normal((3, 165, 128))
+    upstream = rng.standard_normal((3, 165, 128))
+    _, _, plan, parts = kernels._conv_inputs(x, banks)
+    groups, _, _ = kernels._forward_groups(plan.shapes, 165, 128)
+    assert {g for _, g, _ in groups} == {1, 4} and max(a for _, _, a in groups) > 0
+    backward = kernels._backward_plan(plan.shapes, 165, 3, 128, parts)
+    assert min(g for _, g, _ in backward.groups) > 1 and len(backward.chunks) > 3
+
+    out, dx, dbanks = multiscale_conv_reference(x, banks, upstream)
+    got_dx, got_dbanks = multiscale_conv_backward(x, banks, upstream)
+    # The sums run in another order than the reference's: 2e-15 relative.
+    for got, want in zip([multiscale_conv_forward(x, banks), got_dx, *got_dbanks],
+                         [out, dx, *dbanks]):
+        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("lengths, in_ch", [((4, 8, 16, 32, 64), 1), ((8, 5), 6),
                                             ((8, 4, 16), 40), ((1,), 3)])
 def test_multiscale_conv_backward_writes_filter_grads_in_place(lengths, in_ch):

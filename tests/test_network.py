@@ -89,8 +89,9 @@ def test_param_count_single_filter_closed_form():
 def test_projection_exists_only_on_channel_change():
     layout = build_layout(ArchSpec(blocks=2, convs_per_block=2, filter_lengths=(2,),
                                    filters_per_length=3))
-    assert "b0.proj.w" in layout
-    assert "b1.proj.w" not in layout
+    names = [r.name for r in layout.records]
+    assert "b0.proj.w" in names
+    assert "b1.proj.w" not in names
 
 
 def test_build_model_deterministic_by_seed():
@@ -101,11 +102,16 @@ def test_build_model_deterministic_by_seed():
     assert a.params.values.tobytes() != c.params.values.tobytes()
 
 
+def record_values(params, name):
+    rec = next(r for r in params.layout.records if r.name == name)
+    return params.values[rec.offset : rec.offset + rec.size].reshape(rec.shape)
+
+
 def test_build_model_init_structure():
     model = tiny_model()
-    assert np.array_equal(model.params.get("b0.c0.gamma"), np.ones(4))
-    assert np.array_equal(model.params.get("b0.c0.beta"), np.zeros(4))
-    w = model.params.get("b0.c1.w2").reshape(2, 8)
+    assert np.array_equal(record_values(model.params, "b0.c0.gamma"), np.ones(4))
+    assert np.array_equal(record_values(model.params, "b0.c0.beta"), np.zeros(4))
+    w = record_values(model.params, "b0.c1.w2").reshape(2, 8)
     assert np.abs(w @ w.T - np.eye(2)).max() < 1e-10
     assert all(st.updates == 0 for st in model.bn.values())
 
@@ -266,6 +272,27 @@ def test_end_to_end_gradient_two_blocks():
     assert max_rel_err(g.values, num) < 1e-4
 
 
+def test_default_arch_directional_derivative():
+    # The default arch runs the wide conv plans (one-tap and stacked GEMMs,
+    # per-ring sums, a chunked backward), BN and the 1 -> 165 projection,
+    # which the small archs above never reach. Compare (L(p + hv) -
+    # L(p - hv)) / 2h with g.v for one seeded unit direction v. Roundoff
+    # alone gives about eps * |L| / h, 1e-8 relative here; at h = 1e-4 or
+    # 1e-3 a ReLU or hinge kink falls inside the step and the error reads
+    # 1e-3, so h stays at 1e-5, where the error read 4e-9.
+    rng = np.random.default_rng(5)
+    model = build_model(ArchSpec(), rng)
+    series = rng.standard_normal((6, 128))
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    cfg = TripletLossConfig()
+    slope = analytic_grad(model, series, labels, cfg).values
+    v = rng.standard_normal(slope.size)
+    v /= np.linalg.norm(v)
+    loss, h = embedding_loss_for_fd(model, series, labels, cfg), 1e-5
+    numeric = (loss(model.params.values + h * v) - loss(model.params.values - h * v)) / (2 * h)
+    assert abs(numeric - slope @ v) < 1e-6 * abs(slope @ v)
+
+
 def test_stale_cache_rejected():
     model = tiny_model(24)
     rng = np.random.default_rng(25)
@@ -336,7 +363,7 @@ def test_freeze_mask_projection_joins_at_block_boundary():
     spec = ArchSpec(blocks=2, convs_per_block=2, filter_lengths=(2,), filters_per_length=2)
     model = build_model(spec, np.random.default_rng(32))
     series = np.random.default_rng(33).standard_normal((4, 8))
-    rec = build_layout(spec)["b0.proj.w"]
+    rec = next(r for r in build_layout(spec).records if r.name == "b0.proj.w")
     proj = slice(rec.offset, rec.offset + rec.size)
     assert triplet_grads(with_frozen(model, 1), series)[proj].any()
     assert not triplet_grads(with_frozen(model, 2), series)[proj].any()
@@ -358,6 +385,7 @@ def test_layout_derived_sites_and_masks_match_walks(blocks, convs_per_block):
             spec = ArchSpec(blocks=blocks, convs_per_block=convs_per_block,
                             filter_lengths=lengths, filters_per_length=filters)
             assert bn_site_names(spec) == bn_sites_reference(spec)
+            assert_plan_covers_layout(spec)
     # The backward stops below the lowest unfrozen layer; what it returns
     # must be the full backward's gradient with the walk's entries zeroed.
     spec = ArchSpec(blocks=blocks, convs_per_block=convs_per_block,
@@ -371,6 +399,24 @@ def test_layout_derived_sites_and_masks_match_walks(blocks, convs_per_block):
         want[freeze_mask_reference(spec, layout, frozen)] = 0.0
         got = triplet_grads(with_frozen(model, frozen), series)
         assert got.tobytes() == want.tobytes(), frozen
+
+
+def assert_plan_covers_layout(spec):
+    """The plan's layers cut every layout record once, in record order: each
+    layer's banks in filter_lengths order with the records' shapes, then its
+    gamma and beta; a projection sits exactly where the walk puts one."""
+    plan = network._step_plan(spec)
+    cuts = []
+    for layer in plan.layers:
+        lengths = [shape[2] for _, shape in layer.banks]
+        assert lengths == ([1] if layer.site.endswith(".proj") else list(spec.filter_lengths))
+        cuts += [*layer.banks, (layer.gamma, (spec.channels,)), (layer.beta, (spec.channels,))]
+    assert cuts == [(slice(r.offset, r.offset + r.size), r.shape) for r in plan.layout.records]
+    walked = [layer.site for convs, proj in plan.blocks
+              for layer in (*convs, *([proj] if proj else []))]
+    assert walked == [layer.site for layer in plan.layers] == bn_sites_reference(spec)
+    assert [proj is not None for _, proj in plan.blocks] == [
+        f"b{bi}.proj" in bn_sites_reference(spec) for bi in range(spec.blocks)]
 
 
 def test_freeze_out_of_range_rejected():
@@ -482,8 +528,11 @@ def _without(d, key):
     lambda h: {**h, "bn": [_without(b, "updates") for b in h["bn"]]},
     lambda h: {**h, "arch": {**h["arch"], "blocks": 0}},
     lambda h: {**h, "arch": {**h["arch"], "blocks": float("inf")}},
+    lambda h: {**h, "bn": [{**b, "updates": -1} for b in h["bn"]]},
+    lambda h: {**h, "bn": [{**b, "updates": True} for b in h["bn"]]},
+    lambda h: {**h, "bn": [{**b, "updates": 1.5} for b in h["bn"]]},
 ], ids=["no-arch", "json-list", "filter-lengths-string", "bn-without-updates", "zero-blocks",
-        "infinite-blocks"])
+        "infinite-blocks", "negative-updates", "boolean-updates", "fractional-updates"])
 def test_checkpoint_malformed_header_names_path(tmp_path, edit):
     head, body = checkpoint_bytes(tiny_model(44)).split(b"\n", 1)
     path = tmp_path / "malformed.ckpt"
@@ -508,7 +557,7 @@ def test_checkpoint_rejects_oversized_arch_before_layout(tmp_path, monkeypatch, 
         raise AssertionError("laid out an oversized arch")
 
     # Laying out 10^9 layers would exhaust memory; the check must come first.
-    monkeypatch.setattr(network, "build_layout", refuse)
+    monkeypatch.setattr(network, "_step_plan", refuse)
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
 

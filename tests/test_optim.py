@@ -12,7 +12,7 @@ from helpers import adam_step_reference
 
 def flat_params(values):
     values = np.asarray(values, dtype=np.float64)
-    layout = Layout.from_shapes([("p", values.shape)])
+    layout = Layout([("p", values.shape)])
     return ParamSet(layout, values.copy())
 
 
@@ -112,7 +112,7 @@ def test_step_allocates_only_its_scratch_blocks():
 
 def test_layout_mismatch_rejected():
     params = flat_params([1.0])
-    other = ParamSet(Layout.from_shapes([("q", (1,))]), np.array([1.0]))
+    other = ParamSet(Layout([("q", (1,))]), np.array([1.0]))
     with pytest.raises(ConfigError):
         adam_step(params, other, AdamState.fresh(1))
 

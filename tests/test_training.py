@@ -239,7 +239,7 @@ def test_meta_update_matches_sorted_sum_bitwise(k):
     rng = np.random.default_rng(k)
     n = 2 * CACHE_BLOCK + 37
     levels = np.array([-np.inf, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.25, 1.5, np.inf])
-    base = ParamSet(Layout.from_shapes([("p", (n,))]), rng.choice(levels[1:-1], n))
+    base = ParamSet(Layout([("p", (n,))]), rng.choice(levels[1:-1], n))
     adapted = [ParamSet(base.layout, rng.choice(levels, n)) for _ in range(k)]
     for epsilon in (1.0, 0.37):
         with np.errstate(invalid="ignore"):  # a column holding both infinities
