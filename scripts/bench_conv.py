@@ -19,18 +19,12 @@ Run it against any checkout's sources:
 
     PYTHONPATH=src python scripts/bench_conv.py --repeats 5
 
-BLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise. A
-checkout whose ``fewts.kernels`` has no ``multiscale_conv_forward`` is timed
-through a per-bank loop over ``conv1d_forward``/``conv1d_backward``, which
-is how such a checkout's network ran a layer; one without a worker pool is
-timed once, as one worker. A checkout whose conv kernels still take a bias
-is passed a zero one.
+BLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -45,34 +39,6 @@ from fewts import kernels  # noqa: E402
 from fewts.network import ArchSpec, backward_batch, build_model, embed_batch  # noqa: E402
 
 
-_TAKES_BIAS = "bias" in inspect.signature(kernels.conv1d_forward).parameters
-
-
-def _bias(channels: int) -> tuple:
-    """The trailing bias argument of the checkout's conv forward, if any."""
-    return (np.zeros(channels),) if _TAKES_BIAS else ()
-
-
-def _per_bank_forward(x, banks, *bias):
-    # Such a checkout's kernels all take a bias: each bank gets a zero one.
-    outs = [kernels.conv1d_forward(x, w, *_bias(w.shape[0])) for w in banks]
-    return np.concatenate(outs, axis=1)
-
-
-def _per_bank_backward(x, banks, upstream):
-    dx = np.zeros_like(x)
-    dws = []
-    ofs = 0
-    for w in banks:
-        dxi, dwi = kernels.conv1d_backward(x, w, upstream[:, ofs : ofs + w.shape[0]])[:2]
-        dx += dxi
-        dws.append(dwi)
-        ofs += w.shape[0]
-    return dx, dws
-
-
-LAYER_FORWARD = getattr(kernels, "multiscale_conv_forward", _per_bank_forward)
-LAYER_BACKWARD = getattr(kernels, "multiscale_conv_backward", _per_bank_backward)
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
@@ -110,22 +76,20 @@ def time_layer(lengths, per_length: int, in_ch: int, t: int, batch: int, repeats
     channels = per_length * len(lengths)
     x = rng.standard_normal((batch, in_ch, t))
     upstream = rng.standard_normal((batch, channels, t))
-    bias = _bias(channels)
     gamma, beta = rng.standard_normal(channels), rng.standard_normal(channels)
     state = kernels.BnState.fresh(channels)
     _, _, cache = kernels.batchnorm_forward(upstream, gamma, beta, state)
     ops = {
-        "fwd": lambda: LAYER_FORWARD(x, banks, *bias),
-        "bwd": lambda: LAYER_BACKWARD(x, banks, upstream),
+        "fwd": lambda: kernels.multiscale_conv_forward(x, banks),
+        "bwd": lambda: kernels.multiscale_conv_backward(x, banks, upstream),
         "bn_fwd": lambda: kernels.batchnorm_forward(upstream, gamma, beta, state),
         "bn_bwd": lambda: kernels.batchnorm_backward(upstream, gamma, cache),
     }
-    counts = sorted({1, CPUS}) if hasattr(kernels, "_WORKERS") else [1]
+    counts = sorted({1, CPUS})
     best = {(n, op): float("inf") for n in counts for op in ops}
     for _ in range(repeats):
         for n in counts:
-            if hasattr(kernels, "_WORKERS"):
-                kernels._WORKERS = n
+            kernels._WORKERS = n
             for op, fn in ops.items():
                 best[n, op] = min(best[n, op], _sample(fn))
     row = {"lengths": list(lengths), "per_length": per_length, "in_ch": in_ch, "T": t, "b": batch}

@@ -29,7 +29,7 @@ from .config import CONFIG_KEYS, VARIANTS, ExperimentConfig, load_experiment_con
 from .data import load_dataset, split_classes, split_meta_sets
 from .errors import FewtsError
 from .gradcheck import gradient_check
-from .network import build_model, load_checkpoint, save_checkpoint, write_atomic
+from .network import build_model, load_checkpoint, write_atomic
 from .protocol import KNOWN_METHODS, report_from_records, run_protocol
 from .training import fixed_task_pool, fs1_train, fs2_train, make_validation_hook, meta_task_stream
 
@@ -89,10 +89,13 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
         hook = make_validation_hook(pool, margin=config.meta.margin)
     train = fs1_train if config.variant == "fs1" else fs2_train
     result = train(model, config.meta, stream, validation_hook=hook, run_dir=config.out_dir)
-    final = Path(config.out_dir) / "final.ckpt"
-    save_checkpoint(result.model, final)
-    selected = Path(config.out_dir) / "selected.ckpt"
-    save_checkpoint(result.selected, selected)
+    # Both are copies of checkpoints the run wrote: the last iteration's,
+    # which is always checkpointed, and the one model_selection.json names.
+    out = Path(config.out_dir)
+    last = result.history[-1]["checkpoint"]
+    selected = out / "selected.ckpt"
+    write_atomic(out / "final.ckpt", (out / last).read_bytes())
+    write_atomic(selected, (out / (result.best_checkpoint or last)).read_bytes())
     print(f"{config.variant}: {config.meta.meta_iterations} meta-iterations, "
           f"{result.total_inner_steps} inner steps, checkpoint {selected}")
     if result.best_validation is not None:

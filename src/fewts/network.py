@@ -414,24 +414,29 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_bytes(model: ResNetModel) -> bytes:
-    bn_names = bn_site_names(model.spec)
-    header = {
+def _checkpoint_header(spec: ArchSpec, updates: dict[str, int]) -> dict:
+    """The header of a checkpoint of ``spec`` whose BN sites have seen
+    ``updates`` running-stat updates. A site missing from ``updates`` gets
+    None, which no written header holds."""
+    plan = _step_plan(spec)
+    return {
         "magic": CHECKPOINT_MAGIC,
         "format_version": CHECKPOINT_VERSION,
-        "arch": model.spec.to_dict(),
-        "layout": [
-            {"name": r.name, "shape": list(r.shape), "offset": r.offset}
-            for r in model.params.layout.records
-        ],
-        "param_count": model.params.layout.total_size,
-        "bn": [{"name": n, "channels": model.spec.channels, "updates": model.bn[n].updates}
-               for n in bn_names],
+        "arch": spec.to_dict(),
+        "layout": [{"name": r.name, "shape": list(r.shape), "offset": r.offset}
+                   for r in plan.layout.records],
+        "param_count": plan.layout.total_size,
+        "bn": [{"name": layer.site, "channels": spec.channels, "updates": updates.get(layer.site)}
+               for layer in plan.layers],
         "dtype": "<f8",
     }
+
+
+def checkpoint_bytes(model: ResNetModel) -> bytes:
+    header = _checkpoint_header(model.spec, {n: st.updates for n, st in model.bn.items()})
     arrays = [model.params.values]
-    for name in bn_names:
-        arrays += [model.bn[name].mean, model.bn[name].var]
+    for site in bn_site_names(model.spec):
+        arrays += [model.bn[site].mean, model.bn[site].var]
     # join reads each array's buffer in place: the parameters are copied
     # once, into the result, and no 16 MB temporary is built on the way.
     head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
@@ -474,40 +479,34 @@ def load_checkpoint(path) -> ResNetModel:
         )
     try:
         spec = ArchSpec.from_dict(header["arch"])
-        stored = [(r["name"], tuple(r["shape"]), r["offset"]) for r in header["layout"]]
-        param_count = header["param_count"]
-        bn_entries = [(b["name"], b["updates"]) for b in header["bn"]]
+        records = len(header["layout"])
+        updates = {b["name"]: b["updates"] for b in header["bn"]}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
     # A negative count would pass the infer-mode guard, which checks for 0.
-    if any(type(updates) is not int or updates < 0 for _, updates in bn_entries):
+    if any(type(n) is not int or n < 0 for n in updates.values()):
         raise CheckpointError(f"{path}: BN update counts must be non-negative integers")
     # Each conv layer has a record per filter length: reject a huge arch
     # before laying it out.
-    if spec.conv_layers * len(spec.filter_lengths) > len(stored):
+    if spec.conv_layers * len(spec.filter_lengths) > records:
         raise CheckpointError(f"{path}: arch has more conv filter banks than layout records")
-    layout = build_layout(spec)
-    derived = [(r.name, r.shape, r.offset) for r in layout.records]
-    if stored != derived:
-        raise CheckpointError(f"{path}: layout records do not match the architecture")
-    if param_count != layout.total_size:
-        raise CheckpointError(f"{path}: parameter count mismatch")
+    if header != _checkpoint_header(spec, updates):
+        raise CheckpointError(f"{path}: header does not match the architecture")
 
     body = blob[nl + 1 :]
-    need = layout.total_size * 8
-    names = bn_site_names(spec)
-    if [name for name, _ in bn_entries] != names:
-        raise CheckpointError(f"{path}: BN buffer list does not match the architecture")
-    expected = need + len(names) * 2 * spec.channels * 8
+    layout = build_layout(spec)
+    sites = bn_site_names(spec)
+    expected = (layout.total_size + len(sites) * 2 * spec.channels) * 8
     if len(body) != expected:
         raise CheckpointError(f"{path}: body has {len(body)} bytes, expected {expected}")
-    values = np.frombuffer(body[:need], dtype="<f8").astype(np.float64)
+    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    stats = values[layout.total_size :].reshape(len(sites), 2, spec.channels)
     bn: dict[str, BnState] = {}
-    ofs = need
-    for name, updates in bn_entries:
-        w = spec.channels * 8
-        mean = np.frombuffer(body[ofs : ofs + w], dtype="<f8").astype(np.float64)
-        var = np.frombuffer(body[ofs + w : ofs + 2 * w], dtype="<f8").astype(np.float64)
-        bn[name] = BnState(mean, var, updates)
-        ofs += 2 * w
-    return ResNetModel(spec, ParamSet(layout, values), bn)
+    for site, (mean, var) in zip(sites, stats):
+        # A negative or NaN variance gives non-finite infer embeddings, and
+        # an infinite one silently zeroes its channel.
+        if not (np.isfinite(mean).all() and np.isfinite(var).all() and var.min() >= 0):
+            raise CheckpointError(f"{path}: BN site {site!r} has a non-finite running mean "
+                                  "or a negative or non-finite running variance")
+        bn[site] = BnState(mean, var, updates[site])
+    return ResNetModel(spec, ParamSet(layout, values[: layout.total_size]), bn)

@@ -51,9 +51,6 @@ class Layout:
     def __eq__(self, other) -> bool:
         return isinstance(other, Layout) and self.records == other.records
 
-    def __hash__(self):
-        return hash(self.records)
-
 
 class ParamSet:
     """A layout plus one flat float64 value vector."""

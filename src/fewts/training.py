@@ -100,7 +100,6 @@ class FineTuneConfig:
 
 @dataclass
 class TaskSolveReport:
-    task_id: str
     iterations: int
     final_loss: float
     violations: list[int]
@@ -109,18 +108,16 @@ class TaskSolveReport:
 
 @dataclass
 class TrainResult:
+    """``best_checkpoint`` is the validation-selected checkpoint's path in
+    the run dir, the one ``model_selection.json`` names; None without a
+    validation hook or a run dir."""
+
     model: ResNetModel
-    best_model: ResNetModel | None
+    best_checkpoint: str | None
     best_iteration: int | None
     best_validation: float | None
     history: list[dict]
     total_inner_steps: int
-    run_dir: Path | None
-
-    @property
-    def selected(self) -> ResNetModel:
-        """Validation-selected model when a hook ran, else the final one."""
-        return self.best_model if self.best_model is not None else self.model
 
 
 def iterations_for_task(k_shots: int, n_way: int, batch_size: int, epochs: int) -> int:
@@ -217,7 +214,7 @@ def inner_solve(
         work.set_params(new_params)
         violations.append(nviol)
         batches.append([int(i) for i in idx])
-    report = TaskSolveReport(task_id, k, float(loss), violations, batches)
+    report = TaskSolveReport(k, float(loss), violations, batches)
     return work, report
 
 
@@ -328,7 +325,7 @@ def _train_loop(
     work = model.copy()
     writer = _RunWriter(run_dir)
     history: list[dict] = []
-    best_model = None
+    best_checkpoint = None
     best_iteration = None
     best_validation = None
     total_steps = 0
@@ -378,7 +375,7 @@ def _train_loop(
                 if best_validation is None or val < best_validation:
                     best_validation = val
                     best_iteration = i
-                    best_model = work.copy()
+                    best_checkpoint = name
                     writer.manifest({
                         "checkpoint": name,
                         "iteration": i,
@@ -389,12 +386,11 @@ def _train_loop(
 
     return TrainResult(
         model=work,
-        best_model=best_model,
+        best_checkpoint=best_checkpoint,
         best_iteration=best_iteration,
         best_validation=best_validation,
         history=history,
         total_inner_steps=total_steps,
-        run_dir=writer.run_dir,
     )
 
 

@@ -76,6 +76,36 @@ def test_meta_train_fs2_variant(corpus, capsys):
     assert (out / "selected.ckpt").is_file()
 
 
+@pytest.mark.parametrize("variant,validation", [("fs1", ["square_duty"]),
+                                                ("fs2", ["square_duty"]), ("fs1", [])],
+                         ids=["fs1", "fs2", "fs1-no-validation"])
+def test_meta_train_final_and_selected_are_run_checkpoints(corpus, variant, validation):
+    # Checkpoints at iterations 2, 4 and 5. At this inner_lr the validation
+    # loss is lowest at iteration 2, so selected.ckpt is not final.ckpt.
+    cfg = json.loads((corpus / "train.json").read_text())
+    cfg["meta"].update(meta_iterations=5, checkpoint_every=2, meta_batch=2, inner_lr=0.03)
+    cfg["split_manifest"] = str(corpus / f"manifest_{len(validation)}.json")
+    (corpus / f"manifest_{len(validation)}.json").write_text(json.dumps({
+        "train": ["sine_frequency"], "validation": validation, "test": ["ar_coefficient"],
+    }))
+    cfg_path = corpus / f"train_{variant}_{len(validation)}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = corpus / f"copies_{variant}_{len(validation)}"
+    assert main(["meta-train", "--config", str(cfg_path), "--variant", variant,
+                 "--out-dir", str(out)]) == 0
+
+    final = (out / "final.ckpt").read_bytes()
+    assert final == (out / "checkpoints" / "iter_000005.ckpt").read_bytes()
+    manifest = out / "model_selection.json"
+    assert manifest.exists() == bool(validation)
+    if validation:
+        chosen = (out / json.loads(manifest.read_text())["checkpoint"]).read_bytes()
+        assert chosen != final
+    else:
+        chosen = final
+    assert (out / "selected.ckpt").read_bytes() == chosen
+
+
 def test_evaluate_then_report(corpus, capsys):
     run = corpus / "run_fs1"
     if not (run / "selected.ckpt").is_file():

@@ -166,6 +166,47 @@ def test_default_inner_layer_matches_per_bank_reference():
         assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 
+# Each takes the forward plan (groups, series per copy, zero flag), the
+# backward plan and T, and says whether they are of its family.
+def _one_tap_backward(fwd, bwd, t):
+    return all(g == 1 for _, g, _ in bwd.groups)
+
+
+def _shorter_than_taps(fwd, bwd, t):
+    return all(g > t for _, g, _ in fwd[0]) and max(g for _, g, _ in bwd.groups) > t
+
+
+def _stacked_zero_filled(fwd, bwd, t):
+    return fwd[2] and bwd.zero and min(g for _, g, _ in fwd[0] + bwd.groups) > 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("lengths, in_ch, per_length, b, t, family", [
+    ((4, 8, 16, 32, 64), 1, 33, 10, 128, _one_tap_backward),  # the default arch's first layer
+    ((4, 8, 16, 32, 64), 3, 3, 4, 11, _shorter_than_taps),
+    ((8, 5), 8, 4, 10, 64, _stacked_zero_filled),  # an inner layer of the tiny arch
+], ids=["one-tap-backward", "shorter-than-taps", "stacked-zero-filled"])
+def test_conv_plan_families_match_per_bank_reference(monkeypatch, workers, lengths, in_ch,
+                                                     per_length, b, t, family):
+    # The plan, not the shape, says which family a case runs. With two
+    # workers every layer is cut into parts.
+    if workers > 1:
+        monkeypatch.setattr(kernels, "_SPLIT_MACS", 0)
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    rng = np.random.default_rng(b * 1000 + t + in_ch)
+    banks = [rng.standard_normal((per_length, in_ch, f)) for f in lengths]
+    x = rng.standard_normal((b, in_ch, t))
+    upstream = rng.standard_normal((b, per_length * len(lengths), t))
+    _, _, plan, parts = kernels._conv_inputs(x, banks)
+    assert parts == workers
+    assert family(kernels._forward_groups(plan.shapes, in_ch, t),
+                  kernels._backward_plan(plan.shapes, in_ch, b, t, parts), t)
+
+    want = multiscale_conv_reference(x, banks, upstream)
+    for got, ref in zip(conv_outputs(x, banks, upstream), [want[0], want[1], *want[2]]):
+        assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("lengths, in_ch", [((4, 8, 16, 32, 64), 1), ((8, 5), 6),
                                             ((8, 4, 16), 40), ((1,), 3)])
 def test_multiscale_conv_backward_writes_filter_grads_in_place(lengths, in_ch):

@@ -531,8 +531,16 @@ def _without(d, key):
     lambda h: {**h, "bn": [{**b, "updates": -1} for b in h["bn"]]},
     lambda h: {**h, "bn": [{**b, "updates": True} for b in h["bn"]]},
     lambda h: {**h, "bn": [{**b, "updates": 1.5} for b in h["bn"]]},
+    lambda h: {**h, "extra": 1},
+    lambda h: {**h, "dtype": "<f4"},
+    lambda h: {**h, "bn": [{**b, "channels": b["channels"] + 1} for b in h["bn"]]},
+    lambda h: {**h, "bn": h["bn"][:-1]},
+    lambda h: {**h, "param_count": h["param_count"] + 1},
+    lambda h: {**h, "layout": h["layout"][::-1]},
 ], ids=["no-arch", "json-list", "filter-lengths-string", "bn-without-updates", "zero-blocks",
-        "infinite-blocks", "negative-updates", "boolean-updates", "fractional-updates"])
+        "infinite-blocks", "negative-updates", "boolean-updates", "fractional-updates",
+        "extra-key", "wrong-dtype", "wrong-bn-channels", "missing-bn-site", "wrong-param-count",
+        "reordered-layout"])
 def test_checkpoint_malformed_header_names_path(tmp_path, edit):
     head, body = checkpoint_bytes(tiny_model(44)).split(b"\n", 1)
     path = tmp_path / "malformed.ckpt"
@@ -559,6 +567,22 @@ def test_checkpoint_rejects_oversized_arch_before_layout(tmp_path, monkeypatch, 
     # Laying out 10^9 layers would exhaust memory; the check must come first.
     monkeypatch.setattr(network, "_step_plan", refuse)
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("stat,value", [("var", -1.0), ("var", np.nan), ("var", np.inf),
+                                        ("mean", np.nan)],
+                         ids=["negative-var", "nan-var", "inf-var", "nan-mean"])
+def test_checkpoint_refuses_bad_bn_statistics(tmp_path, stat, value):
+    # Edited on the model before saving, so only the statistics are wrong.
+    model = tiny_model(48)
+    rng = np.random.default_rng(49)
+    embed_batch(model, rng.standard_normal((4, 8)), mode="train")
+    site = bn_site_names(model.spec)[0]
+    getattr(model.bn[site], stat)[0] = value
+    path = tmp_path / "bad_bn.ckpt"
+    path.write_bytes(checkpoint_bytes(model))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: BN site {site!r}")):
         load_checkpoint(path)
 
 

@@ -371,8 +371,7 @@ def test_fs1_train_artifacts_and_model_selection(tmp_path):
     manifest = json.loads((run_dir / "model_selection.json").read_text())
     assert manifest["iteration"] == result.best_iteration
     assert manifest["validation_loss"] == result.best_validation
-    assert result.best_model is not None
-    assert result.selected is result.best_model
+    assert result.best_checkpoint == manifest["checkpoint"]
 
 
 def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch):
