@@ -16,7 +16,11 @@ process's ``ru_maxrss`` (``rss_raised_mb``, summed over the calls), and the
 calloc'd pages never touched, and misses what the allocator keeps after a
 free; ``ru_maxrss`` sees only resident pages. ``ru_maxrss`` is the process's
 lifetime peak, so a phase that stays under an earlier high-water mark reads
-0. Prints one JSON object.
+0. It also counts the minor page faults each phase's calls took
+(``minflt``, the ``ru_minflt`` delta summed over the calls) and those of
+the whole pass (``pass_minflt``): pages touched for the first time since
+they were mapped, including those the allocator gave back to the system
+and a later phase took again. Prints one JSON object.
 
 Run it against any checkout's sources:
 
@@ -49,9 +53,11 @@ PHASES = {
 MB = 1 << 20
 
 
-def maxrss_mb() -> float:
-    """The process's peak resident set so far, in MB (Linux reports KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+def usage() -> tuple[float, int]:
+    """The process's peak resident set so far, in MB (Linux reports KiB),
+    and its minor page faults so far."""
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_maxrss / 1024, ru.ru_minflt
 
 
 def measure(meta_batch: int, seed: int) -> dict:
@@ -71,7 +77,7 @@ def _measure(meta_batch: int, seed: int) -> dict:
                                  epochs=1, k_train=2, seed=seed)
     stream = training.meta_task_stream(train, config.k_train, 0, config.seed)
     phases = {name: {"calls": 0, "live_mb": 0.0, "peak_mb": 0.0, "added_mb": 0.0,
-                     "rss_raised_mb": 0.0} for name in PHASES}
+                     "rss_raised_mb": 0.0, "minflt": 0} for name in PHASES}
     overall = [0]
 
     def wrap(name, fn):
@@ -79,15 +85,17 @@ def _measure(meta_batch: int, seed: int) -> dict:
             live, peak = tracemalloc.get_traced_memory()
             overall[0] = max(overall[0], peak)
             tracemalloc.reset_peak()
-            rss = maxrss_mb()
+            rss, faults = usage()
             try:
                 return fn(*args, **kwargs)
             finally:
                 peak = tracemalloc.get_traced_memory()[1]
                 overall[0] = max(overall[0], peak)
+                rss_after, faults_after = usage()
                 rec = phases[name]
                 rec["calls"] += 1
-                rec["rss_raised_mb"] += maxrss_mb() - rss
+                rec["rss_raised_mb"] += rss_after - rss
+                rec["minflt"] += faults_after - faults
                 if peak / MB > rec["peak_mb"]:
                     rec["live_mb"], rec["peak_mb"] = live / MB, peak / MB
         return traced
@@ -95,12 +103,13 @@ def _measure(meta_batch: int, seed: int) -> dict:
     saved = {attr: getattr(training, attr) for attr in PHASES.values()}
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    start_rss = maxrss_mb()
+    start_rss, start_faults = usage()
     try:
         for name, attr in PHASES.items():
             setattr(training, attr, wrap(name, saved[attr]))
         training.fs1_train(model, config, stream)
         overall[0] = max(overall[0], tracemalloc.get_traced_memory()[1])
+        end_rss, end_faults = usage()
     finally:
         for attr, fn in saved.items():
             setattr(training, attr, fn)
@@ -114,7 +123,8 @@ def _measure(meta_batch: int, seed: int) -> dict:
         "setup_live_mb": round(base / MB, 1),
         "pass_peak_mb": round(overall[0] / MB, 1),
         "start_maxrss_mb": round(start_rss, 1),
-        "pass_maxrss_mb": round(maxrss_mb(), 1),
+        "pass_maxrss_mb": round(end_rss, 1),
+        "pass_minflt": end_faults - start_faults,
         "phases": phases,
     }
 

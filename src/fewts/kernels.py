@@ -539,11 +539,19 @@ def bn_apply(
     beta: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize [b, ch, T] with the given statistics. Returns (y, xhat)."""
-    inv = (1.0 / np.sqrt(var + BN_EPS))[:, None]
+    train: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Normalize [b, ch, T] with the given statistics. Returns (y, xhat) in
+    train mode, whose backward reads xhat. Otherwise returns (y, None), with
+    y from one folded per-channel scale and shift, so no xhat is built."""
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    if not train:
+        scale = gamma * inv
+        y = x * scale[:, None]
+        y += (beta - mean * scale)[:, None]
+        return y, None
     xhat = x - mean[:, None]
-    xhat *= inv
+    xhat *= inv[:, None]
     y = xhat * gamma[:, None]
     y += beta[:, None]
     return y, xhat
@@ -592,13 +600,13 @@ def batchnorm_forward(
         raise ConfigError("gamma/beta must be per-channel vectors")
     if mode == "train":
         mean, var, n_total = pooled_batch_stats(x)
-        y, xhat = bn_apply(x, gamma, beta, mean, var)
+        y, xhat = bn_apply(x, gamma, beta, mean, var, True)
         cache = {"xhat": xhat, "var": var, "n_total": n_total}
         return y, state.update(mean, var), cache
     if mode == "infer":
         if state.updates == 0:
             raise UsageError("batch norm infer mode before any running-stat update")
-        y, _ = bn_apply(x, gamma, beta, state.mean, state.var)
+        y, _ = bn_apply(x, gamma, beta, state.mean, state.var, False)
         return y, state, None
     raise ConfigError(f"unknown batch norm mode {mode!r}")
 

@@ -272,28 +272,30 @@ def _forward(
     """Run the conv blocks over a [b, 1, T] batch.
 
     Returns the last block's output [b, ch, T] and per block the cache the
-    backward reads: (block input, per conv layer (input, BN cache, BN
-    output), projection BN cache, residual sum).
+    backward reads: (per conv layer (input, BN cache), projection BN cache,
+    block output). Only what the backward reads is kept: a ReLU's mask is
+    read off its output, which is the next layer's input or the block
+    output, so no BN output or residual sum is held. The first conv's input
+    is the block input, which the projection reads too.
     """
     values = model.params.values
     h = x
     block_caches = []
     last = model.spec.convs_per_block - 1
     for convs, proj in model.plan.blocks:
-        x_in = cur = h
+        cur = h
         conv_caches = []
         for j, layer in enumerate(convs):
             pre_bn = kernels.multiscale_conv_forward(cur, layer.filters(values))
             y, bn_cache = _bn_forward_site(model, layer, pre_bn, mode, update_buffers)
-            conv_caches.append((cur, bn_cache, y))
+            conv_caches.append((cur, bn_cache))
             cur = kernels.relu_forward(y) if j < last else y
-        shortcut, proj_cache = x_in, None
+        shortcut, proj_cache = h, None
         if proj is not None:
-            pre_bn_p = kernels.conv1d_forward(x_in, *proj.filters(values))
+            pre_bn_p = kernels.conv1d_forward(h, *proj.filters(values))
             shortcut, proj_cache = _bn_forward_site(model, proj, pre_bn_p, mode, update_buffers)
-        pre_act = cur + shortcut
-        h = kernels.relu_forward(pre_act)
-        block_caches.append((x_in, conv_caches, proj_cache, pre_act))
+        h = kernels.relu_forward(cur + shortcut)
+        block_caches.append((conv_caches, proj_cache, h))
     return h, block_caches
 
 
@@ -352,6 +354,10 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
     bottom up over blocks) is frozen when ``L < model.frozen_layers``, and a
     block's projection once all of the block's layers are; frozen records
     get zero gradient. The pass stops below the lowest unfrozen layer.
+
+    The pass consumes the cache: it drops each block's arrays once the
+    block is done, and a second backward on the same cache raises
+    UsageError.
     """
     if cache.get("uid") != model._uid or cache.get("revision") != model._revision:
         raise UsageError("stale forward cache: model parameters changed since the forward pass")
@@ -360,15 +366,18 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
         raise ConfigError(
             f"upstream must be [{cache['n_series']}, {model.embedding_dim}], got {upstream.shape}"
         )
+    blocks = cache.pop("blocks", None)
+    if blocks is None:
+        raise UsageError("forward cache already consumed by a backward pass")
     grads = ParamSet(model.params.layout)
     cpb = model.spec.convs_per_block
     frozen = model.frozen_layers
 
     d = kernels.gap_backward(upstream, cache["length"])
     for bi in reversed(range(model.spec.blocks)):
-        x_in, conv_caches, proj_cache, pre_act = cache["blocks"][bi]
+        conv_caches, proj_cache, out = blocks.pop()
         convs, proj = model.plan.blocks[bi]
-        d_pre = kernels.relu_backward(pre_act, d)
+        d_pre = kernels.relu_backward(out, d)
         # Layer L needs an input gradient only if a layer below it is
         # unfrozen; block 0's first layer reads the network input.
         input_grad = frozen < bi * cpb
@@ -379,22 +388,23 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
                 break
             d_bn = _bn_backward_site(model, grads, proj, d_pre, proj_cache)
             d_short, _ = kernels.conv1d_backward(
-                x_in, *proj.filters(model.params.values), d_bn, *proj.filters(grads.values),
-                input_grad,
+                conv_caches[0][0], *proj.filters(model.params.values), d_bn,
+                *proj.filters(grads.values), input_grad,
             )
         else:
             d_short = d_pre
 
         # Main branch, last conv first. The final conv's BN output feeds the
-        # residual sum directly (no ReLU in between).
+        # residual sum directly (no ReLU in between); below it, a ReLU's
+        # output is the input of the layer above.
         d_cur = d_pre
         for j in reversed(range(cpb)):
             layer = bi * cpb + j
             if layer < frozen:
                 break
-            x, bn_cache, bn_out = conv_caches[j]
+            x, bn_cache = conv_caches[j]
             if j < cpb - 1:
-                d_cur = kernels.relu_backward(bn_out, d_cur)
+                d_cur = kernels.relu_backward(conv_caches[j + 1][0], d_cur)
             d_bn = _bn_backward_site(model, grads, convs[j], d_cur, bn_cache)
             d_cur, _ = kernels.multiscale_conv_backward(
                 x, convs[j].filters(model.params.values), d_bn, convs[j].filters(grads.values),
@@ -414,12 +424,12 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_header(spec: ArchSpec, updates: dict[str, int]) -> dict:
-    """The header of a checkpoint of ``spec`` whose BN sites have seen
-    ``updates`` running-stat updates. A site missing from ``updates`` gets
-    None, which no written header holds."""
+def _checkpoint_header(spec: ArchSpec, updates: dict[str, int]) -> bytes:
+    """The header line, without its newline, of a checkpoint of ``spec``
+    whose BN sites have seen ``updates`` running-stat updates. A site
+    missing from ``updates`` gets null, which no written header holds."""
     plan = _step_plan(spec)
-    return {
+    return json.dumps({
         "magic": CHECKPOINT_MAGIC,
         "format_version": CHECKPOINT_VERSION,
         "arch": spec.to_dict(),
@@ -429,7 +439,7 @@ def _checkpoint_header(spec: ArchSpec, updates: dict[str, int]) -> dict:
         "bn": [{"name": layer.site, "channels": spec.channels, "updates": updates.get(layer.site)}
                for layer in plan.layers],
         "dtype": "<f8",
-    }
+    }, sort_keys=True).encode("utf-8")
 
 
 def checkpoint_bytes(model: ResNetModel) -> bytes:
@@ -439,8 +449,7 @@ def checkpoint_bytes(model: ResNetModel) -> bytes:
         arrays += [model.bn[site].mean, model.bn[site].var]
     # join reads each array's buffer in place: the parameters are copied
     # once, into the result, and no 16 MB temporary is built on the way.
-    head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    return b"".join([head, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)])
+    return b"".join([header, b"\n", *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)])
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -490,7 +499,8 @@ def load_checkpoint(path) -> ResNetModel:
     # before laying it out.
     if spec.conv_layers * len(spec.filter_lengths) > records:
         raise CheckpointError(f"{path}: arch has more conv filter banks than layout records")
-    if header != _checkpoint_header(spec, updates):
+    # Byte for byte: a header loads only in the one form that saving writes.
+    if blob[:nl] != _checkpoint_header(spec, updates):
         raise CheckpointError(f"{path}: header does not match the architecture")
 
     body = blob[nl + 1 :]

@@ -322,7 +322,11 @@ def _train_loop(
     run_dir: Path | str | None,
     sequential: bool,
 ) -> TrainResult:
-    work = model.copy()
+    # Nothing writes the parameter vector in place (inner_solve steps a copy,
+    # and meta_update returns a new vector), so the loop starts from the
+    # caller's vector; only the small BN buffers are copied.
+    work = ResNetModel(model.spec, model.params,
+                       {name: st.copy() for name, st in model.bn.items()}, model.frozen_layers)
     writer = _RunWriter(run_dir)
     history: list[dict] = []
     best_checkpoint = None

@@ -1,12 +1,12 @@
 """Smoke test of ``scripts/bench_step_memory.py``: one meta-iteration of one
 task at the default architecture reports every phase's traced and resident
-figures."""
+figures and its minor page faults."""
 
 import importlib.util
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_step_memory.py"
-PHASE_KEYS = {"calls", "live_mb", "peak_mb", "added_mb", "rss_raised_mb"}
+PHASE_KEYS = {"calls", "live_mb", "peak_mb", "added_mb", "rss_raised_mb", "minflt"}
 
 
 def test_measure_reports_traced_and_resident_figures(monkeypatch):
@@ -21,11 +21,12 @@ def test_measure_reports_traced_and_resident_figures(monkeypatch):
     result = module.measure(1, 0)
 
     assert set(result) == {"params", "meta_batch", "setup_live_mb", "pass_peak_mb",
-                           "start_maxrss_mb", "pass_maxrss_mb", "phases"}
+                           "start_maxrss_mb", "pass_maxrss_mb", "pass_minflt", "phases"}
     assert result["meta_batch"] == 1
     assert set(result["phases"]) == {"embed", "backward", "adam", "meta_update"}
     for rec in result["phases"].values():
         assert set(rec) == PHASE_KEYS
         assert rec["calls"] == 1
         assert rec["rss_raised_mb"] >= 0.0
+        assert 0 <= rec["minflt"] <= result["pass_minflt"]
     assert result["pass_maxrss_mb"] >= result["start_maxrss_mb"] > 0.0

@@ -441,6 +441,23 @@ def test_bn_infer_uses_running_stats():
     assert np.allclose(y, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(10, 8, 128), (3, 165, 128)])
+def test_bn_infer_matches_normalize_then_scale_and_shift(shape):
+    # Infer folds the statistics into one per-channel scale and shift; each
+    # row still depends on itself alone, bit for bit.
+    rng = np.random.default_rng(shape[1])
+    x = 3.0 * rng.standard_normal(shape) + 1.0
+    gamma, beta, mean = rng.standard_normal((3, shape[1]))
+    var = 4.0 * rng.random(shape[1]) + 0.01
+    state = BnState(mean, var, updates=1)
+    y, kept, cache = batchnorm_forward(x, gamma, beta, state, "infer")
+    want = (x - mean[:, None]) / np.sqrt(var[:, None] + BN_EPS) * gamma[:, None] + beta[:, None]
+    assert np.abs(y - want).max() < 1e-12
+    assert kept is state and cache is None
+    row = batchnorm_forward(x[1:2], gamma, beta, state, "infer")[0]
+    assert row.tobytes() == y[1:2].tobytes()
+
+
 def test_bn_infer_before_update_errors():
     with pytest.raises(UsageError):
         batchnorm_forward(np.ones((2, 1, 3)), np.ones(1), np.zeros(1), BnState.fresh(1), "infer")

@@ -303,6 +303,18 @@ def test_stale_cache_rejected():
         backward_batch(model, cache, np.zeros_like(z))
 
 
+def test_backward_consumes_its_cache():
+    model = tiny_model(29)
+    series = np.random.default_rng(30).standard_normal((4, 8))
+    z, cache = embed_batch(model, series, mode="train", return_cache=True)
+    first = backward_batch(model, cache, np.ones_like(z)).values
+    with pytest.raises(UsageError, match="consumed"):
+        backward_batch(model, cache, np.ones_like(z))
+    # A fresh forward gives a cache whose backward matches the first.
+    z, cache = embed_batch(model, series, mode="train", return_cache=True, update_buffers=False)
+    assert backward_batch(model, cache, np.ones_like(z)).values.tobytes() == first.tobytes()
+
+
 def test_cache_not_transferable_between_models():
     model = tiny_model(26)
     rng = np.random.default_rng(27)
@@ -546,6 +558,25 @@ def test_checkpoint_malformed_header_names_path(tmp_path, edit):
     path = tmp_path / "malformed.ckpt"
     path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + body)
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {**h, "arch": {**h["arch"], "blocks": float(h["arch"]["blocks"])}},
+    lambda h: {**h, "layout": [{**h["layout"][0], "offset": 0.0}, *h["layout"][1:]]},
+], ids=["float-blocks", "float-offset"])
+def test_checkpoint_refuses_a_header_in_another_form(tmp_path, edit):
+    # Equal values written another way would load and re-save to other
+    # bytes; only the form saving writes loads.
+    model = tiny_model(50)
+    embed_batch(model, np.random.default_rng(51).standard_normal((4, 8)), mode="train")
+    blob = checkpoint_bytes(model)
+    head, body = blob.split(b"\n", 1)
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(json.dumps(json.loads(head), sort_keys=True).encode() + b"\n" + body)
+    assert checkpoint_bytes(load_checkpoint(path)) == blob
+    path.write_bytes(json.dumps(edit(json.loads(head)), sort_keys=True).encode() + b"\n" + body)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: header does not match")):
         load_checkpoint(path)
 
 

@@ -415,6 +415,36 @@ def test_fs1_train_skips_degenerate_tasks(caplog):
     assert any("degenerate" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize("train", [fs1_train, fs2_train], ids=["fs1", "fs2"])
+def test_meta_training_shares_the_input_without_writing_it(train, monkeypatch):
+    # The loop starts from the caller's parameter vector instead of a copy:
+    # one copy per task solve is the only one, the input stays bitwise, and
+    # the returned model holds no array of the input's.
+    copies = []
+    original = ParamSet.copy
+
+    def counting_copy(self):
+        copies.append(self.values.size)
+        return original(self)
+
+    model = tiny_model(12)
+    embed_batch(model, np.random.default_rng(13).standard_normal((4, 8)), mode="train")
+    before = model.params.values.tobytes()
+    stats = {name: (st.mean.tobytes(), st.var.tobytes()) for name, st in model.bn.items()}
+    monkeypatch.setattr(ParamSet, "copy", counting_copy)
+    config = small_config(meta_iterations=2, meta_batch=2)
+    result = train(model, config, meta_task_stream([toy_bundle()], 2, 0, 14))
+    assert copies == [model.params.values.size] * 4
+    assert model.params.values.tobytes() == before
+    assert {name: (st.mean.tobytes(), st.var.tobytes())
+            for name, st in model.bn.items()} == stats
+    mine = [model.params.values, *(a for st in model.bn.values() for a in (st.mean, st.var))]
+    theirs = [result.model.params.values,
+              *(a for st in result.model.bn.values() for a in (st.mean, st.var))]
+    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+    assert result.model.params.values.tobytes() != before
+
+
 def test_fs2_single_task_equals_inner_solve():
     bundle = toy_bundle()
     config = small_config(meta_iterations=1, meta_batch=1)
