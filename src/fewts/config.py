@@ -17,13 +17,6 @@ from .training import FineTuneConfig, MetaConfig
 MODES = ("meta-train", "evaluate", "report", "class-split")
 VARIANTS = ("fs1", "fs2")
 
-CONFIG_KEYS = {
-    "mode", "data_root", "split_manifest", "out_dir", "seed", "k", "k_prime",
-    "tasks_per_dataset", "methods", "variant", "arch", "meta", "finetune",
-    "dtw", "checkpoints", "records", "dataset",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
@@ -65,6 +58,9 @@ class ExperimentConfig:
         if value is None:
             raise ConfigError(f"mode {self.mode!r} needs {name!r} (config key or flag)")
         return value
+
+
+CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _existing_path(value, key: str) -> Path:

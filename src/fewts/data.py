@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,22 +31,36 @@ STD_FLOOR = 1e-12
 
 
 @dataclass
-class Dataset:
-    """One provenance split (original train or original test) of a dataset."""
+class LabeledSet:
+    """Labeled series: [n, T] float64 values plus dense labels 0..N-1."""
 
-    name: str
     values: np.ndarray  # [n, T]
-    labels: np.ndarray  # [n] dense ids
-    split: str  # "train" | "test"
-    label_names: tuple[str, ...]  # dense id -> original label token
+    labels: np.ndarray  # [n]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.values.ndim != 2:
-            raise ConfigError("dataset values must be [n, T]")
+            raise ConfigError(f"values must be [n, T], got ndim={self.values.ndim}")
         if self.values.shape[0] != self.labels.shape[0]:
             raise ConfigError("values and labels disagree on sample count")
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+
+@dataclass
+class Dataset(LabeledSet):
+    """One provenance split (original train or original test) of a dataset."""
+
+    _: KW_ONLY
+    name: str
+    split: str  # "train" | "test"
+    label_names: tuple[str, ...]  # dense id -> original label token
+
+    def __post_init__(self):
+        super().__post_init__()
         t = self.values.shape[1]
         if not (MIN_LENGTH <= t <= MAX_LENGTH):
             raise ConfigError(
@@ -54,10 +68,6 @@ class Dataset:
             )
         if self.split not in ("train", "test"):
             raise ConfigError(f"split must be 'train' or 'test', got {self.split!r}")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
     @property
     def length(self) -> int:
@@ -177,7 +187,7 @@ def parse_ucr_file(path, split: str, name: str) -> Dataset:
         raise ParseError("file contains a single class", path=str(path))
     dense = {s: i for i, s in enumerate(names)}
     labels = np.array([dense[s] for s in raw_labels], dtype=np.int64)
-    return Dataset(name, np.array(rows), labels, split, names)
+    return Dataset(np.array(rows), labels, name=name, split=split, label_names=names)
 
 
 def _is_float(s: str) -> bool:
@@ -215,7 +225,7 @@ def load_dataset(root, name: str) -> DatasetBundle:
     def remap(ds: Dataset) -> Dataset:
         labels = np.array([dense[ds.label_names[l]] for l in ds.labels], dtype=np.int64)
         values = np.vstack([znormalize(row) for row in ds.values])
-        return Dataset(name, values, labels, ds.split, names)
+        return Dataset(values, labels, name=name, split=ds.split, label_names=names)
 
     return DatasetBundle(name, remap(train), remap(test))
 
@@ -226,31 +236,11 @@ def load_dataset(root, name: str) -> DatasetBundle:
 
 
 @dataclass
-class LabeledSet:
-    """One task split: [n, T] float64 series plus dense labels 0..N-1."""
-
-    values: np.ndarray  # [n, T]
-    labels: np.ndarray  # [n]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.values.ndim != 2:
-            raise ConfigError(f"task split values must be [n, T], got ndim={self.values.ndim}")
-        if self.values.shape[0] != self.labels.shape[0]:
-            raise ConfigError("values and labels disagree on sample count")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
 class FewShotTask:
     """K-shot N-way episode. ``class_ids`` maps task labels back to the
-    dataset's dense class ids; ``train_refs``/``test_refs`` are the (split,
-    row) pointers into the bundle's original-train and original-test pools
-    that the task's rows were drawn from."""
+    dataset's dense class ids; ``train_rows``/``test_rows`` are the row
+    numbers in the bundle's original-train and original-test pools that the
+    task's ``train`` and ``test`` rows were drawn from, in order."""
 
     dataset: str
     k: int
@@ -258,8 +248,8 @@ class FewShotTask:
     class_ids: tuple[int, ...]
     train: LabeledSet
     test: LabeledSet
-    train_refs: list[tuple[str, int]]
-    test_refs: list[tuple[str, int]]
+    train_rows: list[int]
+    test_rows: list[int]
     seed: int | None = None
 
     @property
@@ -298,9 +288,14 @@ def sample_task(
         raise ConfigError(f"k must be >= 1, got {k}")
     if k_prime < 0:
         raise ConfigError(f"k_prime must be >= 0, got {k_prime}")
-    if classes is None:
-        classes = range(bundle.n_classes)
+    classes = list(range(bundle.n_classes) if classes is None else classes)
+    for c in classes:
+        if not isinstance(c, (int, np.integer)):
+            raise ConfigError(f"class id {c!r} is not an integer")
     class_ids = tuple(sorted(int(c) for c in classes))
+    for c, after in zip(class_ids, class_ids[1:]):
+        if c == after:
+            raise ConfigError(f"class id {c} is repeated")
     if len(class_ids) < 2:
         raise ConfigError("a task needs at least 2 classes")
     if any(not (0 <= c < bundle.n_classes) for c in class_ids):
@@ -334,8 +329,8 @@ def sample_task(
         class_ids=class_ids,
         train=LabeledSet(bundle.train.values[train_rows], train_labels),
         test=LabeledSet(bundle.test.values[test_rows], test_labels),
-        train_refs=[("train", i) for i in train_rows],
-        test_refs=[("test", i) for i in test_rows],
+        train_rows=train_rows,
+        test_rows=test_rows,
         seed=seed,
     )
 
@@ -424,7 +419,7 @@ def split_classes(n_classes: int, rng: np.random.Generator) -> ClassPartition:
 
 # ---------------------------------------------------------------------------
 # Task logs: one JSON record per task. A task is re-sampled from its logged
-# seed; its (split, row) refs record which rows it drew, and equal log text
+# seed; its [split, row] pairs record which rows it drew, and equal log text
 # shows that a re-sampled task is the one logged.
 # ---------------------------------------------------------------------------
 
@@ -436,8 +431,8 @@ def task_record(task: FewShotTask) -> dict:
         "k": task.k,
         "k_prime": task.k_prime,
         "classes": list(task.class_ids),
-        "train": [[split, i] for split, i in task.train_refs],
-        "test": [[split, i] for split, i in task.test_refs],
+        "train": [["train", i] for i in task.train_rows],
+        "test": [["test", i] for i in task.test_rows],
     }
 
 

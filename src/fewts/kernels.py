@@ -1,7 +1,9 @@
 """Differentiable 1-D kernels: convolution, batch norm, ReLU, pooling.
 
-Everything here is a pure function on float64 numpy arrays. Conv and BN
-signals are ``[batch, channels, T]``; gradients are exact reverse-mode and
+Every kernel works on float64 numpy arrays and leaves its inputs as they
+were, except that the conv backward passes add their filter gradients into
+the arrays the caller passes as ``dbanks``/``dfilters``, in place. Conv and
+BN signals are ``[batch, channels, T]``; gradients are exact reverse-mode and
 every kernel is covered by a finite-difference test.
 """
 
@@ -521,7 +523,7 @@ class BnState:
         )
 
 
-def pooled_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def pooled_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and population variance of a [b, ch, T] array,
     pooled across batch and time, in one pass over ``x``: the variance is
     the mean square less the squared mean, floored at zero."""
@@ -530,7 +532,7 @@ def pooled_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         raise ConfigError("batch normalization needs at least 2 elements per channel")
     mean = x.sum(axis=2).sum(axis=0) / n_total
     var = np.einsum("bct,bct->c", x, x) / n_total - mean * mean
-    return mean, np.maximum(var, 0.0, out=var), n_total
+    return mean, np.maximum(var, 0.0, out=var)
 
 
 def bn_apply(
@@ -562,13 +564,13 @@ def bn_backward_pooled(
     xhat: np.ndarray,
     var: np.ndarray,
     gamma: np.ndarray,
-    n_total: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reverse-mode through train-mode batch norm: (dx, dgamma, dbeta).
 
     The batch mean and variance are treated as functions of the inputs,
     which yields the usual centering terms.
     """
+    n_total = xhat.shape[0] * xhat.shape[2]
     dbeta = upstream.sum(axis=2).sum(axis=0)
     dgamma = np.einsum("bct,bct->c", upstream, xhat)
     # coeff * (upstream - dbeta / n - xhat * dgamma / n), in place.
@@ -599,9 +601,9 @@ def batchnorm_forward(
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ConfigError("gamma/beta must be per-channel vectors")
     if mode == "train":
-        mean, var, n_total = pooled_batch_stats(x)
+        mean, var = pooled_batch_stats(x)
         y, xhat = bn_apply(x, gamma, beta, mean, var, True)
-        cache = {"xhat": xhat, "var": var, "n_total": n_total}
+        cache = {"xhat": xhat, "var": var}
         return y, state.update(mean, var), cache
     if mode == "infer":
         if state.updates == 0:
@@ -615,9 +617,7 @@ def batchnorm_backward(
     upstream: np.ndarray, gamma: np.ndarray, cache: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of train-mode :func:`batchnorm_forward`: (dx, dgamma, dbeta)."""
-    return bn_backward_pooled(
-        _as_bct(upstream), cache["xhat"], cache["var"], gamma, cache["n_total"]
-    )
+    return bn_backward_pooled(_as_bct(upstream), cache["xhat"], cache["var"], gamma)
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

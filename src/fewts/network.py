@@ -204,10 +204,6 @@ class ResNetModel:
         self._uid = next(_MODEL_IDS)
         self._revision = 0
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.spec.channels
-
     def set_params(self, params: ParamSet) -> None:
         if params.layout != self.params.layout:
             raise ConfigError("replacement parameters have a different layout")
@@ -336,14 +332,7 @@ def embed_batch(
     z = kernels.gap_forward(out)
     if not return_cache:
         return z
-    cache = {
-        "uid": model._uid,
-        "revision": model._revision,
-        "length": x.shape[1],
-        "blocks": block_caches,
-        "n_series": x.shape[0],
-    }
-    return z, cache
+    return z, {"uid": model._uid, "revision": model._revision, "blocks": block_caches}
 
 
 def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> ParamSet:
@@ -361,19 +350,19 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
     """
     if cache.get("uid") != model._uid or cache.get("revision") != model._revision:
         raise UsageError("stale forward cache: model parameters changed since the forward pass")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (cache["n_series"], model.embedding_dim):
-        raise ConfigError(
-            f"upstream must be [{cache['n_series']}, {model.embedding_dim}], got {upstream.shape}"
-        )
-    blocks = cache.pop("blocks", None)
+    blocks = cache.get("blocks")
     if blocks is None:
         raise UsageError("forward cache already consumed by a backward pass")
+    n, channels, length = blocks[-1][2].shape
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != (n, channels):
+        raise ConfigError(f"upstream must be [{n}, {channels}], got {upstream.shape}")
+    del cache["blocks"]
     grads = ParamSet(model.params.layout)
     cpb = model.spec.convs_per_block
     frozen = model.frozen_layers
 
-    d = kernels.gap_backward(upstream, cache["length"])
+    d = kernels.gap_backward(upstream, length)
     for bi in reversed(range(model.spec.blocks)):
         conv_caches, proj_cache, out = blocks.pop()
         convs, proj = model.plan.blocks[bi]

@@ -28,6 +28,8 @@ AR_BURN_IN = 32
 def _bundle(name: str, make_one, n_classes: int, length: int,
             train_per_class: int, test_per_class: int,
             rng: np.random.Generator) -> DatasetBundle:
+    if n_classes < 2:
+        raise ConfigError(f"need at least 2 classes, got {n_classes}")
     label_names = tuple(str(c) for c in range(n_classes))
 
     def pool(split: str, per_class: int) -> Dataset:
@@ -36,7 +38,8 @@ def _bundle(name: str, make_one, n_classes: int, length: int,
             for _ in range(per_class):
                 rows.append(znormalize(make_one(c, rng)))
                 labels.append(c)
-        return Dataset(name, np.vstack(rows), np.array(labels), split, label_names)
+        return Dataset(np.vstack(rows), np.array(labels), name=name, split=split,
+                       label_names=label_names)
 
     return DatasetBundle(name, pool("train", train_per_class), pool("test", test_per_class))
 
@@ -62,8 +65,6 @@ def square_duty_domain(seed: int, n_classes: int = 8, length: int = 64,
                        noise: float = 0.3) -> DatasetBundle:
     """Classes are square-wave duty cycles at a fixed base frequency; phase
     is uniform per sample."""
-    if n_classes < 2:
-        raise ConfigError("need at least 2 classes")
     rng = np.random.default_rng(seed)
     t = np.arange(length) / length
     duties = np.linspace(0.15, 0.75, n_classes)
@@ -82,8 +83,6 @@ def ar_coefficient_domain(seed: int, n_classes: int = 8, length: int = 64,
                           train_per_class: int = 30, test_per_class: int = 30) -> DatasetBundle:
     """Classes are AR(1) coefficients spread over (-0.9, 0.9); innovations
     are unit gaussian."""
-    if n_classes < 2:
-        raise ConfigError("need at least 2 classes")
     rng = np.random.default_rng(seed)
     coeffs = np.linspace(-0.85, 0.9, n_classes)
 

@@ -100,7 +100,6 @@ class FineTuneConfig:
 
 @dataclass
 class TaskSolveReport:
-    iterations: int
     final_loss: float
     violations: list[int]
     batches: list[list[int]]
@@ -210,11 +209,11 @@ def inner_solve(
         else:
             new_params = sgd_step(work.params, grads, inner_lr)
         # Adam steps work.params in place; set_params still bumps the
-        # revision, so this step's forward cache cannot be reused.
+        # revision, so a forward cache taken before this step is refused.
         work.set_params(new_params)
         violations.append(nviol)
         batches.append([int(i) for i in idx])
-    report = TaskSolveReport(k, float(loss), violations, batches)
+    report = TaskSolveReport(float(loss), violations, batches)
     return work, report
 
 
@@ -355,7 +354,7 @@ def _train_loop(
                 task_id=_task_label(task, solve_counter),
             )
             solve_counter += 1
-            total_steps += report.iterations
+            total_steps += k
             losses.append(report.final_loss)
             if sequential:
                 work = solved

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fewts.baselines import euclidean_1nn
 from fewts.data import (
     Dataset,
     DatasetBundle,
@@ -212,7 +214,8 @@ def toy_bundle(n_classes=4, per_class_train=6, per_class_test=5, t=10, seed=0):
             for _ in range(per_class):
                 values.append(rng.standard_normal(t))
                 labels.append(c)
-        return Dataset("toy", np.vstack(values), np.array(labels), split, names)
+        return Dataset(np.vstack(values), np.array(labels), name="toy", split=split,
+                       label_names=names)
 
     return DatasetBundle("toy", pool("train", per_class_train), pool("test", per_class_test))
 
@@ -225,12 +228,12 @@ def test_sample_task_shapes_and_labels():
     assert sorted(set(task.train.labels)) == [0, 1, 2, 3]
     assert np.array_equal(np.bincount(task.train.labels), [3, 3, 3, 3])
     assert np.array_equal(np.bincount(task.test.labels), [2, 2, 2, 2])
-    # Refs point at the right pools and recover the same values.
-    for (split, i), v in zip(task.train_refs, task.train.values):
-        assert split == "train"
+    # Row numbers point into the right pools and recover the same values.
+    assert len(task.train_rows) == 12 and len(task.test_rows) == 8
+    for i, v in zip(task.train_rows, task.train.values):
         assert np.array_equal(bundle.train.values[i], v)
-    for (split, i), v in zip(task.test_refs, task.test.values):
-        assert split == "test"
+    for i, v in zip(task.test_rows, task.test.values):
+        assert np.array_equal(bundle.test.values[i], v)
 
 
 def test_labeled_set_values_must_be_n_by_t():
@@ -246,7 +249,7 @@ def test_sample_task_without_test_split_is_empty_n_by_t():
     task = sample_task_seeded(bundle, 3, 0, seed=8)
     assert task.test.values.shape == (0, bundle.length)
     assert task.test.values.dtype == np.float64
-    assert task.test.labels.shape == (0,) and task.test_refs == []
+    assert task.test.labels.shape == (0,) and task.test_rows == []
 
 
 def test_sample_task_small_class_rule():
@@ -263,8 +266,8 @@ def test_sample_task_empty_class_raises():
     bundle = DatasetBundle(
         "toy",
         bundle.train,
-        Dataset("toy", bundle.test.values[keep], bundle.test.labels[keep], "test",
-                bundle.test.label_names),
+        Dataset(bundle.test.values[keep], bundle.test.labels[keep], name="toy", split="test",
+                label_names=bundle.test.label_names),
     )
     with pytest.raises(SamplingError) as err:
         sample_task(bundle, k=2, k_prime=2, rng=np.random.default_rng(3))
@@ -277,7 +280,7 @@ def test_sample_task_class_subset_remaps_labels():
     assert task.class_ids == (1, 3)
     assert sorted(set(task.train.labels)) == [0, 1]
     # Task label 1 must correspond to dataset class 3.
-    for (split, i), lab in zip(task.train_refs, task.train.labels):
+    for i, lab in zip(task.train_rows, task.train.labels):
         assert bundle.train.labels[i] == task.class_ids[lab]
 
 
@@ -285,9 +288,9 @@ def test_sample_task_deterministic_by_seed():
     bundle = toy_bundle()
     a = sample_task_seeded(bundle, 3, 2, seed=99)
     b = sample_task_seeded(bundle, 3, 2, seed=99)
-    assert a.train_refs == b.train_refs and a.test_refs == b.test_refs
+    assert a.train_rows == b.train_rows and a.test_rows == b.test_rows
     c = sample_task_seeded(bundle, 3, 2, seed=100)
-    assert a.train_refs != c.train_refs or a.test_refs != c.test_refs
+    assert a.train_rows != c.train_rows or a.test_rows != c.test_rows
 
 
 def test_sample_task_validates_arguments():
@@ -299,6 +302,43 @@ def test_sample_task_validates_arguments():
         sample_task(bundle, k=2, k_prime=-1, rng=rng)
     with pytest.raises(ConfigError):
         sample_task(bundle, k=2, k_prime=1, rng=rng, classes=[1])
+
+
+@pytest.mark.parametrize("classes, repeated", [([1, 1], 1), ([0, 3, 2, 3], 3)])
+def test_sample_task_rejects_repeated_class_ids(classes, repeated):
+    with pytest.raises(ConfigError, match=f"class id {repeated} is repeated"):
+        sample_task(toy_bundle(), k=2, k_prime=1, rng=np.random.default_rng(0), classes=classes)
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, "1", None])
+def test_sample_task_rejects_non_integer_class_ids(bad):
+    with pytest.raises(ConfigError, match=re.escape(f"class id {bad!r} is not an integer")):
+        sample_task(toy_bundle(), k=2, k_prime=1, rng=np.random.default_rng(0),
+                    classes=[bad, 3])
+
+
+def test_sample_task_accepts_numpy_integer_class_ids():
+    bundle = toy_bundle()
+    plain = sample_task_seeded(bundle, 2, 1, seed=7, classes=[1, 3])
+    for classes in (np.array([3, 1]), [np.int32(1), np.uint8(3)]):
+        task = sample_task_seeded(bundle, 2, 1, seed=7, classes=classes)
+        assert task.class_ids == (1, 3) and all(type(c) is int for c in task.class_ids)
+        assert task.train_rows == plain.train_rows and task.test_rows == plain.test_rows
+
+
+def test_bundle_split_is_a_labeled_set():
+    bundle = toy_bundle()
+    assert isinstance(bundle.train, LabeledSet) and bundle.train.n == 24
+    copy = LabeledSet(bundle.train.values.copy(), bundle.train.labels.copy())
+    queries = bundle.test.values
+    assert np.array_equal(euclidean_1nn(bundle.train, queries), euclidean_1nn(copy, queries))
+    # Provenance fields are keyword-only, and the LabeledSet checks still run.
+    with pytest.raises(TypeError):
+        Dataset(bundle.train.values, bundle.train.labels, "toy", "train",
+                bundle.train.label_names)
+    with pytest.raises(ConfigError, match="disagree on sample count"):
+        Dataset(bundle.train.values, bundle.train.labels[1:], name="toy", split="train",
+                label_names=bundle.train.label_names)
 
 
 def test_task_seed_is_stable_and_distinct():
@@ -397,3 +437,15 @@ def test_task_log_is_deterministic_text():
     bundle = toy_bundle()
     tasks = [sample_task_seeded(bundle, 2, 1, seed=7)]
     assert format_task_log(tasks) == format_task_log(tasks)
+
+
+def test_task_log_line_is_pinned():
+    # tasks.jsonl names each row as a [split, row] pair; how a task stores
+    # its rows must not move these bytes.
+    task = sample_task_seeded(toy_bundle(), 2, 1, seed=7)
+    assert format_task_log([task]) == (
+        '{"classes": [0, 1, 2, 3], "dataset": "toy", "k": 2, "k_prime": 1, "seed": 7, '
+        '"test": [["test", 4], ["test", 6], ["test", 14], ["test", 19]], '
+        '"train": [["train", 3], ["train", 4], ["train", 8], ["train", 10], '
+        '["train", 12], ["train", 13], ["train", 18], ["train", 22]]}\n'
+    )

@@ -1,0 +1,30 @@
+"""``scripts/hash_outputs.py`` is a bitwise probe: two runs of its tiny part
+in one process give the same hashes for the same outputs."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "hash_outputs.py"
+
+
+def test_tiny_outputs_hash_the_same_twice(monkeypatch):
+    # The script sets the BLAS thread variables on import when they are
+    # unset; keep that out of the environment later tests see.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("hash_outputs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    first = module.hash_outputs(["tiny"])
+    second = module.hash_outputs(["tiny"])
+
+    assert first == second
+    hashes = first["tiny"]
+    for key in ("fs1/iter_000003.ckpt", "fs2/model_selection.json", "fs2/train_log.jsonl",
+                "finetune/frozen2.ckpt", "finetune/frozen2.infer_z", "train/grads",
+                "protocol/records.jsonl", "protocol/tasks.jsonl", "report/summary.json"):
+        assert len(hashes[key]) == 16
+    # Outputs that differ hash apart: three fine-tunes, two meta-trainers.
+    assert len({hashes[f"finetune/frozen{f}.ckpt"] for f in (0, 1, 2)}) == 3
+    assert hashes["fs1/iter_000003.ckpt"] != hashes["fs2/iter_000003.ckpt"]

@@ -315,6 +315,20 @@ def test_backward_consumes_its_cache():
     assert backward_batch(model, cache, np.ones_like(z)).values.tobytes() == first.tobytes()
 
 
+def test_backward_checks_the_upstream_shape():
+    model = tiny_model(31)
+    series = np.random.default_rng(32).standard_normal((4, 8))
+    z, cache = embed_batch(model, series, mode="train", return_cache=True)
+    assert z.shape == (4, TINY.channels)
+    for shape in ((4, TINY.channels + 1), (3, TINY.channels), (4,)):
+        with pytest.raises(ConfigError, match=re.escape(f"upstream must be [4, {TINY.channels}]")):
+            backward_batch(model, cache, np.ones(shape))
+    # A refused upstream leaves the cache for a correct one.
+    backward_batch(model, cache, np.ones_like(z))
+    with pytest.raises(UsageError, match="consumed"):
+        backward_batch(model, cache, np.ones_like(z))
+
+
 def test_cache_not_transferable_between_models():
     model = tiny_model(26)
     rng = np.random.default_rng(27)

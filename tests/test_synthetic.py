@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fewts.errors import ConfigError
 from fewts.synthetic import ar_coefficient_domain, sine_frequency_domain, square_duty_domain
 
 
@@ -48,5 +49,8 @@ def test_ar_domain_distinct_classes():
 
 
 def test_bad_arguments_rejected():
-    with pytest.raises(Exception):
-        sine_frequency_domain(seed=0, n_classes=1)
+    # One check covers every domain, before any series is drawn.
+    for domain in (sine_frequency_domain, square_duty_domain, ar_coefficient_domain):
+        for n_classes in (0, 1):
+            with pytest.raises(ConfigError, match=f"need at least 2 classes, got {n_classes}"):
+                domain(seed=0, n_classes=n_classes)
