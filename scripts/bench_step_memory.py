@@ -11,16 +11,19 @@ peak of the whole pass.
 
 Next to the traced figures it prints how far each phase's calls raised the
 process's ``ru_maxrss`` (``rss_raised_mb``, summed over the calls), and the
-``ru_maxrss`` before and after the pass: the high-water mark perfbench's
-``peak_rss_mb`` reads. tracemalloc counts what numpy asked for, including
-calloc'd pages never touched, and misses what the allocator keeps after a
-free; ``ru_maxrss`` sees only resident pages. ``ru_maxrss`` is the process's
-lifetime peak, so a phase that stays under an earlier high-water mark reads
-0. It also counts the minor page faults each phase's calls took
-(``minflt``, the ``ru_minflt`` delta summed over the calls) and those of
-the whole pass (``pass_minflt``): pages touched for the first time since
-they were mapped, including those the allocator gave back to the system
-and a later phase took again. Prints one JSON object.
+``ru_maxrss`` at three points: after the imports and before any set-up
+(``import_maxrss_mb``: the script imports ``fewts.cli``, as every ``fewts``
+process does, so this is what loading the package costs), before the pass,
+and after it (the high-water mark perfbench's ``peak_rss_mb`` reads).
+tracemalloc counts what numpy asked for, including calloc'd pages never
+touched, and misses what the allocator keeps after a free; ``ru_maxrss``
+sees only resident pages. ``ru_maxrss`` is the process's lifetime peak, so
+a phase that stays under an earlier high-water mark reads 0. It also counts
+the minor page faults each phase's calls took (``minflt``, the
+``ru_minflt`` delta summed over the calls) and those of the whole pass
+(``pass_minflt``): pages touched for the first time since they were mapped,
+including those the allocator gave back to the system and a later phase
+took again. Prints one JSON object.
 
 Run it against any checkout's sources:
 
@@ -40,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+import fewts.cli  # noqa: E402, F401  (every fewts process loads it)
 from fewts import training  # noqa: E402
 from fewts.network import ArchSpec, build_model  # noqa: E402
 from fewts.synthetic import ar_coefficient_domain, square_duty_domain  # noqa: E402
@@ -58,6 +62,9 @@ def usage() -> tuple[float, int]:
     and its minor page faults so far."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
     return ru.ru_maxrss / 1024, ru.ru_minflt
+
+
+IMPORT_MAXRSS_MB = usage()[0]
 
 
 def measure(meta_batch: int, seed: int) -> dict:
@@ -122,6 +129,7 @@ def _measure(meta_batch: int, seed: int) -> dict:
         "meta_batch": meta_batch,
         "setup_live_mb": round(base / MB, 1),
         "pass_peak_mb": round(overall[0] / MB, 1),
+        "import_maxrss_mb": round(IMPORT_MAXRSS_MB, 1),
         "start_maxrss_mb": round(start_rss, 1),
         "pass_maxrss_mb": round(end_rss, 1),
         "pass_minflt": end_faults - start_faults,

@@ -2,9 +2,9 @@
 Friedman chi-square statistic over mean ranks, the Nemenyi critical
 difference, and per-dataset win/tie/loss counts.
 
-scipy's friedmanchisquare applies a tie correction, which is not the plain
-mean-rank formula used here, so the statistic is computed directly; only
-rankdata is borrowed for average-rank ties.
+Everything is plain numpy: the Friedman statistic is the plain mean-rank
+formula, with no tie correction, and tied accuracies share the average of
+the ranks they span.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError
 
@@ -59,6 +58,19 @@ class RankTable:
             raise ConfigError(f"unknown method {name!r}") from None
 
 
+def average_ranks(row: np.ndarray) -> np.ndarray:
+    """Ranks 1..k of a 1-D array in ascending order, each run of equal
+    values sharing the mean of the ranks it spans (every rank is a multiple
+    of 0.5, so exact). ``0.0`` and ``-0.0`` tie; callers reject NaN."""
+    order = np.argsort(row, kind="stable")
+    ordered = row[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], row.size]
+    ranks = np.empty(row.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def rank_accuracies(
     datasets: Sequence[str],
     methods: Sequence[str],
@@ -72,7 +84,12 @@ def rank_accuracies(
         raise ConfigError("ranking needs at least 1 dataset and 2 methods")
     if len(set(datasets)) != len(datasets) or len(set(methods)) != len(methods):
         raise ConfigError("dataset and method names must be unique")
-    ranks = np.vstack([rankdata(-row, method="average") for row in acc])
+    bad = np.argwhere(~np.isfinite(acc))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(f"accuracy of method {methods[j]!r} on dataset {datasets[i]!r} "
+                          f"is not finite: {float(acc[i, j])!r}")
+    ranks = np.vstack([average_ranks(-row) for row in acc])
     return RankTable(
         datasets=tuple(datasets),
         methods=tuple(methods),

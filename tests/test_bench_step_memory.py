@@ -1,6 +1,6 @@
 """Smoke test of ``scripts/bench_step_memory.py``: one meta-iteration of one
 task at the default architecture reports every phase's traced and resident
-figures and its minor page faults."""
+figures and its minor page faults, and the resident peak after the imports."""
 
 import importlib.util
 from pathlib import Path
@@ -21,7 +21,8 @@ def test_measure_reports_traced_and_resident_figures(monkeypatch):
     result = module.measure(1, 0)
 
     assert set(result) == {"params", "meta_batch", "setup_live_mb", "pass_peak_mb",
-                           "start_maxrss_mb", "pass_maxrss_mb", "pass_minflt", "phases"}
+                           "import_maxrss_mb", "start_maxrss_mb", "pass_maxrss_mb",
+                           "pass_minflt", "phases"}
     assert result["meta_batch"] == 1
     assert set(result["phases"]) == {"embed", "backward", "adam", "meta_update"}
     for rec in result["phases"].values():
@@ -29,4 +30,5 @@ def test_measure_reports_traced_and_resident_figures(monkeypatch):
         assert rec["calls"] == 1
         assert rec["rss_raised_mb"] >= 0.0
         assert 0 <= rec["minflt"] <= result["pass_minflt"]
-    assert result["pass_maxrss_mb"] >= result["start_maxrss_mb"] > 0.0
+    assert 0.0 < result["import_maxrss_mb"] <= result["start_maxrss_mb"]
+    assert result["pass_maxrss_mb"] >= result["start_maxrss_mb"]

@@ -6,6 +6,7 @@ from fewts.stats import (
     NEMENYI_Q_05,
     RankTable,
     aggregate,
+    average_ranks,
     cd_cliques,
     friedman_statistic,
     nemenyi_cd,
@@ -42,6 +43,37 @@ def test_rank_rows_sum_exactly():
         t = table_from(acc)
         target = k * (k + 1) / 2
         assert all(row.sum() == target for row in t.ranks)
+
+
+def brute_force_ranks(x):
+    """Rank of x_i: 1 + #{j : x_j < x_i} + #{j != i : x_j == x_i} / 2."""
+    return np.array([1 + np.sum(x < v) + (np.sum(x == v) - 1) / 2 for v in x])
+
+
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "distinct"])
+def test_average_ranks_match_brute_force(ties):
+    rng = np.random.default_rng(7)
+    for k in range(2, 11):
+        for _ in range(40):
+            x = rng.integers(0, 5, k) * 0.25 if ties else rng.permutation(k) + rng.random()
+            got = average_ranks(x)
+            assert got.dtype == np.float64
+            assert got.tobytes() == brute_force_ranks(x).tobytes(), x
+
+
+def test_average_ranks_all_tied_and_signed_zero():
+    assert np.array_equal(average_ranks(np.full(4, 0.5)), [2.5] * 4)
+    x = np.array([0.0, 0.3, -0.0, -0.2])
+    assert np.array_equal(average_ranks(x), [2.5, 4.0, 2.5, 1.0])
+    # rank_accuracies negates each row, so 0.0 and -0.0 must tie there too.
+    assert np.array_equal(table_from([[0.0, -0.0, 0.5]]).ranks[0], [2.5, 2.5, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_rank_rejects_non_finite_accuracy(bad):
+    acc = np.array([[0.5, 0.6, 0.7], [0.9, bad, 0.1]])
+    with pytest.raises(ConfigError, match="method 'm1' on dataset 'd1' is not finite"):
+        table_from(acc)
 
 
 def test_rank_rejects_bad_shapes_and_duplicates():
