@@ -23,7 +23,12 @@ the minor page faults each phase's calls took (``minflt``, the
 ``ru_minflt`` delta summed over the calls) and those of the whole pass
 (``pass_minflt``): pages touched for the first time since they were mapped,
 including those the allocator gave back to the system and a later phase
-took again. Prints one JSON object.
+took again. ``rss_peak_call`` names the phase call during which
+``ru_maxrss`` last rose (``"backward 2"`` is the second backward), so the
+call that set the pass's high-water mark. numpy loads ``numpy.random`` and
+``numpy.ma`` on first use; the script imports both before tracing starts,
+so no module is first imported inside the traced set-up and pass. Prints
+one JSON object.
 
 Run it against any checkout's sources:
 
@@ -42,6 +47,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
+import numpy.ma  # noqa: E402, F401  (first used by np.unique in the pass)
+import numpy.random  # noqa: E402, F401  (first used by the set-up)
 
 import fewts.cli  # noqa: E402, F401  (every fewts process loads it)
 from fewts import training  # noqa: E402
@@ -86,6 +93,7 @@ def _measure(meta_batch: int, seed: int) -> dict:
     phases = {name: {"calls": 0, "live_mb": 0.0, "peak_mb": 0.0, "added_mb": 0.0,
                      "rss_raised_mb": 0.0, "minflt": 0} for name in PHASES}
     overall = [0]
+    high = {"mb": 0.0, "call": None}  # the call that last raised ru_maxrss, and to what
 
     def wrap(name, fn):
         def traced(*args, **kwargs):
@@ -103,6 +111,8 @@ def _measure(meta_batch: int, seed: int) -> dict:
                 rec["calls"] += 1
                 rec["rss_raised_mb"] += rss_after - rss
                 rec["minflt"] += faults_after - faults
+                if rss_after > rss:
+                    high.update(mb=rss_after, call=f"{name} {rec['calls']}")
                 if peak / MB > rec["peak_mb"]:
                     rec["live_mb"], rec["peak_mb"] = live / MB, peak / MB
         return traced
@@ -133,6 +143,8 @@ def _measure(meta_batch: int, seed: int) -> dict:
         "start_maxrss_mb": round(start_rss, 1),
         "pass_maxrss_mb": round(end_rss, 1),
         "pass_minflt": end_faults - start_faults,
+        "rss_peak_call": ("outside the phases" if end_rss > max(high["mb"], start_rss)
+                          else high["call"]),
         "phases": phases,
     }
 

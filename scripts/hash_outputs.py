@@ -14,11 +14,15 @@ For each architecture it hashes:
   dtw: the records with ``wall_time_s`` dropped, ``tasks.jsonl``,
   ``run_config.json`` and the three report files.
 
+Under ``synthetic`` it hashes the three generated bundles (sine, square,
+AR) at two shapes, T = 37 with 3 classes and T = 128 with 5: both splits'
+values and labels, whatever architectures run.
+
 ``tiny`` and ``3x1`` run all of it at T = 32. ``default`` (the 2.03M
 parameter network) runs one fs1 meta-iteration of two one-step tasks at
 T = 64 and the fine-tune and train-mode parts, and skips fs2 and the
-protocol. Prints one JSON object, architecture -> output -> the first 16
-hex digits of its sha256. Equal objects from two trees on the same machine
+protocol. Prints one JSON object, architecture (or ``synthetic``) ->
+output -> the first 16 hex digits of its sha256. Equal objects from two trees on the same machine
 mean the outputs are bitwise equal.
 
 Run it against any checkout's sources:
@@ -46,7 +50,9 @@ from fewts.network import (  # noqa: E402
     ArchSpec, backward_batch, build_model, checkpoint_bytes, embed_batch,
 )
 from fewts.protocol import report_from_records, run_protocol  # noqa: E402
-from fewts.synthetic import ar_coefficient_domain, square_duty_domain  # noqa: E402
+from fewts.synthetic import (  # noqa: E402
+    ar_coefficient_domain, sine_frequency_domain, square_duty_domain,
+)
 from fewts.training import (  # noqa: E402
     FineTuneConfig, MetaConfig, finetune, fixed_task_pool, fs1_train, fs2_train,
     make_validation_hook, meta_task_stream,
@@ -62,6 +68,12 @@ ARCHS = {
     "default": ArchSpec(),
 }
 FROZEN_LAYERS = (0, 1, 2)
+DOMAINS = {"sine": sine_frequency_domain, "square": square_duty_domain,
+           "ar": ar_coefficient_domain}
+SHAPES = {
+    "T37": dict(n_classes=3, length=37, train_per_class=2, test_per_class=3),
+    "T128": dict(n_classes=5, length=128, train_per_class=30, test_per_class=30),
+}
 
 
 def digest(data: bytes) -> str:
@@ -83,6 +95,17 @@ def hash_run_dir(run_dir: Path, prefix: str, out: dict) -> None:
         out[f"{prefix}/{ckpt.name}"] = digest(ckpt.read_bytes())
     out[f"{prefix}/model_selection.json"] = digest((run_dir / "model_selection.json").read_bytes())
     out[f"{prefix}/train_log.jsonl"] = digest(without_wall_times(run_dir / "train_log.jsonl"))
+
+
+def hash_synthetic() -> dict:
+    out = {}
+    for family, domain in DOMAINS.items():
+        for shape, kwargs in SHAPES.items():
+            bundle = domain(4, **kwargs)
+            arrays = (bundle.train.values, bundle.train.labels,
+                      bundle.test.values, bundle.test.labels)
+            out[f"{family}/{shape}"] = digest(b"".join(a.tobytes() for a in arrays))
+    return out
 
 
 def hash_arch(name: str, workdir: Path) -> dict:
@@ -140,7 +163,7 @@ def hash_arch(name: str, workdir: Path) -> dict:
 
 
 def hash_outputs(arch_names) -> dict:
-    result = {}
+    result = {"synthetic": hash_synthetic()}
     for name in arch_names:
         with tempfile.TemporaryDirectory() as tmp:
             result[name] = hash_arch(name, Path(tmp))

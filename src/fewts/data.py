@@ -103,14 +103,13 @@ class DatasetBundle:
 
 
 def znormalize(x: np.ndarray) -> np.ndarray:
-    """(x - mean) / population std; constant series (std below 1e-12) map to
+    """(x - mean) / population std along the last axis, so one call takes a
+    series or an ``[n, T]`` split; constant series (std below 1e-12) map to
     all zeros rather than exploding."""
     x = np.asarray(x, dtype=np.float64)
-    mean = x.mean()
-    std = np.sqrt(((x - mean) ** 2).mean())
-    if std < STD_FLOOR:
-        return np.zeros_like(x)
-    return (x - mean) / std
+    centered = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered ** 2).mean(axis=-1, keepdims=True))
+    return np.divide(centered, std, out=np.zeros_like(x), where=~(std < STD_FLOOR))
 
 
 def _detect_delimiter(line: str) -> str | None:
@@ -224,8 +223,7 @@ def load_dataset(root, name: str) -> DatasetBundle:
 
     def remap(ds: Dataset) -> Dataset:
         labels = np.array([dense[ds.label_names[l]] for l in ds.labels], dtype=np.int64)
-        values = np.vstack([znormalize(row) for row in ds.values])
-        return Dataset(values, labels, name=name, split=ds.split, label_names=names)
+        return Dataset(znormalize(ds.values), labels, name=name, split=ds.split, label_names=names)
 
     return DatasetBundle(name, remap(train), remap(test))
 

@@ -299,3 +299,58 @@ def version_1_checkpoint(model) -> bytes:
     header.update(format_version=1, layout=records, param_count=offset)
     params = np.concatenate(chunks).astype("<f8").tobytes()
     return json.dumps(header, sort_keys=True).encode() + b"\n" + params + body[values.size * 8 :]
+
+
+def znormalize_reference(x):
+    """One series z-normalized with a scalar mean and std, as the library did
+    before ``znormalize`` took a whole ``[n, T]`` split."""
+    x = np.asarray(x, dtype=np.float64)
+    mean = x.mean()
+    std = np.sqrt(((x - mean) ** 2).mean())
+    if std < 1e-12:
+        return np.zeros_like(x)
+    return (x - mean) / std
+
+
+def synthetic_reference(family, seed, n_classes, length, train_per_class, test_per_class,
+                        noise=0.3):
+    """A synthetic domain's splits built one series at a time, the loop the
+    library's one-pass split builders replaced: ``family`` is ``"sine"``,
+    ``"square"`` or ``"ar"`` (which ignores ``noise``). Returns
+    ``(train_values, train_labels, test_values, test_labels)``."""
+    from fewts.synthetic import AR_BURN_IN, SQUARE_CYCLES
+
+    rng = np.random.default_rng(seed)
+    t = np.arange(length) / length
+    duties = np.linspace(0.15, 0.75, n_classes)
+    coeffs = np.linspace(-0.85, 0.9, n_classes)
+
+    def sine(c):
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        return np.sin(2.0 * np.pi * (c + 1) * t + phase) + noise * rng.standard_normal(length)
+
+    def square(c):
+        phase = rng.uniform(0.0, 1.0)
+        frac = (t * SQUARE_CYCLES + phase) % 1.0
+        wave = np.where(frac < duties[c], 1.0, -1.0)
+        return wave + noise * rng.standard_normal(length)
+
+    def ar(c):
+        a = coeffs[c]
+        x = np.empty(length + AR_BURN_IN)
+        x[0] = rng.standard_normal()
+        eps = rng.standard_normal(length + AR_BURN_IN)
+        for i in range(1, length + AR_BURN_IN):
+            x[i] = a * x[i - 1] + eps[i]
+        return x[AR_BURN_IN:]
+
+    make_one = {"sine": sine, "square": square, "ar": ar}[family]
+    out = []
+    for per_class in (train_per_class, test_per_class):
+        rows, labels = [], []
+        for c in range(n_classes):
+            for _ in range(per_class):
+                rows.append(znormalize_reference(make_one(c)))
+                labels.append(c)
+        out += [np.vstack(rows), np.array(labels, dtype=np.int64)]
+    return tuple(out)

@@ -11,6 +11,7 @@ import pytest
 
 from fewts.baselines import euclidean_1nn
 from fewts.data import (
+    STD_FLOOR,
     Dataset,
     DatasetBundle,
     LabeledSet,
@@ -26,6 +27,9 @@ from fewts.data import (
     znormalize,
 )
 from fewts.errors import ConfigError, ParseError, SamplingError
+from fewts.synthetic import ar_coefficient_domain
+
+from helpers import write_ucr, znormalize_reference
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,6 +50,24 @@ def test_znormalize_constant_series_maps_to_zeros():
     assert np.array_equal(znormalize(np.full(7, 3.25)), np.zeros(7))
     near = np.full(5, 1.0) + 1e-15 * np.arange(5)
     assert np.array_equal(znormalize(near), np.zeros(5))
+
+
+def test_znormalize_split_equals_row_by_row_bitwise():
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((7, 37)) * rng.uniform(0.1, 100.0, (7, 1))
+    rows += rng.uniform(-50.0, 50.0, (7, 1))
+    rows[2] = 3.25  # constant
+    unit = znormalize_reference(rng.standard_normal(37))
+    rows[4] = 0.999 * STD_FLOOR * unit  # std just under the floor
+    rows[5] = 1.001 * STD_FLOOR * unit  # and just over it
+    std = np.sqrt(((rows - rows.mean(axis=1, keepdims=True)) ** 2).mean(axis=1))
+    assert 0.99 * STD_FLOOR < std[4] < STD_FLOOR < std[5] < 1.01 * STD_FLOOR
+
+    whole = znormalize(rows)
+    assert whole.shape == rows.shape
+    assert whole.tobytes() == np.vstack([znormalize(row) for row in rows]).tobytes()
+    assert whole.tobytes() == np.vstack([znormalize_reference(row) for row in rows]).tobytes()
+    assert not whole[2].any() and not whole[4].any() and whole[5].any()
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +213,19 @@ def test_load_dataset_normalizes_and_unifies_labels(tmp_path):
     assert not np.allclose(raw.values[0].mean(), 0.0, atol=1e-10)
     normalized = np.vstack([znormalize(row) for row in raw.values])
     assert bundle.train.values.tobytes() == normalized.tobytes()
+
+
+def test_load_dataset_bytes_match_row_by_row_normalization(tmp_path):
+    # The loader's one call per split gives what parsing each file and
+    # normalizing its rows one at a time gave.
+    write_ucr(ar_coefficient_domain(6, n_classes=3, length=45, train_per_class=4,
+                                    test_per_class=5), tmp_path, name="Walk")
+    bundle = load_dataset(tmp_path, "Walk")
+    for split, tag in ((bundle.train, "TRAIN"), (bundle.test, "TEST")):
+        raw = parse_ucr_file(tmp_path / "Walk" / f"Walk_{tag}.tsv", split.split, "Walk")
+        want = np.vstack([znormalize_reference(row) for row in raw.values])
+        assert split.values.tobytes() == want.tobytes()
+        assert split.labels.tobytes() == raw.labels.tobytes()
 
 
 def test_load_dataset_missing_file(tmp_path):

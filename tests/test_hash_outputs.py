@@ -1,5 +1,6 @@
 """``scripts/hash_outputs.py`` is a bitwise probe: two runs of its tiny part
-in one process give the same hashes for the same outputs."""
+and its generated bundles in one process give the same hashes for the same
+outputs."""
 
 import importlib.util
 from pathlib import Path
@@ -20,6 +21,11 @@ def test_tiny_outputs_hash_the_same_twice(monkeypatch):
     second = module.hash_outputs(["tiny"])
 
     assert first == second
+    # The generated bundles: three families at two shapes, each its own hash.
+    synthetic = first["synthetic"]
+    assert set(synthetic) == {f"{family}/{shape}" for family in ("sine", "square", "ar")
+                              for shape in ("T37", "T128")}
+    assert len(set(synthetic.values())) == 6
     hashes = first["tiny"]
     for key in ("fs1/iter_000003.ckpt", "fs2/model_selection.json", "fs2/train_log.jsonl",
                 "finetune/frozen2.ckpt", "finetune/frozen2.infer_z", "train/grads",

@@ -1,8 +1,16 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
 from fewts.errors import ConfigError
 from fewts.synthetic import ar_coefficient_domain, sine_frequency_domain, square_duty_domain
+
+from helpers import synthetic_reference
+
+DOMAINS = {"sine": sine_frequency_domain, "square": square_duty_domain,
+           "ar": ar_coefficient_domain}
 
 
 def test_domain_shapes_and_normalization():
@@ -48,9 +56,42 @@ def test_ar_domain_distinct_classes():
     assert means[0] < means[1] < means[2]
 
 
-def test_bad_arguments_rejected():
-    # One check covers every domain, before any series is drawn.
-    for domain in (sine_frequency_domain, square_duty_domain, ar_coefficient_domain):
-        for n_classes in (0, 1):
-            with pytest.raises(ConfigError, match=f"need at least 2 classes, got {n_classes}"):
-                domain(seed=0, n_classes=n_classes)
+@pytest.mark.parametrize("length", (4, 37, 64, 128, 512))
+@pytest.mark.parametrize("family", tuple(DOMAINS))
+def test_splits_match_the_per_series_reference_bitwise(family, length):
+    # Both splits' values and labels, byte for byte, against the loop that
+    # draws and normalizes one series at a time.
+    noises = (0.3,) if family == "ar" else (0.3, 1.0)
+    cases = itertools.product((0, 11, 2024), (2, 3, 8), noises, ((1, 1), (1, 3), (4, 2)))
+    for seed, n_classes, noise, (train_k, test_k) in cases:
+        kwargs = {} if family == "ar" else {"noise": noise}
+        bundle = DOMAINS[family](seed, n_classes=n_classes, length=length,
+                                 train_per_class=train_k, test_per_class=test_k, **kwargs)
+        want = synthetic_reference(family, seed, n_classes, length, train_k, test_k, noise)
+        got = (bundle.train.values, bundle.train.labels, bundle.test.values, bundle.test.labels)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes(), (seed, n_classes, noise, train_k, test_k)
+
+
+def test_bad_arguments_rejected(monkeypatch):
+    # One check covers every domain, before a generator is built, so before
+    # any series is drawn and without numpy's empty-slice warnings.
+    def no_generator(seed):
+        raise AssertionError("a generator was built before the arguments were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for domain in DOMAINS.values():
+            for n_classes in (0, 1):
+                with pytest.raises(ConfigError, match=f"need at least 2 classes, got {n_classes}"):
+                    domain(seed=0, n_classes=n_classes)
+            for length in (0, 3, 513):
+                with pytest.raises(ConfigError, match=rf"length {length} outside \[4, 512\]"):
+                    domain(seed=0, length=length)
+            for name in ("train_per_class", "test_per_class"):
+                for count in (0, -2):
+                    message = f"{name} must be at least 1, got {count}"
+                    with pytest.raises(ConfigError, match=message):
+                        domain(seed=0, **{name: count})
