@@ -9,7 +9,8 @@ and the 1x1 shortcut projection of both architectures at T = 128; b = 10.
 Each runs on one worker and on as many workers as the process has CPUs.
 It also times whole training steps, one train-mode ``embed_batch`` plus
 ``backward_batch``, of the tiny architecture at T = 64 and the default one
-at T = 128, on the library's own worker count. One JSON object with the
+at T = 128, on the library's own worker count, and ``build_model`` at both
+architectures. One JSON object with the
 figures and the machine is printed. Each figure is the minimum over
 ``--repeats`` samples, in milliseconds, of one call, a sample averaging as
 many calls as fill about a millisecond; the two worker counts alternate
@@ -55,6 +56,8 @@ LAYERS = [
 ]
 # (name, arch, T) of the whole-step rows.
 STEPS = [("tiny step", _TINY, 64), ("default step", _DEFAULT, 128)]
+# (name, arch) of the model-build rows.
+BUILDS = [("tiny build", _TINY), ("default build", _DEFAULT)]
 
 
 def _sample(fn) -> float:
@@ -114,6 +117,13 @@ def time_step(spec: ArchSpec, t: int, batch: int, repeats: int, seed: int = 0) -
     return {"arch": spec.to_dict(), "T": t, "b": batch, "step_ms": round(best * 1e3, 4)}
 
 
+def time_build(spec: ArchSpec, repeats: int, seed: int = 0) -> dict:
+    """One ``build_model`` of ``spec`` from a fresh generator."""
+    best = min(_sample(lambda: build_model(spec, np.random.default_rng(seed)))
+               for _ in range(repeats))
+    return {"arch": spec.to_dict(), "build_ms": round(best * 1e3, 4)}
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -137,7 +147,9 @@ def main(argv=None) -> None:
         {"layer": name, **time_layer(lengths, per, in_ch, t, args.batch, args.repeats)}
         for name, lengths, per, in_ch, t in LAYERS
     ]
-    print(json.dumps({"machine": machine(), "layers": layers, "steps": steps}, indent=2))
+    build = [{"build": name, **time_build(spec, args.repeats)} for name, spec in BUILDS]
+    print(json.dumps({"machine": machine(), "layers": layers, "steps": steps, "build": build},
+                     indent=2))
 
 
 if __name__ == "__main__":

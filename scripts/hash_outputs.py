@@ -3,6 +3,8 @@ comparison of two source trees.
 
 For each architecture it hashes:
 
+* the checkpoint of a freshly built model, ``build_model`` at seed 8, which
+  the meta-trainers start from;
 * the fs1 and fs2 meta-training artifacts: every checkpoint, the
   model-selection manifest, and the training log with ``wall_time_s``
   dropped;
@@ -121,12 +123,12 @@ def hash_arch(name: str, workdir: Path) -> dict:
         k_train=4 if full else 2, checkpoint_every=2, validation_tasks=2, seed=5,
     )
     hook = make_validation_hook(fixed_task_pool(bundles, 2, 0, config.seed, 2))
-    out: dict[str, str] = {}
+    init = build_model(spec, np.random.default_rng(8))
+    out: dict[str, str] = {"fresh.ckpt": digest(checkpoint_bytes(init))}
     models = {}
     for variant, train in (("fs1", fs1_train), ("fs2", fs2_train))[: 2 if full else 1]:
         run_dir = workdir / variant
         stream = meta_task_stream(bundles, config.k_train, 0, config.seed)
-        init = build_model(spec, np.random.default_rng(8))
         models[variant] = train(init, config, stream, hook, run_dir).model
         hash_run_dir(run_dir, variant, out)
 

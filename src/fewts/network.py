@@ -42,8 +42,13 @@ _MODEL_IDS = itertools.count(1)
 
 # Infer-mode chunk size as a cell budget (rows x T), which bounds memory for
 # any number of rows: one chunk's [rows, 165, T] activation at the default
-# arch is 2.7 MB. On a 2-vCPU x86 host, embedding 125 tiny-arch or 25
-# default-arch series at T=128 ran no faster with 4x or 8x larger chunks.
+# arch is 2.7 MB. On a 2-vCPU x86 host with one BLAS thread, 125 tiny-arch
+# series at T=128 embedded in 7.1-9.6 ms at 2^11 cells, 8.4-10.8 at 2^13
+# and 10.5-13.8 at 2^15 (the minimum of 15-21 calls, two runs), and 25
+# default-arch series in 260-284 ms at all three. Larger chunks also cost
+# memory: the one-chunk, 125-row stacked tap copy of a tiny-arch layer is
+# 8 MB, and the call's traced peak rose from 2.3 to 17.6 MiB, against
+# embed-eval's 45 MB resident peak.
 _INFER_CHUNK_CELLS = 1 << 11
 
 CHECKPOINT_MAGIC = "fewts-checkpoint"
@@ -221,13 +226,17 @@ class ResNetModel:
 
 def build_model(spec: ArchSpec, rng: np.random.Generator) -> ResNetModel:
     """Fresh model: orthogonal conv filters, BN gamma=1/beta=0,
-    uninitialized BN buffers. The rng is consumed in layout-record order, so
-    equal seeds give bit-identical models."""
+    uninitialized BN buffers. Each bank is drawn in layout-record order
+    straight into its slice of the parameter vector and orthonormalized
+    there, as :func:`kernels.orthogonal_init` does, so equal seeds give
+    bit-identical models."""
     plan = _step_plan(spec)
     params = ParamSet(plan.layout)
     for layer in plan.layers:
         for part, shape in layer.banks:
-            params.values[part] = kernels.orthogonal_init(shape, rng).ravel()
+            bank = params.values[part].reshape(shape[0], -1)
+            rng.standard_normal(out=bank)
+            kernels.orthonormalize(bank)
         params.values[layer.gamma] = 1.0  # beta stays zero
     return ResNetModel(spec, params)
 
@@ -499,6 +508,12 @@ def load_checkpoint(path) -> ResNetModel:
     if len(body) != expected:
         raise CheckpointError(f"{path}: body has {len(body)} bytes, expected {expected}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    finite = np.isfinite(values[: layout.total_size])
+    if not finite.all():
+        first = int(finite.argmin())
+        record = next(r for r in layout.records if first < r.offset + r.size)
+        raise CheckpointError(f"{path}: parameter record {record.name!r} holds a NaN or "
+                              "infinite value")
     stats = values[layout.total_size :].reshape(len(sites), 2, spec.channels)
     bn: dict[str, BnState] = {}
     for site, (mean, var) in zip(sites, stats):

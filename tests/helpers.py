@@ -354,3 +354,18 @@ def synthetic_reference(family, seed, n_classes, length, train_per_class, test_p
                 labels.append(c)
         out += [np.vstack(rows), np.array(labels, dtype=np.int64)]
     return tuple(out)
+
+
+def orthogonal_reference(shape, rng):
+    """``kernels.orthogonal_init`` by LAPACK Householder QR, as the library
+    did before it used shifted Cholesky QR: the shorter side of the
+    (out_ch, fan_in) draw made orthonormal, with the signs of R's diagonal
+    folded into Q so that R's diagonal is positive."""
+    rows = shape[0]
+    cols = int(np.prod(shape[1:]))
+    a = rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(a.T if rows <= cols else a)
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    w = q * d
+    return np.ascontiguousarray((w.T if rows <= cols else w).reshape(shape))

@@ -1,7 +1,7 @@
 """Smoke test of ``scripts/bench_conv.py``: one layer at a tiny size returns
 a row with the figures of each timed op and worker count, one training step
-returns its time, and the script times the default and tiny architectures'
-layers, projections and steps."""
+and one model build return their times, and the script times the default
+and tiny architectures' layers, projections, steps and builds."""
 
 import importlib.util
 from pathlib import Path
@@ -54,6 +54,7 @@ def test_layers_cover_both_archs_and_projections(bench):
     assert len({name for name, *_ in bench.LAYERS}) == len(bench.LAYERS)
     tiny = bench.ArchSpec(filter_lengths=(8, 5), filters_per_length=4)
     assert {(spec, t) for _, spec, t in bench.STEPS} == {(tiny, 64), (bench.ArchSpec(), 128)}
+    assert {spec for _, spec in bench.BUILDS} == {tiny, bench.ArchSpec()}
 
 
 def test_time_step_reports_a_whole_step(bench):
@@ -63,3 +64,24 @@ def test_time_step_reports_a_whole_step(bench):
     assert set(row) == {"arch", "T", "b", "step_ms"}
     assert (row["arch"], row["T"], row["b"]) == (spec.to_dict(), 16, 3)
     assert row["step_ms"] > 0.0
+
+
+def test_time_build_reports_a_model_build(bench):
+    spec = bench.ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(3, 2),
+                          filters_per_length=2)
+    row = bench.time_build(spec, repeats=2)
+    assert set(row) == {"arch", "build_ms"}
+    assert row["arch"] == spec.to_dict()
+    assert row["build_ms"] > 0.0
+
+
+def test_main_prints_a_build_entry(bench, monkeypatch, capsys):
+    spec = bench.ArchSpec(blocks=1, convs_per_block=1, filter_lengths=(2,),
+                          filters_per_length=2)
+    monkeypatch.setattr(bench, "LAYERS", [])
+    monkeypatch.setattr(bench, "STEPS", [])
+    monkeypatch.setattr(bench, "BUILDS", [("small build", spec)])
+    bench.main(["--repeats", "1"])
+    out = bench.json.loads(capsys.readouterr().out)
+    assert [row["build"] for row in out["build"]] == ["small build"]
+    assert out["build"][0]["build_ms"] > 0.0

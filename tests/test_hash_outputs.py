@@ -1,6 +1,6 @@
 """``scripts/hash_outputs.py`` is a bitwise probe: two runs of its tiny part
 and its generated bundles in one process give the same hashes for the same
-outputs."""
+outputs, a freshly built model's checkpoint among them."""
 
 import importlib.util
 from pathlib import Path
@@ -27,10 +27,16 @@ def test_tiny_outputs_hash_the_same_twice(monkeypatch):
                               for shape in ("T37", "T128")}
     assert len(set(synthetic.values())) == 6
     hashes = first["tiny"]
-    for key in ("fs1/iter_000003.ckpt", "fs2/model_selection.json", "fs2/train_log.jsonl",
-                "finetune/frozen2.ckpt", "finetune/frozen2.infer_z", "train/grads",
-                "protocol/records.jsonl", "protocol/tasks.jsonl", "report/summary.json"):
+    for key in ("fresh.ckpt", "fs1/iter_000003.ckpt", "fs2/model_selection.json",
+                "fs2/train_log.jsonl", "finetune/frozen2.ckpt", "finetune/frozen2.infer_z",
+                "train/grads", "protocol/records.jsonl", "protocol/tasks.jsonl",
+                "report/summary.json"):
         assert len(hashes[key]) == 16
     # Outputs that differ hash apart: three fine-tunes, two meta-trainers.
     assert len({hashes[f"finetune/frozen{f}.ckpt"] for f in (0, 1, 2)}) == 3
     assert hashes["fs1/iter_000003.ckpt"] != hashes["fs2/iter_000003.ckpt"]
+    # The fresh checkpoint is the seed-8 build the meta-trainers start from.
+    fresh = module.build_model(module.ARCHS["tiny"], module.np.random.default_rng(8))
+    assert hashes["fresh.ckpt"] == module.digest(module.checkpoint_bytes(fresh))
+    assert hashes["fresh.ckpt"] not in {hashes["fs1/iter_000003.ckpt"],
+                                        hashes["fs2/iter_000003.ckpt"]}

@@ -19,15 +19,18 @@ from fewts.kernels import (
     multiscale_conv_backward,
     multiscale_conv_forward,
     orthogonal_init,
+    orthonormalize,
     relu_backward,
     relu_forward,
 )
+from fewts.network import ArchSpec, build_layout
 
 from helpers import (
     FD_STEP,
     max_rel_err,
     multiscale_conv_reference,
     numeric_grad,
+    orthogonal_reference,
     tap_buffer_filter_grads_reference,
 )
 
@@ -554,6 +557,66 @@ def test_orthogonal_one_by_one_is_sign():
         w = orthogonal_init((1, 1, 1), np.random.default_rng(seed))
         assert w.shape == (1, 1, 1)
         assert abs(abs(w[0, 0, 0]) - 1.0) < 1e-12
+
+
+_SMALL = dict(filter_lengths=(8, 5), filters_per_length=4)
+_INIT_ARCHS = (ArchSpec(), ArchSpec(**_SMALL), ArchSpec(blocks=3, convs_per_block=1, **_SMALL))
+
+
+def _bank_shapes(spec):
+    return sorted({r.shape for r in build_layout(spec).records if len(r.shape) == 3})
+
+
+def test_bank_shapes_cover_projections_and_tall_first_layer():
+    shapes = _bank_shapes(ArchSpec())
+    assert (165, 1, 1) in shapes
+    assert {(33, 1, f) for f in (4, 8, 16, 32, 64)} <= set(shapes)
+    assert (33, 165, 64) in shapes
+
+
+@pytest.mark.parametrize("spec", _INIT_ARCHS, ids=("default", "tiny", "3x1"))
+def test_orthogonal_init_matches_householder_reference(spec):
+    # Shifted Cholesky QR and sign-fixed Householder QR give the same
+    # factor; they differ only in rounding.
+    for shape in _bank_shapes(spec):
+        for seed in range(3):
+            w = orthogonal_init(shape, np.random.default_rng(seed))
+            ref = orthogonal_reference(shape, np.random.default_rng(seed))
+            assert w.shape == shape and w.flags.c_contiguous
+            assert np.abs(w - ref).max() <= 1e-13, (shape, seed)
+
+
+def _conditioned(rows, cols, kappa, seed):
+    """A [rows, cols] matrix with singular values log-spaced from 1 down to
+    1 / kappa."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    return (u * np.logspace(0, -np.log10(kappa), k)) @ v.T
+
+
+# [32, 33] is the wide orientation of the worst-conditioned default bank,
+# [33, 1, 32]; [33, 10560] is the largest, [33, 165, 64]. Past about
+# 1 / (u sqrt(11 m k)), 4e12 at the largest, the shifted pass leaves the
+# plain passes a factor too ill-conditioned to factor.
+@pytest.mark.parametrize("rows, cols, kappa", [
+    *((32, 33, kappa) for kappa in (1e2, 1e8, 1e14)),
+    *((33, 32, kappa) for kappa in (1e2, 1e8, 1e14)),
+    *((33, 10560, kappa) for kappa in (1e2, 1e8, 1e12)),
+])
+def test_orthonormalize_ill_conditioned(rows, cols, kappa):
+    for seed in range(3):
+        a = _conditioned(rows, cols, kappa, seed)
+        w = a.copy()
+        orthonormalize(w)
+        if rows > cols:
+            a, w = a.T, w.T
+        assert np.abs(w @ w.T - np.eye(w.shape[0])).max() <= 1e-13
+        # a = L @ w with L lower triangular with a positive diagonal.
+        lower = a @ w.T
+        assert np.abs(np.triu(lower, 1)).max() <= 1e-13
+        assert (np.diag(lower) > 0).all()
 
 
 def test_orthogonal_rejects_bad_shape():

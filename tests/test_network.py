@@ -28,6 +28,7 @@ from helpers import (
     freeze_mask_reference,
     max_rel_err,
     numeric_grad,
+    orthogonal_reference,
     version_1_checkpoint,
 )
 
@@ -105,6 +106,20 @@ def test_build_model_deterministic_by_seed():
 def record_values(params, name):
     rec = next(r for r in params.layout.records if r.name == name)
     return params.values[rec.offset : rec.offset + rec.size].reshape(rec.shape)
+
+
+@pytest.mark.parametrize("spec", [ArchSpec(), TINY], ids=["default", "tiny"])
+def test_build_model_draws_each_bank_as_orthogonal_init_does(spec):
+    # Banks drawn in record order from one stream, each within rounding of
+    # the sign-fixed Householder factor; gamma 1, beta 0.
+    model = build_model(spec, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    for rec in model.params.layout.records:
+        got = record_values(model.params, rec.name)
+        if len(rec.shape) == 3:
+            assert np.abs(got - orthogonal_reference(rec.shape, rng)).max() <= 1e-13, rec.name
+        else:
+            assert np.array_equal(got, np.full(rec.shape, rec.name.endswith("gamma") * 1.0))
 
 
 def test_build_model_init_structure():
@@ -628,6 +643,20 @@ def test_checkpoint_refuses_bad_bn_statistics(tmp_path, stat, value):
     path = tmp_path / "bad_bn.ckpt"
     path.write_bytes(checkpoint_bytes(model))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: BN site {site!r}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_refuses_non_finite_parameters(tmp_path, value):
+    model = tiny_model(50)
+    records = model.params.layout.records
+    # One bad entry in the second bank and a later one: the error names the first.
+    model.params.values[records[1].offset + 1] = value
+    model.params.values[records[-1].offset] = np.nan
+    path = tmp_path / "bad_param.ckpt"
+    path.write_bytes(checkpoint_bytes(model))
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: parameter record {records[1].name!r}")):
         load_checkpoint(path)
 
 
