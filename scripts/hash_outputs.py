@@ -60,7 +60,7 @@ from fewts.training import (  # noqa: E402
     make_validation_hook, meta_task_stream,
 )
 from fewts.triplet import (  # noqa: E402
-    TripletLossConfig, enumerate_valid_triplets, triplet_loss_grad,
+    enumerate_valid_triplets, triplet_loss_grad,
 )
 
 _SMALL = dict(filter_lengths=(8, 5), filters_per_length=4)
@@ -143,8 +143,7 @@ def hash_arch(name: str, workdir: Path) -> dict:
 
     work = models["fs1"].copy()
     z, cache = embed_batch(work, task.train.values, mode="train", return_cache=True)
-    loss_cfg = TripletLossConfig()
-    upstream = triplet_loss_grad(z, enumerate_valid_triplets(task.train.labels), loss_cfg)
+    upstream = triplet_loss_grad(z, enumerate_valid_triplets(task.train.labels))
     out["train/z"] = digest(z.tobytes())
     out["train/grads"] = digest(backward_batch(work, cache, upstream).values.tobytes())
 

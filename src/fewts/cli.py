@@ -25,12 +25,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from . import __version__
-from .config import CONFIG_KEYS, VARIANTS, ExperimentConfig, load_experiment_config
+from .config import CONFIG_KEYS, ExperimentConfig, load_experiment_config
 from .data import load_dataset, split_classes, split_meta_sets
 from .errors import FewtsError
 from .gradcheck import gradient_check
 from .network import build_model, load_checkpoint, write_atomic
-from .protocol import KNOWN_METHODS, report_from_records, run_protocol
+from .protocol import CHECKPOINT_METHODS, KNOWN_METHODS, report_from_records, run_protocol
 from .training import fixed_task_pool, fs1_train, fs2_train, make_validation_hook, meta_task_stream
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -47,7 +47,8 @@ _FLAGS = {
     "tasks_per_dataset": dict(type=int, help="tasks sampled per dataset"),
     "methods": dict(flag="--method", action="append",
                     help="method to evaluate (repeatable): " + " ".join(KNOWN_METHODS)),
-    "variant": dict(choices=VARIANTS, help="batched (fs1) or sequential (fs2) meta-training"),
+    "variant": dict(choices=CHECKPOINT_METHODS,
+                    help="batched (fs1) or sequential (fs2) meta-training"),
     "records": dict(help="records file (default: out-dir/records.jsonl)"),
     "dataset": dict(help="dataset name to partition"),
 }

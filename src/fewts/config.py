@@ -15,7 +15,6 @@ from .protocol import CHECKPOINT_METHODS, DEFAULT_FINETUNE
 from .training import FineTuneConfig, MetaConfig
 
 MODES = ("meta-train", "evaluate", "report", "class-split")
-VARIANTS = ("fs1", "fs2")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,8 +47,8 @@ class ExperimentConfig:
             raise ConfigError("k_prime must be >= 1")
         if self.tasks_per_dataset < 1:
             raise ConfigError("tasks_per_dataset must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {', '.join(VARIANTS)}")
+        if self.variant not in CHECKPOINT_METHODS:
+            raise ConfigError(f"variant must be one of {', '.join(CHECKPOINT_METHODS)}")
         if not self.methods:
             raise ConfigError("methods must not be empty")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 
@@ -97,10 +98,6 @@ class DatasetBundle:
     def n_classes(self) -> int:
         return len(self.train.label_names)
 
-    @property
-    def length(self) -> int:
-        return self.train.length
-
 
 def znormalize(x: np.ndarray) -> np.ndarray:
     """(x - mean) / population std along the last axis, so one call takes a
@@ -121,13 +118,16 @@ def _detect_delimiter(line: str) -> str | None:
 
 
 def _label_sort_key(labels: set[str]):
-    # Ties in value ("1", "1.0", "01") break by the token, so the order does
-    # not depend on set iteration order, which varies with the hash seed.
+    # Ties in value ("1", "1.0", "01") break by the token, and NaN tokens,
+    # which order against nothing, go after the numbers in token order, so
+    # the order does not depend on set iteration order, which varies with
+    # the hash seed.
     try:
         as_num = {s: float(s) for s in labels}
     except ValueError:
         return sorted(labels)
-    return sorted(labels, key=lambda s: (as_num[s], s))
+    nan = {s for s, v in as_num.items() if math.isnan(v)}
+    return sorted(labels - nan, key=lambda s: (as_num[s], s)) + sorted(nan)
 
 
 def parse_ucr_file(path, split: str, name: str) -> Dataset:
@@ -333,10 +333,8 @@ def sample_task(
     )
 
 
-def sample_task_seeded(bundle: DatasetBundle, k: int, k_prime: int, seed: int,
-                       classes=None) -> FewShotTask:
-    rng = np.random.default_rng(seed)
-    return sample_task(bundle, k, k_prime, rng, classes, seed=seed)
+def sample_task_seeded(bundle: DatasetBundle, k: int, k_prime: int, seed: int) -> FewShotTask:
+    return sample_task(bundle, k, k_prime, np.random.default_rng(seed), seed=seed)
 
 
 # ---------------------------------------------------------------------------

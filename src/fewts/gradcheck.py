@@ -11,7 +11,7 @@ import numpy as np
 
 from .network import ArchSpec, backward_batch, build_model, embed_batch
 from .params import ParamSet
-from .triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss, triplet_loss_grad
+from .triplet import enumerate_valid_triplets, triplet_loss, triplet_loss_grad
 
 CHECK_SPEC = ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(2, 3), filters_per_length=2)
 
@@ -30,17 +30,16 @@ def gradient_check(
     series = [rng.standard_normal(length) for _ in range(batch_size)]
     labels = np.array([i % 2 for i in range(batch_size)])
     triplets = enumerate_valid_triplets(labels)
-    cfg = TripletLossConfig()
 
     def loss_at(values: np.ndarray) -> float:
         probe = model.copy()
         probe.set_params(ParamSet(probe.params.layout, values.copy()))
         z = embed_batch(probe, series, mode="train", update_buffers=False)
-        return triplet_loss(z, triplets, cfg)[0]
+        return triplet_loss(z, triplets)[0]
 
     z, cache = embed_batch(model, series, mode="train", return_cache=True,
                            update_buffers=False)
-    analytic = backward_batch(model, cache, triplet_loss_grad(z, triplets, cfg)).values
+    analytic = backward_batch(model, cache, triplet_loss_grad(z, triplets)).values
 
     base = model.params.values
     numeric = np.empty_like(base)

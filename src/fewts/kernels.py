@@ -679,17 +679,3 @@ def orthonormalize(w: np.ndarray) -> None:
         q = np.linalg.inv(np.linalg.cholesky(gram)) @ q
     a[...] = q
 
-
-def orthogonal_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal weight tensor for a conv filter bank or matrix.
-
-    One ``rng.standard_normal(shape)`` draw, flattened to (out_ch, fan_in)
-    and orthonormalized in place by :func:`orthonormalize`: rows when
-    out_ch <= fan_in, columns otherwise. Equal rng states give equal bytes.
-    """
-    shape = tuple(int(s) for s in shape)
-    if len(shape) < 2 or any(s < 1 for s in shape):
-        raise ConfigError(f"cannot orthogonally initialize shape {shape}")
-    w = rng.standard_normal(shape)
-    orthonormalize(w.reshape(shape[0], -1))
-    return w

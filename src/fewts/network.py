@@ -226,10 +226,10 @@ class ResNetModel:
 
 def build_model(spec: ArchSpec, rng: np.random.Generator) -> ResNetModel:
     """Fresh model: orthogonal conv filters, BN gamma=1/beta=0,
-    uninitialized BN buffers. Each bank is drawn in layout-record order
-    straight into its slice of the parameter vector and orthonormalized
-    there, as :func:`kernels.orthogonal_init` does, so equal seeds give
-    bit-identical models."""
+    uninitialized BN buffers. Each bank is one standard-normal draw, in
+    layout-record order, straight into its slice of the parameter vector,
+    orthonormalized there by :func:`kernels.orthonormalize` as an
+    (out_ch, fan_in) matrix, so equal seeds give bit-identical models."""
     plan = _step_plan(spec)
     params = ParamSet(plan.layout)
     for layer in plan.layers:

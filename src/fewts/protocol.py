@@ -34,7 +34,7 @@ from .stats import (
 from .training import FineTuneConfig, evaluate_task
 
 KNOWN_METHODS = ("fs1", "fs2", "resnet", "ed", "dtw")
-# Methods that fine-tune a meta-trained checkpoint.
+# Methods that fine-tune a meta-trained checkpoint, one per meta-train variant.
 CHECKPOINT_METHODS = ("fs1", "fs2")
 
 # Fine-tuning budgets per method; fs2 checkpoints prefer a shorter budget.

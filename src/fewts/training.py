@@ -31,7 +31,7 @@ from .network import (
 )
 from .optim import AdamState, adam_step, sgd_step
 from .params import CACHE_BLOCK, ParamSet
-from .triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss, triplet_loss_grad
+from .triplet import enumerate_valid_triplets, triplet_loss, triplet_loss_grad
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +57,6 @@ class MetaConfig:
     seed: int = 0
     checkpoint_every: int = 50
     validation_tasks: int = 100
-    optimizer: str = "adam"
 
     def __post_init__(self):
         for name in ("meta_iterations", "meta_batch", "batch_size", "epochs",
@@ -70,8 +69,6 @@ class MetaConfig:
             raise ConfigError("inner_lr must be positive")
         if self.margin < 0.0:
             raise ConfigError("margin must be nonnegative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ class FineTuneConfig:
 class TaskSolveReport:
     final_loss: float
     violations: list[int]
-    batches: list[list[int]]
 
 
 @dataclass
@@ -188,17 +184,15 @@ def inner_solve(
             "classes and a class with two instances"
         )
     work = model.copy()
-    loss_cfg = TripletLossConfig(margin=margin)
     adam = AdamState.fresh(work.params.values.size, lr=inner_lr)
     violations: list[int] = []
-    batches: list[list[int]] = []
     loss = 0.0
     for step in range(k):
         idx = stratified_batch(train_set.labels, batch_size, rng)
         z, cache = embed_batch(work, train_set.values[idx], mode="train", return_cache=True)
         triplets = enumerate_valid_triplets(train_set.labels[idx])
-        loss, nviol = triplet_loss(z, triplets, loss_cfg)
-        grads = backward_batch(work, cache, triplet_loss_grad(z, triplets, loss_cfg))
+        loss, nviol = triplet_loss(z, triplets, margin)
+        grads = backward_batch(work, cache, triplet_loss_grad(z, triplets, margin))
         if not (np.isfinite(loss) and np.isfinite(grads.values).all()):
             raise ConfigError(
                 f"task {task_id or '<unnamed>'}: non-finite loss or gradient at inner "
@@ -212,9 +206,7 @@ def inner_solve(
         # revision, so a forward cache taken before this step is refused.
         work.set_params(new_params)
         violations.append(nviol)
-        batches.append([int(i) for i in idx])
-    report = TaskSolveReport(float(loss), violations, batches)
-    return work, report
+    return work, TaskSolveReport(float(loss), violations)
 
 
 def meta_update(params: ParamSet, adapted: Sequence[ParamSet], epsilon: float) -> ParamSet:
@@ -284,14 +276,19 @@ def _next_trainable_task(source: Iterator[FewShotTask]) -> FewShotTask:
 
 
 class _RunWriter:
-    """Owns the artifact files of one training run."""
+    """Owns the artifact files of one training run. A run dir may be reused:
+    at the start the manifest and checkpoints an earlier run left there are
+    removed and the log is emptied, so none of them passes for this run's."""
 
     def __init__(self, run_dir: Path | None):
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.log_path = None
         if self.run_dir is not None:
-            self.run_dir.mkdir(parents=True, exist_ok=True)
-            (self.run_dir / "checkpoints").mkdir(exist_ok=True)
+            checkpoints = self.run_dir / "checkpoints"
+            checkpoints.mkdir(parents=True, exist_ok=True)
+            (self.run_dir / "model_selection.json").unlink(missing_ok=True)
+            for stale in checkpoints.glob("iter_*.ckpt"):
+                stale.unlink()
             self.log_path = self.run_dir / "train_log.jsonl"
             self.log_path.write_text("")
 
@@ -350,7 +347,6 @@ def _train_loop(
                 config.inner_lr,
                 config.margin,
                 solve_rng,
-                optimizer=config.optimizer,
                 task_id=_task_label(task, solve_counter),
             )
             solve_counter += 1
@@ -502,14 +498,13 @@ def make_validation_hook(
     the hook is read-only and usable mid-training."""
     if not tasks:
         raise ConfigError("validation hook needs at least one task")
-    loss_cfg = TripletLossConfig(margin=margin)
 
     def hook(model: ResNetModel) -> float:
         losses = []
         for task in tasks:
             z = embed_batch(model, task.train.values, mode="train", update_buffers=False)
             triplets = enumerate_valid_triplets(task.train.labels)
-            loss, _ = triplet_loss(z, triplets, loss_cfg)
+            loss, _ = triplet_loss(z, triplets, margin)
             losses.append(loss)
         return float(np.mean(losses))
 

@@ -10,20 +10,9 @@ over the given triplets; it is intentionally not averaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class TripletLossConfig:
-    margin: float = 0.5
-
-    def __post_init__(self):
-        if self.margin < 0.0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
 
 
 def enumerate_valid_triplets(labels: np.ndarray) -> np.ndarray:
@@ -45,6 +34,8 @@ def enumerate_valid_triplets(labels: np.ndarray) -> np.ndarray:
 def _hinge_terms(
     embeddings: np.ndarray, triplets: np.ndarray, margin: float
 ) -> np.ndarray:
+    if margin < 0.0:
+        raise ConfigError(f"margin must be >= 0, got {margin}")
     z = np.asarray(embeddings, dtype=np.float64)
     if z.ndim != 2:
         raise ConfigError("embeddings must be [batch, dim]")
@@ -62,11 +53,11 @@ def _hinge_terms(
 def triplet_loss(
     embeddings: np.ndarray,
     triplets: np.ndarray,
-    config: TripletLossConfig = TripletLossConfig(),
+    margin: float = 0.5,
 ) -> tuple[float, int]:
     """Returns (loss, violations). Violations are triplets with a positive
     pre-hinge term; an empty triplet list gives (0.0, 0)."""
-    terms = _hinge_terms(embeddings, triplets, config.margin)
+    terms = _hinge_terms(embeddings, triplets, margin)
     if terms.size == 0:
         return 0.0, 0
     hinged = np.maximum(terms, 0.0)
@@ -76,7 +67,7 @@ def triplet_loss(
 def triplet_loss_grad(
     embeddings: np.ndarray,
     triplets: np.ndarray,
-    config: TripletLossConfig = TripletLossConfig(),
+    margin: float = 0.5,
 ) -> np.ndarray:
     """Exact gradient of :func:`triplet_loss` w.r.t. the embedding rows.
 
@@ -85,7 +76,7 @@ def triplet_loss_grad(
     """
     z = np.asarray(embeddings, dtype=np.float64)
     grad = np.zeros_like(z)
-    terms = _hinge_terms(z, triplets, config.margin)
+    terms = _hinge_terms(z, triplets, margin)
     if terms.size == 0:
         return grad
     active = terms > 0

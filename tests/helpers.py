@@ -206,34 +206,27 @@ def inner_solve_reference(model, train_set, k, batch_size, inner_lr, margin, rng
     step is ``adam_step_reference`` on copies, and the model gets a fresh
     ``ParamSet`` per step: the functional step that the in-place one
     replaced; it must match byte for byte. Returns the adapted model and
-    ``(violations, batches, loss)``."""
+    ``(violations, loss)``."""
     from fewts.network import backward_batch, embed_batch
     from fewts.params import ParamSet
     from fewts.training import stratified_batch
-    from fewts.triplet import (
-        TripletLossConfig,
-        enumerate_valid_triplets,
-        triplet_loss,
-        triplet_loss_grad,
-    )
+    from fewts.triplet import enumerate_valid_triplets, triplet_loss, triplet_loss_grad
 
     work = model.copy()
-    cfg = TripletLossConfig(margin=margin)
     m = np.zeros(work.params.values.size)
     v = np.zeros_like(m)
-    violations, batches, loss = [], [], 0.0
+    violations, loss = [], 0.0
     for t in range(1, k + 1):
         idx = stratified_batch(train_set.labels, batch_size, rng)
         z, cache = embed_batch(work, train_set.values[idx], mode="train", return_cache=True)
         triplets = enumerate_valid_triplets(train_set.labels[idx])
-        loss, nviol = triplet_loss(z, triplets, cfg)
-        grads = backward_batch(work, cache, triplet_loss_grad(z, triplets, cfg))
+        loss, nviol = triplet_loss(z, triplets, margin)
+        grads = backward_batch(work, cache, triplet_loss_grad(z, triplets, margin))
         p, m, v = adam_step_reference(work.params.values.copy(), grads.values.copy(),
                                       m.copy(), v.copy(), t, inner_lr)
         work.set_params(ParamSet(work.params.layout, p))
         violations.append(nviol)
-        batches.append([int(i) for i in idx])
-    return work, (violations, batches, float(loss))
+    return work, (violations, float(loss))
 
 
 def meta_update_reference(p, adapted, epsilon):
@@ -357,10 +350,10 @@ def synthetic_reference(family, seed, n_classes, length, train_per_class, test_p
 
 
 def orthogonal_reference(shape, rng):
-    """``kernels.orthogonal_init`` by LAPACK Householder QR, as the library
-    did before it used shifted Cholesky QR: the shorter side of the
-    (out_ch, fan_in) draw made orthonormal, with the signs of R's diagonal
-    folded into Q so that R's diagonal is positive."""
+    """The orthogonal init of one ``build_model`` bank by LAPACK Householder
+    QR, as the library did before it used shifted Cholesky QR: the shorter
+    side of the (out_ch, fan_in) draw made orthonormal, with the signs of
+    R's diagonal folded into Q so that R's diagonal is positive."""
     rows = shape[0]
     cols = int(np.prod(shape[1:]))
     a = rng.standard_normal((rows, cols))

@@ -50,7 +50,7 @@ from fewts.training import (
     meta_task_stream,
     meta_update,
 )
-from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss, triplet_loss_grad
+from fewts.triplet import enumerate_valid_triplets, triplet_loss, triplet_loss_grad
 
 from helpers import brute_force_dtw, max_rel_err, numeric_grad, sequential_squared_ed
 
@@ -126,9 +126,8 @@ def test_gradient_correctness():
     # Triplet loss on embeddings.
     z = rng.standard_normal((6, 4))
     trips = enumerate_valid_triplets(np.array([0, 0, 1, 1, 2, 2]))
-    cfg = TripletLossConfig()
-    analytic = triplet_loss_grad(z, trips, cfg)
-    numeric = numeric_grad(lambda v: triplet_loss(v.reshape(z.shape), trips, cfg)[0], z.ravel())
+    analytic = triplet_loss_grad(z, trips)
+    numeric = numeric_grad(lambda v: triplet_loss(v.reshape(z.shape), trips)[0], z.ravel())
     assert max_rel_err(analytic, numeric) < 1e-5
 
     assert time.perf_counter() - start < 10.0
@@ -149,7 +148,7 @@ def test_reptile_degeneracy():
     work = model.copy()
     z, cache = embed_batch(work, train.values, mode="train", return_cache=True)
     triplets = enumerate_valid_triplets(train.labels)
-    grads = backward_batch(work, cache, triplet_loss_grad(z, triplets, TripletLossConfig()))
+    grads = backward_batch(work, cache, triplet_loss_grad(z, triplets))
     assert np.abs(grads.values).max() > 0.0
     direct = sgd_step(model.params, grads, epsilon * eta)
     assert np.max(np.abs(updated.values - direct.values)) < 1e-12

@@ -108,6 +108,13 @@ def test_meta_seed_key_points_to_top_level_seed(tmp_path):
         load_experiment_config(path, {})
 
 
+def test_meta_optimizer_is_not_a_key(tmp_path):
+    # Meta-training's inner loop always steps with Adam.
+    path = write_config(tmp_path, {"mode": "meta-train", "meta": {"optimizer": "adam"}})
+    with pytest.raises(ConfigError, match="bad meta section: .*optimizer"):
+        load_experiment_config(path, {})
+
+
 def test_bad_sections(tmp_path):
     with pytest.raises(ConfigError, match="meta"):
         load_experiment_config(

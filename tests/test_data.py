@@ -113,21 +113,26 @@ def test_parse_labels_numeric_sort(tmp_path):
 
 
 def test_label_order_does_not_depend_on_hash_seed(tmp_path):
-    # "1", "1.0" and "01" are equal numbers; their dense ids must not follow
-    # set iteration order, which changes with PYTHONHASHSEED.
-    tokens = ["1", "1.0", "01", "2", "02", "2.0"]
-    p = tmp_path / "ties.csv"
-    p.write_text("".join(f"{tok},0,1,2,3\n" for tok in tokens))
+    # "1", "1.0" and "01" are equal numbers, and "nan" equals nothing; their
+    # dense ids must not follow set iteration order, which changes with
+    # PYTHONHASHSEED. NaN tokens go after the numbers, in token order.
+    cases = {
+        "ties": (["1", "1.0", "01", "2", "02", "2.0"], ('01', '1', '1.0', '02', '2', '2.0')),
+        "nan": (["nan", "1", "NaN", "2", "3"], ('1', '2', '3', 'NaN', 'nan')),
+    }
     script = ("import sys; from fewts.data import parse_ucr_file; "
               "print(parse_ucr_file(sys.argv[1], 'train', 'd').label_names)")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    orders = []
-    for hash_seed in ("1", "3"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", script, str(p)], env=env,
-                             capture_output=True, text=True, check=True)
-        orders.append(out.stdout)
-    assert orders == ["('01', '1', '1.0', '02', '2', '2.0')\n"] * 2
+    for name, (tokens, expected) in cases.items():
+        p = tmp_path / f"{name}.csv"
+        p.write_text("".join(f"{tok},0,1,2,3\n" for tok in tokens))
+        orders = []
+        for hash_seed in ("1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", script, str(p)], env=env,
+                                 capture_output=True, text=True, check=True)
+            orders.append(out.stdout)
+        assert orders == [f"{expected}\n"] * 2, name
 
 
 def test_parse_ragged_row_reports_line(tmp_path):
@@ -282,7 +287,7 @@ def test_labeled_set_values_must_be_n_by_t():
 def test_sample_task_without_test_split_is_empty_n_by_t():
     bundle = toy_bundle()
     task = sample_task_seeded(bundle, 3, 0, seed=8)
-    assert task.test.values.shape == (0, bundle.length)
+    assert task.test.values.shape == (0, bundle.train.length)
     assert task.test.values.dtype == np.float64
     assert task.test.labels.shape == (0,) and task.test_rows == []
 
@@ -354,9 +359,9 @@ def test_sample_task_rejects_non_integer_class_ids(bad):
 
 def test_sample_task_accepts_numpy_integer_class_ids():
     bundle = toy_bundle()
-    plain = sample_task_seeded(bundle, 2, 1, seed=7, classes=[1, 3])
+    plain = sample_task(bundle, 2, 1, np.random.default_rng(7), classes=[1, 3], seed=7)
     for classes in (np.array([3, 1]), [np.int32(1), np.uint8(3)]):
-        task = sample_task_seeded(bundle, 2, 1, seed=7, classes=classes)
+        task = sample_task(bundle, 2, 1, np.random.default_rng(7), classes=classes, seed=7)
         assert task.class_ids == (1, 3) and all(type(c) is int for c in task.class_ids)
         assert task.train_rows == plain.train_rows and task.test_rows == plain.test_rows
 

@@ -18,7 +18,6 @@ from fewts.kernels import (
     gap_forward,
     multiscale_conv_backward,
     multiscale_conv_forward,
-    orthogonal_init,
     orthonormalize,
     relu_backward,
     relu_forward,
@@ -532,29 +531,37 @@ def test_gap_finite_difference():
 # ---------------------------------------------------------------------------
 
 
+def _orthogonal(shape, rng):
+    """One standard-normal draw of ``shape``, orthonormalized as a
+    (shape[0], fan_in) matrix, as ``build_model`` treats each bank."""
+    w = rng.standard_normal(shape)
+    orthonormalize(w.reshape(shape[0], -1))
+    return w
+
+
 def test_orthogonal_rows_when_wide():
-    w = orthogonal_init((4, 3, 5), np.random.default_rng(0))  # 4 x 15
+    w = _orthogonal((4, 3, 5), np.random.default_rng(0))  # 4 x 15
     flat = w.reshape(4, 15)
     assert np.abs(flat @ flat.T - np.eye(4)).max() < 1e-10
 
 
 def test_orthogonal_columns_when_tall():
-    w = orthogonal_init((8, 1, 3), np.random.default_rng(1))  # 8 x 3
+    w = _orthogonal((8, 1, 3), np.random.default_rng(1))  # 8 x 3
     flat = w.reshape(8, 3)
     assert np.abs(flat.T @ flat - np.eye(3)).max() < 1e-10
 
 
 def test_orthogonal_deterministic_by_seed():
-    a = orthogonal_init((5, 2, 3), np.random.default_rng(42))
-    b = orthogonal_init((5, 2, 3), np.random.default_rng(42))
+    a = _orthogonal((5, 2, 3), np.random.default_rng(42))
+    b = _orthogonal((5, 2, 3), np.random.default_rng(42))
     assert a.tobytes() == b.tobytes()
-    c = orthogonal_init((5, 2, 3), np.random.default_rng(43))
+    c = _orthogonal((5, 2, 3), np.random.default_rng(43))
     assert a.tobytes() != c.tobytes()
 
 
 def test_orthogonal_one_by_one_is_sign():
     for seed in range(20):
-        w = orthogonal_init((1, 1, 1), np.random.default_rng(seed))
+        w = _orthogonal((1, 1, 1), np.random.default_rng(seed))
         assert w.shape == (1, 1, 1)
         assert abs(abs(w[0, 0, 0]) - 1.0) < 1e-12
 
@@ -580,7 +587,7 @@ def test_orthogonal_init_matches_householder_reference(spec):
     # factor; they differ only in rounding.
     for shape in _bank_shapes(spec):
         for seed in range(3):
-            w = orthogonal_init(shape, np.random.default_rng(seed))
+            w = _orthogonal(shape, np.random.default_rng(seed))
             ref = orthogonal_reference(shape, np.random.default_rng(seed))
             assert w.shape == shape and w.flags.c_contiguous
             assert np.abs(w - ref).max() <= 1e-13, (shape, seed)
@@ -618,7 +625,3 @@ def test_orthonormalize_ill_conditioned(rows, cols, kappa):
         assert np.abs(np.triu(lower, 1)).max() <= 1e-13
         assert (np.diag(lower) > 0).all()
 
-
-def test_orthogonal_rejects_bad_shape():
-    with pytest.raises(ConfigError):
-        orthogonal_init((4,), np.random.default_rng(0))

@@ -21,7 +21,7 @@ from fewts.network import (
     save_checkpoint,
 )
 from fewts.params import ParamSet
-from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss, triplet_loss_grad
+from fewts.triplet import enumerate_valid_triplets, triplet_loss, triplet_loss_grad
 
 from helpers import (
     bn_sites_reference,
@@ -242,23 +242,23 @@ def test_update_buffers_flag():
 # ---------------------------------------------------------------------------
 
 
-def embedding_loss_for_fd(model, series, labels, cfg):
+def embedding_loss_for_fd(model, series, labels, margin):
     def loss_from(flat):
         probe = model.copy()
         probe.set_params(ParamSet(model.params.layout, flat.copy()))
         z = embed_batch(probe, series, mode="train", update_buffers=False)
         trips = enumerate_valid_triplets(labels)
-        return triplet_loss(z, trips, cfg)[0]
+        return triplet_loss(z, trips, margin)[0]
 
     return loss_from
 
 
-def analytic_grad(model, series, labels, cfg):
+def analytic_grad(model, series, labels, margin):
     probe = model.copy()
     z, cache = embed_batch(probe, series, mode="train", return_cache=True,
                            update_buffers=False)
     trips = enumerate_valid_triplets(labels)
-    dz = triplet_loss_grad(z, trips, cfg)
+    dz = triplet_loss_grad(z, trips, margin)
     return backward_batch(probe, cache, dz)
 
 
@@ -267,9 +267,9 @@ def test_end_to_end_gradient_uniform_lengths():
     model = tiny_model(20)
     series = [rng.standard_normal(8) for _ in range(4)]
     labels = np.array([0, 0, 1, 1])
-    cfg = TripletLossConfig(margin=0.5)
-    g = analytic_grad(model, series, labels, cfg)
-    num = numeric_grad(embedding_loss_for_fd(model, series, labels, cfg),
+    margin = 0.5
+    g = analytic_grad(model, series, labels, margin)
+    num = numeric_grad(embedding_loss_for_fd(model, series, labels, margin),
                        model.params.values)
     assert max_rel_err(g.values, num) < 1e-4
 
@@ -280,9 +280,9 @@ def test_end_to_end_gradient_two_blocks():
     rng = np.random.default_rng(31)
     series = [rng.standard_normal(7) for _ in range(4)]
     labels = np.array([0, 0, 1, 1])
-    cfg = TripletLossConfig(margin=2.0)
-    g = analytic_grad(model, series, labels, cfg)
-    num = numeric_grad(embedding_loss_for_fd(model, series, labels, cfg),
+    margin = 2.0
+    g = analytic_grad(model, series, labels, margin)
+    num = numeric_grad(embedding_loss_for_fd(model, series, labels, margin),
                        model.params.values)
     assert max_rel_err(g.values, num) < 1e-4
 
@@ -299,11 +299,11 @@ def test_default_arch_directional_derivative():
     model = build_model(ArchSpec(), rng)
     series = rng.standard_normal((6, 128))
     labels = np.array([0, 0, 1, 1, 2, 2])
-    cfg = TripletLossConfig()
-    slope = analytic_grad(model, series, labels, cfg).values
+    margin = 0.5
+    slope = analytic_grad(model, series, labels, margin).values
     v = rng.standard_normal(slope.size)
     v /= np.linalg.norm(v)
-    loss, h = embedding_loss_for_fd(model, series, labels, cfg), 1e-5
+    loss, h = embedding_loss_for_fd(model, series, labels, margin), 1e-5
     numeric = (loss(model.params.values + h * v) - loss(model.params.values - h * v)) / (2 * h)
     assert abs(numeric - slope @ v) < 1e-6 * abs(slope @ v)
 
@@ -374,7 +374,7 @@ def triplet_grads(model, series):
     """backward_batch of the margin-5 triplet loss over a 2+2-labelled batch."""
     z, cache = embed_batch(model, series, mode="train", return_cache=True)
     triplets = enumerate_valid_triplets(np.array([0, 0, 1, 1]))
-    dz = triplet_loss_grad(z, triplets, TripletLossConfig(margin=5.0))
+    dz = triplet_loss_grad(z, triplets, 5.0)
     return backward_batch(model, cache, dz).values
 
 

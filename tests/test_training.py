@@ -29,7 +29,7 @@ from fewts.training import (
     meta_update,
     stratified_batch,
 )
-from fewts.triplet import TripletLossConfig, enumerate_valid_triplets, triplet_loss_grad
+from fewts.triplet import enumerate_valid_triplets, triplet_loss_grad
 
 from helpers import freeze_mask_reference, inner_solve_reference, meta_update_reference
 
@@ -137,7 +137,7 @@ def test_inner_solve_leaves_input_untouched():
     assert np.array_equal(model.params.values, before)
     assert all(st.updates == 0 for st in model.bn.values())
     assert not np.array_equal(solved.params.values, before)
-    assert len(report.violations) == 3 and len(report.batches) == 3
+    assert len(report.violations) == 3
     # One train-mode embed per step updates every BN site once.
     assert all(st.updates == 3 for st in solved.bn.values())
 
@@ -149,7 +149,7 @@ def test_inner_solve_matches_functional_adam_reference_bitwise():
     train = noise_task_set(per_class=6)
     solved, report = inner_solve(model, train, k=3, batch_size=8, inner_lr=1e-2,
                                  margin=0.5, rng=np.random.default_rng(4))
-    want, (violations, batches, loss) = inner_solve_reference(
+    want, (violations, loss) = inner_solve_reference(
         model, train, k=3, batch_size=8, inner_lr=1e-2, margin=0.5,
         rng=np.random.default_rng(4))
     assert solved.params.values.tobytes() == want.params.values.tobytes()
@@ -158,7 +158,7 @@ def test_inner_solve_matches_functional_adam_reference_bitwise():
         assert st.mean.tobytes() == want.bn[name].mean.tobytes()
         assert st.var.tobytes() == want.bn[name].var.tobytes()
         assert st.updates == want.bn[name].updates == 3
-    assert (report.violations, report.batches, report.final_loss) == (violations, batches, loss)
+    assert (report.violations, report.final_loss) == (violations, loss)
 
 
 def test_inner_solve_deterministic():
@@ -168,7 +168,7 @@ def test_inner_solve_deterministic():
         solved, report = inner_solve(tiny_model(), train, k=4, batch_size=4,
                                      inner_lr=1e-3, margin=0.5,
                                      rng=np.random.default_rng(7))
-        runs.append((solved.params.values.tobytes(), report.batches))
+        runs.append((solved.params.values.tobytes(), report.violations))
     assert runs[0] == runs[1]
 
 
@@ -285,7 +285,7 @@ def test_reptile_degeneracy_single_sgd_step():
     work = model.copy()
     z, cache = embed_batch(work, train.values, mode="train", return_cache=True)
     triplets = enumerate_valid_triplets(train.labels)
-    grads = backward_batch(work, cache, triplet_loss_grad(z, triplets, TripletLossConfig()))
+    grads = backward_batch(work, cache, triplet_loss_grad(z, triplets))
     direct = sgd_step(model.params, grads, epsilon * eta)
     assert np.max(np.abs(updated.values - direct.values)) < 1e-12
 
@@ -312,8 +312,6 @@ def test_meta_config_validation():
         MetaConfig(epsilon=1.5)
     with pytest.raises(ConfigError):
         MetaConfig(inner_lr=0.0)
-    with pytest.raises(ConfigError):
-        MetaConfig(optimizer="lbfgs")
 
 
 def test_fs1_train_runs_and_moves_parameters():
@@ -372,6 +370,22 @@ def test_fs1_train_artifacts_and_model_selection(tmp_path):
     assert manifest["iteration"] == result.best_iteration
     assert manifest["validation_loss"] == result.best_validation
     assert result.best_checkpoint == manifest["checkpoint"]
+
+
+def test_rerun_into_a_used_run_dir_leaves_no_earlier_artifacts(tmp_path):
+    bundle = toy_bundle()
+    pool = fixed_task_pool([bundle], k=2, k_prime=0, run_seed=0, count=2)
+    run_dir = tmp_path / "run"
+    fs1_train(tiny_model(), small_config(meta_iterations=3, checkpoint_every=1),
+              meta_task_stream([bundle], 2, 0, 5),
+              validation_hook=make_validation_hook(pool), run_dir=run_dir)
+    assert (run_dir / "model_selection.json").exists()
+    # A shorter run without validation writes no manifest and one checkpoint.
+    fs1_train(tiny_model(), small_config(meta_iterations=1, checkpoint_every=1),
+              meta_task_stream([bundle], 2, 0, 5), run_dir=run_dir)
+    assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) == ["iter_000001.ckpt"]
+    assert not (run_dir / "model_selection.json").exists()
+    assert len((run_dir / "train_log.jsonl").read_text().splitlines()) == 1
 
 
 def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from fewts.errors import ConfigError
-from fewts.kernels import orthogonal_init
+from fewts.kernels import orthonormalize
 from fewts.triplet import (
-    TripletLossConfig,
     enumerate_valid_triplets,
     triplet_loss,
     triplet_loss_grad,
@@ -46,35 +45,36 @@ def test_loss_hand_computed():
     trips = enumerate_valid_triplets(labels)  # (0,1,2) and (1,0,2)
     assert [tuple(t) for t in trips] == [(0, 1, 2), (1, 0, 2)]
     # (0,1,2): 1 - 4 + 0.5 = -2.5 -> 0 ; (1,0,2): 1 - 5 + 0.5 = -3.5 -> 0
-    loss, violations = triplet_loss(z, trips, TripletLossConfig(margin=0.5))
+    loss, violations = triplet_loss(z, trips, 0.5)
     assert loss == 0.0 and violations == 0
     # Margin large enough to activate both hinges.
-    loss, violations = triplet_loss(z, trips, TripletLossConfig(margin=5.0))
+    loss, violations = triplet_loss(z, trips, 5.0)
     assert np.isclose(loss, (1 - 4 + 5) + (1 - 5 + 5))
     assert violations == 2
 
 
 def test_loss_nonnegative_and_bounded():
     rng = np.random.default_rng(7)
-    cfg = TripletLossConfig(margin=0.5)
+    margin = 0.5
     for _ in range(25):
         n = int(rng.integers(3, 10))
         labels = rng.integers(0, 3, size=n)
         z = rng.standard_normal((n, 4))
         trips = enumerate_valid_triplets(labels)
-        loss, violations = triplet_loss(z, trips, cfg)
+        loss, violations = triplet_loss(z, trips, margin)
         assert loss >= 0.0
         assert 0 <= violations <= len(trips)
         if len(trips):
             d = ((z[:, None, :] - z[None, :, :]) ** 2).sum(-1)
-            assert loss <= len(trips) * (cfg.margin + d.max()) + 1e-9
+            assert loss <= len(trips) * (margin + d.max()) + 1e-9
 
 
 def test_rotation_invariance():
     rng = np.random.default_rng(11)
     labels = rng.integers(0, 3, size=8)
     z = rng.standard_normal((8, 6))
-    q = orthogonal_init((6, 6), rng)
+    q = rng.standard_normal((6, 6))
+    orthonormalize(q)
     trips = enumerate_valid_triplets(labels)
     a, _ = triplet_loss(z, trips)
     b, _ = triplet_loss(z @ q, trips)
@@ -86,11 +86,11 @@ def test_gradient_finite_difference():
     labels = np.array([0, 0, 1, 1, 2])
     z = rng.standard_normal((5, 3))
     trips = enumerate_valid_triplets(labels)
-    cfg = TripletLossConfig(margin=0.5)
-    analytic = triplet_loss_grad(z, trips, cfg)
+    margin = 0.5
+    analytic = triplet_loss_grad(z, trips, margin)
 
     def loss_from(flat):
-        return triplet_loss(flat.reshape(5, 3), trips, cfg)[0]
+        return triplet_loss(flat.reshape(5, 3), trips, margin)[0]
 
     assert max_rel_err(analytic.ravel(), numeric_grad(loss_from, z.ravel())) < 1e-5
 
@@ -100,9 +100,9 @@ def test_hinge_boundary_contributes_zero():
     # and no violation.
     z = np.array([[0.0], [1.0], [np.sqrt(2.0)]])
     trips = np.array([[0, 1, 2]])
-    loss, violations = triplet_loss(z, trips, TripletLossConfig(margin=1.0))
+    loss, violations = triplet_loss(z, trips, 1.0)
     assert loss == 0.0 and violations == 0
-    grad = triplet_loss_grad(z, trips, TripletLossConfig(margin=1.0))
+    grad = triplet_loss_grad(z, trips, 1.0)
     assert np.array_equal(grad, np.zeros((3, 1)))
 
 
@@ -110,15 +110,19 @@ def test_duplicate_triplet_doubles_gradient():
     z = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.1]])
     one = np.array([[0, 1, 2]])
     two = np.array([[0, 1, 2], [0, 1, 2]])
-    cfg = TripletLossConfig(margin=2.0)
-    g1 = triplet_loss_grad(z, one, cfg)
-    g2 = triplet_loss_grad(z, two, cfg)
+    margin = 2.0
+    g1 = triplet_loss_grad(z, one, margin)
+    g2 = triplet_loss_grad(z, two, margin)
     assert np.allclose(g2, 2.0 * g1, atol=1e-15)
 
 
 def test_negative_margin_rejected():
-    with pytest.raises(ConfigError):
-        TripletLossConfig(margin=-0.1)
+    # Every margin is checked, also where no triplet is there to hinge.
+    z = np.zeros((4, 2))
+    for trips in (enumerate_valid_triplets(np.array([0, 0, 1, 1])), np.zeros((0, 3), int)):
+        for loss_fn in (triplet_loss, triplet_loss_grad):
+            with pytest.raises(ConfigError, match="margin"):
+                loss_fn(z, trips, margin=-0.1)
 
 
 def test_labels_must_be_vector():
