@@ -18,13 +18,18 @@ For each architecture it hashes:
 
 Under ``synthetic`` it hashes the three generated bundles (sine, square,
 AR) at two shapes, T = 37 with 3 classes and T = 128 with 5: both splits'
-values and labels, whatever architectures run.
+values and labels, whatever architectures run. Under ``dtw``, for a task of
+each family at T = 37, 64 and 128, it holds the window ``dtw_loocv_window``
+selects on the train split, under the default 50-fraction grid and under
+the three-fraction grid (0.05, 0.25, 0.75), and the hash of the
+``dtw_1nn`` labels of the test split at that window.
 
 ``tiny`` and ``3x1`` run all of it at T = 32. ``default`` (the 2.03M
 parameter network) runs one fs1 meta-iteration of two one-step tasks at
 T = 64 and the fine-tune and train-mode parts, and skips fs2 and the
-protocol. Prints one JSON object, architecture (or ``synthetic``) ->
-output -> the first 16 hex digits of its sha256. Equal objects from two trees on the same machine
+protocol. Prints one JSON object, architecture (or ``synthetic`` or
+``dtw``) -> output -> the first 16 hex digits of its sha256, or the
+selected window. Equal objects from two trees on the same machine
 mean the outputs are bitwise equal.
 
 Run it against any checkout's sources:
@@ -48,6 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from fewts.baselines import DTWConfig, dtw_1nn, dtw_loocv_window  # noqa: E402
 from fewts.network import (  # noqa: E402
     ArchSpec, backward_batch, build_model, checkpoint_bytes, embed_batch,
 )
@@ -76,6 +82,8 @@ SHAPES = {
     "T37": dict(n_classes=3, length=37, train_per_class=2, test_per_class=3),
     "T128": dict(n_classes=5, length=128, train_per_class=30, test_per_class=30),
 }
+DTW_LENGTHS = (37, 64, 128)
+DTW_GRIDS = {"default": DTWConfig(), "three": DTWConfig(fractions=(0.05, 0.25, 0.75))}
 
 
 def digest(data: bytes) -> str:
@@ -107,6 +115,19 @@ def hash_synthetic() -> dict:
             arrays = (bundle.train.values, bundle.train.labels,
                       bundle.test.values, bundle.test.labels)
             out[f"{family}/{shape}"] = digest(b"".join(a.tobytes() for a in arrays))
+    return out
+
+
+def hash_dtw() -> dict:
+    out = {}
+    for family, domain in DOMAINS.items():
+        for t in DTW_LENGTHS:
+            bundle = domain(t, n_classes=4, length=t, train_per_class=4, test_per_class=3)
+            for grid, config in DTW_GRIDS.items():
+                window = dtw_loocv_window(bundle.train, config)
+                labels = dtw_1nn(bundle.train, bundle.test.values, window)
+                out[f"{family}/T{t}/{grid}/window"] = window
+                out[f"{family}/T{t}/{grid}/labels"] = digest(labels.tobytes())
     return out
 
 
@@ -164,7 +185,7 @@ def hash_arch(name: str, workdir: Path) -> dict:
 
 
 def hash_outputs(arch_names) -> dict:
-    result = {"synthetic": hash_synthetic()}
+    result = {"synthetic": hash_synthetic(), "dtw": hash_dtw()}
     for name in arch_names:
         with tempfile.TemporaryDirectory() as tmp:
             result[name] = hash_arch(name, Path(tmp))

@@ -5,10 +5,19 @@ The DTW cost is the squared pointwise difference and no final square root is
 taken. 1NN argmin is invariant to the monotone square root, so predictions
 match the conventional definition, and the w=0 band then reduces exactly to
 squared Euclidean distance.
+
+The LOOCV window search costs every train pair at the bands up to half the
+series length plus the full band, and the wider bands only for the pairs
+whose cost at the half-length band is still above their full-band cost. A
+banded cost is the minimum, over the paths inside the band, of a float sum
+fixed by the path, and fl(c + x) is monotone in x, so it cannot rise as the
+band widens; a pair that reaches its full-band cost keeps it bit for bit at
+every wider band, and the pruned search picks the window a full sweep does.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import ceil
 
@@ -51,11 +60,14 @@ def band_width(fraction: float, length: int) -> int:
 _CHUNK_CELLS = 1 << 16
 
 
-def _wavefront_plan(tx: int, ty: int, widths: np.ndarray) -> list:
+@functools.lru_cache(maxsize=64)
+def _wavefront_plan(tx: int, ty: int, widths: tuple[int, ...]) -> tuple:
     # Per anti-diagonal k: the rows lo..hi inside the widest band, and the
     # (width, offset) cells just outside each narrower band, |i - j| = w + 1.
     # Those are the only out-of-band cells with a finite neighbor, so setting
-    # them to +inf keeps every cell outside each band at +inf.
+    # them to +inf keeps every cell outside each band at +inf. Cached, so
+    # its arrays are read-only.
+    widths = np.array(widths)
     w_max = int(widths.max())
     k = np.arange(2, tx + ty + 1)
     lo = np.maximum(np.maximum(1, k - ty), (k - w_max + 1) // 2)
@@ -66,7 +78,9 @@ def _wavefront_plan(tx: int, ty: int, widths: np.ndarray) -> list:
     per_k = np.cumsum(edge.sum(axis=1))[:-1]
     edge_w = np.split(cols % len(widths), per_k)
     edge_i = np.split(two_i[rows, cols] // 2 - lo[rows], per_k)
-    return list(zip(k.tolist(), lo.tolist(), hi.tolist(), edge_w, edge_i))
+    for a in edge_w + edge_i:
+        a.flags.writeable = False
+    return tuple(zip(k.tolist(), lo.tolist(), hi.tolist(), edge_w, edge_i))
 
 
 def _dtw_wavefront(x: np.ndarray, y: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -80,7 +94,7 @@ def _dtw_wavefront(x: np.ndarray, y: np.ndarray, widths: np.ndarray) -> np.ndarr
     # bit. Callers keep |tx - ty| <= max(widths).
     p_all, tx = x.shape
     ty = y.shape[1]
-    plan = _wavefront_plan(tx, ty, widths)
+    plan = _wavefront_plan(tx, ty, tuple(widths.tolist()))
     out = np.empty((p_all, len(widths)))
     chunk = max(1, _CHUNK_CELLS // (len(widths) * (tx + 1)))
     chunk_bufs = np.empty((3, tx + 1, min(chunk, p_all), len(widths)))
@@ -182,8 +196,15 @@ def dtw_loocv_window(train_set: LabeledSet, config: DTWConfig = DTWConfig()) -> 
     set; ties break toward the smallest fraction. Non-finite rows raise
     ConfigError.
 
-    Fractions that round to the same integer band share one evaluation, and
-    one wavefront call costs every train pair at every distinct band.
+    Fractions that round to the same integer band share one evaluation. One
+    wavefront call costs every train pair at the bands up to half the length
+    plus the full band; a second costs, at the wider bands, only the pairs
+    whose cost at the last of those bands is above their full-band cost.
+    This is exact: a banded cost is the minimum, over the paths inside the
+    band, of a float sum fixed by the path, and fl(c + x) is monotone in x,
+    so the cost cannot rise as the band widens. A pair whose cost at the
+    half-length band already equals its full-band cost therefore has that
+    cost, bit for bit, at every band in between.
     """
     if train_set.n < 2:
         raise ConfigError("LOOCV needs at least 2 train series")
@@ -196,7 +217,21 @@ def dtw_loocv_window(train_set: LabeledSet, config: DTWConfig = DTWConfig()) -> 
     values = train_set.values
     _reject_non_finite("DTW LOOCV", values, values)
     upper_i, upper_j = np.triu_indices(train_set.n, k=1)
-    costs = _dtw_wavefront(values[upper_i], values[upper_j], np.array(widths))
+    x, y = values[upper_i], values[upper_j]
+    narrow = [w for w in widths if 2 * w <= t]
+    if narrow == widths or not narrow:
+        costs = _dtw_wavefront(x, y, np.array(widths))
+    else:
+        first = _dtw_wavefront(x, y, np.array(narrow + [t]))
+        costs = np.empty((len(x), len(widths)))
+        costs[:, :len(narrow)] = first[:, :-1]
+        costs[:, len(narrow):] = first[:, -1:]
+        wide = [w for w in widths[len(narrow):] if w < t]
+        still_open = np.flatnonzero(first[:, -2] != first[:, -1])
+        if wide and still_open.size:
+            cols = slice(len(narrow), len(narrow) + len(wide))
+            costs[still_open, cols] = _dtw_wavefront(x[still_open], y[still_open],
+                                                     np.array(wide))
 
     best_fraction = None
     best_accuracy = -1.0

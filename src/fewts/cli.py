@@ -89,10 +89,13 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
                                config.meta.validation_tasks)
         hook = make_validation_hook(pool, margin=config.meta.margin)
     train = fs1_train if config.variant == "fs1" else fs2_train
-    result = train(model, config.meta, stream, validation_hook=hook, run_dir=config.out_dir)
-    # Both are copies of checkpoints the run wrote: the last iteration's,
+    # Both are copies of checkpoints the run writes: the last iteration's,
     # which is always checkpointed, and the one model_selection.json names.
+    # An earlier run's copies go first, so a run that fails leaves none.
     out = Path(config.out_dir)
+    for copy in ("final.ckpt", "selected.ckpt"):
+        (out / copy).unlink(missing_ok=True)
+    result = train(model, config.meta, stream, validation_hook=hook, run_dir=config.out_dir)
     last = result.history[-1]["checkpoint"]
     selected = out / "selected.ckpt"
     write_atomic(out / "final.ckpt", (out / last).read_bytes())

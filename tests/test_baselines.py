@@ -397,3 +397,105 @@ def test_loocv_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Pruned LOOCV: wide bands only for pairs whose cost can still change
+# ---------------------------------------------------------------------------
+
+
+def record_wavefront_calls(monkeypatch):
+    calls = []
+    kernel = baselines._dtw_wavefront
+
+    def recording(x, y, widths):
+        costs = kernel(x, y, widths)
+        calls.append((x.copy(), y.copy(), widths.tolist(), costs))
+        return costs
+
+    monkeypatch.setattr(baselines, "_dtw_wavefront", recording)
+    return calls
+
+
+def split_bands(grid, t):
+    widths = sorted({band_width(f, t) for f in grid})
+    return [w for w in widths if 2 * w <= t], [w for w in widths if 2 * w > t and w < t]
+
+
+def constant_levels():
+    # Every path between two constant series adds the same squared gap per
+    # cell, so the diagonal is optimal and every pair closes at once.
+    return LabeledSet([np.full(16, v) for v in (-5.0, -5.1, 5.0, 5.1, 0.3)],
+                      np.array([0, 0, 1, 1, 2]))
+
+
+def far_lagged_bumps():
+    # Class 0 bumps early and class 1 late, within class a few samples
+    # apart: within-class pairs align inside half the length, but aligning
+    # an early bump with a late one takes a wider band, so those pairs stay
+    # open.
+    t = np.arange(40, dtype=float)
+    rng = np.random.default_rng(20)
+    values = [np.exp(-((t - c) ** 2) / 4.0) + 0.01 * rng.standard_normal(40)
+              for c in (5.0, 8.0, 11.0, 29.0, 32.0, 35.0)]
+    return LabeledSet(values, np.repeat([0, 1], 3))
+
+
+def duplicated_rows():
+    rng = np.random.default_rng(18)
+    values = rng.standard_normal((6, 14))
+    values[4] = values[0]
+    values[5] = values[2]
+    return LabeledSet(values, np.array([0, 1, 0, 1, 1, 0]))
+
+
+def test_pruned_loocv_closes_every_pair_in_one_call(monkeypatch):
+    train = constant_levels()
+    calls = record_wavefront_calls(monkeypatch)
+    window = dtw_loocv_window(train)
+    narrow, _ = split_bands(DTWConfig().fractions, 16)
+    assert [widths for _, _, widths, _ in calls] == [narrow + [16]]
+    assert window == reference_loocv_window(train, DTWConfig().fractions)
+
+
+def test_pruned_loocv_costs_only_open_pairs_at_the_remaining_bands(monkeypatch):
+    train = far_lagged_bumps()
+    calls = record_wavefront_calls(monkeypatch)
+    window = dtw_loocv_window(train)
+    narrow, wide = split_bands(DTWConfig().fractions, 40)
+    assert len(calls) == 2
+    (x1, y1, widths1, costs1), (x2, y2, widths2, _) = calls
+    upper_i, upper_j = np.triu_indices(train.n, k=1)
+    assert widths1 == narrow + [40]
+    assert np.array_equal(x1, train.values[upper_i]) and np.array_equal(y1, train.values[upper_j])
+    still_open = costs1[:, -2] != costs1[:, -1]
+    assert 0 < still_open.sum() < len(upper_i)
+    assert widths2 == wide
+    assert np.array_equal(x2, x1[still_open]) and np.array_equal(y2, y1[still_open])
+    assert window == reference_loocv_window(train, DTWConfig().fractions)
+
+
+@pytest.mark.parametrize("make", [constant_levels, far_lagged_bumps, duplicated_rows])
+def test_pruned_loocv_matches_reference_on_the_default_grid(make):
+    train = make()
+    assert dtw_loocv_window(train) == reference_loocv_window(train, DTWConfig().fractions)
+
+
+@pytest.mark.parametrize("grid", [(0.3,), (1.0,), (0.1, 0.9), (0.2, 0.4), (0.6, 0.9),
+                                  (0.25, 1.0)])
+def test_pruned_loocv_matches_reference_on_short_grids(grid):
+    for make in (far_lagged_bumps, duplicated_rows):
+        train = make()
+        assert dtw_loocv_window(train, DTWConfig(fractions=grid)) == \
+            reference_loocv_window(train, grid)
+
+
+def test_pruned_loocv_matches_reference_on_short_series():
+    # At T <= 8 the 50 fractions collapse to at most 8 bands.
+    rng = np.random.default_rng(19)
+    for t in range(1, 9):
+        for _ in range(3):
+            values = rng.standard_normal((5, t))
+            values[3] = values[1]
+            train = LabeledSet(values, rng.integers(0, 2, size=5))
+            assert dtw_loocv_window(train) == reference_loocv_window(train, DTWConfig().fractions)

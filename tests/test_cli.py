@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fewts import training
 from fewts.cli import main
 from fewts.network import ArchSpec, build_model
 from fewts.synthetic import ar_coefficient_domain, sine_frequency_domain, square_duty_domain
@@ -104,6 +105,34 @@ def test_meta_train_final_and_selected_are_run_checkpoints(corpus, variant, vali
     else:
         chosen = final
     assert (out / "selected.ckpt").read_bytes() == chosen
+
+
+def test_failed_meta_train_rerun_leaves_no_earlier_copies(corpus, monkeypatch, capsys):
+    out = corpus / "rerun"
+    argv = ["meta-train", "--config", str(corpus / "train.json"), "--out-dir", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    assert (out / "final.ckpt").is_file() and (out / "selected.ckpt").is_file()
+
+    saves = []
+    real_save = training.save_checkpoint
+
+    def fail_second(model, path):
+        saves.append(path)
+        if len(saves) == 2:
+            raise OSError("disk full")
+        real_save(model, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", fail_second)
+    capsys.readouterr()
+    cfg = json.loads((corpus / "train.json").read_text())
+    cfg["meta"].update(meta_iterations=4, checkpoint_every=1)
+    (corpus / "train_rerun.json").write_text(json.dumps(cfg))
+    assert main(["meta-train", "--config", str(corpus / "train_rerun.json"),
+                 "--out-dir", str(out), "--seed", "2"]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert len(saves) == 2
+    assert not (out / "final.ckpt").exists()
+    assert not (out / "selected.ckpt").exists()
 
 
 def test_evaluate_then_report(corpus, capsys):

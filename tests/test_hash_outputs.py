@@ -1,6 +1,6 @@
-"""``scripts/hash_outputs.py`` is a bitwise probe: two runs of its tiny part
-and its generated bundles in one process give the same hashes for the same
-outputs, a freshly built model's checkpoint among them."""
+"""``scripts/hash_outputs.py`` is a bitwise probe: two runs of its tiny part,
+its generated bundles and its DTW tasks in one process give the same hashes
+for the same outputs, a freshly built model's checkpoint among them."""
 
 import importlib.util
 from pathlib import Path
@@ -26,6 +26,24 @@ def test_tiny_outputs_hash_the_same_twice(monkeypatch):
     assert set(synthetic) == {f"{family}/{shape}" for family in ("sine", "square", "ar")
                               for shape in ("T37", "T128")}
     assert len(set(synthetic.values())) == 6
+    # The DTW tasks: three families at three lengths under two grids, each
+    # the window LOOCV selects and the hash of the 1NN labels at it.
+    dtw = first["dtw"]
+    assert set(dtw) == {f"{family}/T{t}/{grid}/{part}"
+                        for family in ("sine", "square", "ar") for t in (37, 64, 128)
+                        for grid in ("default", "three") for part in ("window", "labels")}
+    for key, value in dtw.items():
+        if key.endswith("/window"):
+            grid = module.DTW_GRIDS[key.split("/")[2]]
+            assert value in grid.fractions
+        else:
+            assert len(value) == 16
+    task = module.square_duty_domain(128, n_classes=4, length=128, train_per_class=4,
+                                     test_per_class=3)
+    window = module.dtw_loocv_window(task.train, module.DTW_GRIDS["three"])
+    assert dtw["square/T128/three/window"] == window
+    labels = module.dtw_1nn(task.train, task.test.values, window)
+    assert dtw["square/T128/three/labels"] == module.digest(labels.tobytes())
     hashes = first["tiny"]
     for key in ("fresh.ckpt", "fs1/iter_000003.ckpt", "fs2/model_selection.json",
                 "fs2/train_log.jsonl", "finetune/frozen2.ckpt", "finetune/frozen2.infer_z",
