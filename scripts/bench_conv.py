@@ -80,12 +80,11 @@ def time_layer(lengths, per_length: int, in_ch: int, t: int, batch: int, repeats
     x = rng.standard_normal((batch, in_ch, t))
     upstream = rng.standard_normal((batch, channels, t))
     gamma, beta = rng.standard_normal(channels), rng.standard_normal(channels)
-    state = kernels.BnState.fresh(channels)
-    _, _, cache = kernels.batchnorm_forward(upstream, gamma, beta, state)
+    _, _, cache = kernels.batchnorm_forward(upstream, gamma, beta)
     ops = {
         "fwd": lambda: kernels.multiscale_conv_forward(x, banks),
         "bwd": lambda: kernels.multiscale_conv_backward(x, banks, upstream),
-        "bn_fwd": lambda: kernels.batchnorm_forward(upstream, gamma, beta, state),
+        "bn_fwd": lambda: kernels.batchnorm_forward(upstream, gamma, beta),
         "bn_bwd": lambda: kernels.batchnorm_backward(upstream, gamma, cache),
     }
     counts = sorted({1, CPUS})

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 
 BN_EPS = 1e-5
-BN_MOMENTUM = 0.9
 
 
 def _as_bct(x: np.ndarray) -> np.ndarray:
@@ -497,33 +496,6 @@ def conv1d_backward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BnState:
-    """Running per-channel statistics. ``updates == 0`` means uninitialized."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    updates: int = 0
-
-    @classmethod
-    def fresh(cls, channels: int) -> "BnState":
-        return cls(np.zeros(channels), np.ones(channels), 0)
-
-    def copy(self) -> "BnState":
-        return BnState(self.mean.copy(), self.var.copy(), self.updates)
-
-    def update(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> "BnState":
-        # First update adopts the batch statistics outright; there is nothing
-        # meaningful to blend with before that.
-        if self.updates == 0:
-            return BnState(batch_mean.copy(), batch_var.copy(), 1)
-        return BnState(
-            BN_MOMENTUM * self.mean + (1.0 - BN_MOMENTUM) * batch_mean,
-            BN_MOMENTUM * self.var + (1.0 - BN_MOMENTUM) * batch_var,
-            self.updates + 1,
-        )
-
-
 def pooled_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and population variance of a [b, ch, T] array,
     pooled across batch and time, in one pass over ``x``: the variance is
@@ -586,32 +558,27 @@ def batchnorm_forward(
     x: np.ndarray,
     gamma: np.ndarray,
     beta: np.ndarray,
-    state: BnState,
-    mode: str = "train",
-) -> tuple[np.ndarray, BnState, dict | None]:
+    running: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, dict | None]:
     """Batch-normalize one [batch, ch, T] array.
 
-    Train mode uses this batch's statistics (pooled over batch and time),
-    returns an updated running-statistics state and a cache for
-    :func:`batchnorm_backward`. Infer mode uses the running statistics and
-    requires at least one prior train-mode update.
+    Returns (y, stats, cache), where stats is the [2, ch] mean and variance
+    that normalized ``x``. Without ``running`` (train mode) they are this
+    batch's statistics, pooled over batch and time, and the cache feeds
+    :func:`batchnorm_backward`. Given ``running``, a [2, ch] row of running
+    mean and variance (infer mode), they are that row and the cache is None.
     """
     x = _as_bct(x)
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ConfigError("gamma/beta must be per-channel vectors")
-    if mode == "train":
-        mean, var = pooled_batch_stats(x)
-        y, xhat = bn_apply(x, gamma, beta, mean, var, True)
-        cache = {"xhat": xhat, "var": var}
-        return y, state.update(mean, var), cache
-    if mode == "infer":
-        if state.updates == 0:
-            raise UsageError("batch norm infer mode before any running-stat update")
-        y, _ = bn_apply(x, gamma, beta, state.mean, state.var, False)
-        return y, state, None
-    raise ConfigError(f"unknown batch norm mode {mode!r}")
+    if running is not None:
+        y, _ = bn_apply(x, gamma, beta, *running, False)
+        return y, running, None
+    stats = np.stack(pooled_batch_stats(x))
+    y, xhat = bn_apply(x, gamma, beta, *stats, True)
+    return y, stats, {"xhat": xhat, "var": stats[1]}
 
 
 def batchnorm_backward(

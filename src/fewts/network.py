@@ -35,10 +35,12 @@ import numpy as np
 
 from . import kernels
 from .errors import CheckpointError, ConfigError, UsageError
-from .kernels import BnState
 from .params import Layout, ParamSet
 
 _MODEL_IDS = itertools.count(1)
+
+# Share of the old running statistics kept by each update after the first.
+BN_MOMENTUM = 0.9
 
 # Infer-mode chunk size as a cell budget (rows x T), which bounds memory for
 # any number of rows: one chunk's [rows, 165, T] activation at the default
@@ -110,11 +112,13 @@ class ArchSpec:
 
 
 class _Layer(NamedTuple):
-    """A conv layer or a projection: its BN site, and the slices of the flat
-    parameter vector holding its filter banks (with their shapes, in
-    ``filter_lengths`` order; one bank for a projection), BN gamma and beta."""
+    """A conv layer or a projection: its BN site and that site's row of the
+    model's BN statistics, and the slices of the flat parameter vector
+    holding its filter banks (with their shapes, in ``filter_lengths``
+    order; one bank for a projection), BN gamma and beta."""
 
     site: str
+    row: int
     banks: tuple[tuple[slice, tuple[int, ...]], ...]
     gamma: slice
     beta: slice
@@ -143,7 +147,8 @@ def _step_plan(spec: ArchSpec) -> _StepPlan:
             shapes.append((f"{site}.{leaf}", shape))
             parts.append(slice(end, end + math.prod(shape)))
             end = parts[-1].stop
-        layers.append(_Layer(site, tuple(zip(parts, [shape for _, shape in banks])), *parts[-2:]))
+        layers.append(_Layer(site, len(layers), tuple(zip(parts, [s for _, s in banks])),
+                             *parts[-2:]))
         return layers[-1]
 
     for bi in range(spec.blocks):
@@ -178,16 +183,21 @@ class ResNetModel:
     the number of lowest conv layers held fixed by :func:`backward_batch`.
 
     The forward, backward and init walk ``plan``, which cuts each layer's
-    parameter views out of the flat vector; none looks a record up by name.
-    BN buffers are deliberately NOT part of the ParamSet: they are estimated
-    per task and never touched by the optimizer or the meta-update.
+    parameter views out of the flat vector and names its BN row; none looks
+    a record or a BN site up by name. The BN buffers are ``bn``, the running
+    mean and variance of every site as one [sites, 2, channels] array in
+    :func:`bn_site_names` order, and ``bn_updates``, the number of train
+    forwards folded into them (0: uninitialized, mean 0 and variance 1).
+    They are deliberately NOT part of the ParamSet: they are estimated per
+    task and never touched by the optimizer or the meta-update.
     """
 
     def __init__(
         self,
         spec: ArchSpec,
         params: ParamSet,
-        bn: dict[str, BnState] | None = None,
+        bn: np.ndarray | None = None,
+        bn_updates: int = 0,
         frozen_layers: int = 0,
     ):
         self.spec = spec
@@ -195,12 +205,14 @@ class ResNetModel:
         if params.layout != self.plan.layout:
             raise ConfigError("parameter layout does not match the architecture")
         self.params = params
-        sites = bn_site_names(spec)
+        shape = (len(self.plan.layers), 2, spec.channels)
         if bn is None:
-            bn = {name: BnState.fresh(spec.channels) for name in sites}
-        if sorted(bn) != sorted(sites):
-            raise ConfigError("BN buffer names do not match the architecture")
+            bn = np.zeros(shape)
+            bn[:, 1] = 1.0
+        if bn.shape != shape:
+            raise ConfigError(f"BN buffers must be {list(shape)}, got {list(bn.shape)}")
         self.bn = bn
+        self.bn_updates = bn_updates
         if not (0 <= frozen_layers <= spec.conv_layers):
             raise ConfigError(
                 f"frozen_layers must be in [0, {spec.conv_layers}], got {frozen_layers}"
@@ -217,10 +229,7 @@ class ResNetModel:
 
     def copy(self) -> "ResNetModel":
         return ResNetModel(
-            self.spec,
-            self.params.copy(),
-            {name: st.copy() for name, st in self.bn.items()},
-            self.frozen_layers,
+            self.spec, self.params.copy(), self.bn.copy(), self.bn_updates, self.frozen_layers
         )
 
 
@@ -247,17 +256,16 @@ def build_model(spec: ArchSpec, rng: np.random.Generator) -> ResNetModel:
 
 
 def _bn_forward_site(
-    model: ResNetModel, layer: _Layer, x: np.ndarray, mode: str, update_buffers: bool
+    model: ResNetModel, layer: _Layer, x: np.ndarray, batch: np.ndarray | None
 ) -> tuple[np.ndarray, dict | None]:
-    state = model.bn[layer.site]
-    if mode == "infer" and state.updates == 0:
-        raise UsageError(f"BN site {layer.site!r}: infer mode before any running-stat update")
+    """Infer mode (``batch`` None) normalizes with the site's running row;
+    train mode writes the batch statistics into the site's row of ``batch``
+    and returns the backward's cache."""
     values = model.params.values
-    y, state, cache = kernels.batchnorm_forward(
-        x, values[layer.gamma], values[layer.beta], state, mode
-    )
-    if update_buffers:
-        model.bn[layer.site] = state
+    gamma, beta = values[layer.gamma], values[layer.beta]
+    if batch is None:
+        return kernels.batchnorm_forward(x, gamma, beta, model.bn[layer.row])[0], None
+    y, batch[layer.row], cache = kernels.batchnorm_forward(x, gamma, beta)
     return y, cache
 
 
@@ -272,9 +280,10 @@ def _bn_backward_site(
 
 
 def _forward(
-    model: ResNetModel, x: np.ndarray, mode: str, update_buffers: bool
+    model: ResNetModel, x: np.ndarray, batch: np.ndarray | None
 ) -> tuple[np.ndarray, list[tuple]]:
-    """Run the conv blocks over a [b, 1, T] batch.
+    """Run the conv blocks over a [b, 1, T] batch, in train mode when
+    ``batch`` is a [sites, 2, C] array for the BN batch statistics.
 
     Returns the last block's output [b, ch, T] and per block the cache the
     backward reads: (per conv layer (input, BN cache), projection BN cache,
@@ -292,13 +301,13 @@ def _forward(
         conv_caches = []
         for j, layer in enumerate(convs):
             pre_bn = kernels.multiscale_conv_forward(cur, layer.filters(values))
-            y, bn_cache = _bn_forward_site(model, layer, pre_bn, mode, update_buffers)
+            y, bn_cache = _bn_forward_site(model, layer, pre_bn, batch)
             conv_caches.append((cur, bn_cache))
             cur = kernels.relu_forward(y) if j < last else y
         shortcut, proj_cache = h, None
         if proj is not None:
             pre_bn_p = kernels.conv1d_forward(h, *proj.filters(values))
-            shortcut, proj_cache = _bn_forward_site(model, proj, pre_bn_p, mode, update_buffers)
+            shortcut, proj_cache = _bn_forward_site(model, proj, pre_bn_p, batch)
         h = kernels.relu_forward(cur + shortcut)
         block_caches.append((conv_caches, proj_cache, h))
     return h, block_caches
@@ -314,8 +323,10 @@ def embed_batch(
     """Embed an [n, T] batch of series into [n, dim] rows.
 
     Train mode needs at least 2 series, pools BN statistics across the whole
-    batch and (by default) updates the model's running stats; pass
-    ``return_cache=True`` to get the cache :func:`backward_batch` needs.
+    batch and (by default) folds them into the model's running stats: the
+    first update adopts them, each later one keeps ``BN_MOMENTUM`` of the
+    old. Pass ``return_cache=True`` to get the cache :func:`backward_batch`
+    needs.
     Infer mode uses frozen statistics and runs the rows in chunks of at most
     ``_INFER_CHUNK_CELLS`` cells; each row is bit-identical to embedding
     that row alone.
@@ -329,15 +340,23 @@ def embed_batch(
     if mode == "infer":
         if return_cache:
             raise UsageError("backward caches exist only in train mode")
+        if model.bn_updates == 0:
+            raise UsageError("infer mode before any BN running-stat update")
         rows = max(1, _INFER_CHUNK_CELLS // x.shape[1])
         return np.vstack([
-            kernels.gap_forward(_forward(model, x[i : i + rows, None, :], "infer", False)[0])
+            kernels.gap_forward(_forward(model, x[i : i + rows, None, :], None)[0])
             for i in range(0, x.shape[0], rows)
         ])
 
     if x.shape[0] < 2:
         raise ConfigError("train mode needs a batch of >= 2 series")
-    out, block_caches = _forward(model, x[:, None, :], "train", update_buffers)
+    batch = np.empty_like(model.bn)
+    out, block_caches = _forward(model, x[:, None, :], batch)
+    if update_buffers:
+        if model.bn_updates:
+            batch = BN_MOMENTUM * model.bn + (1.0 - BN_MOMENTUM) * batch
+        model.bn = batch
+        model.bn_updates += 1
     z = kernels.gap_forward(out)
     if not return_cache:
         return z
@@ -422,10 +441,10 @@ def backward_batch(model: ResNetModel, cache: dict, upstream: np.ndarray) -> Par
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_header(spec: ArchSpec, updates: dict[str, int]) -> bytes:
+def _checkpoint_header(spec: ArchSpec, updates: int) -> bytes:
     """The header line, without its newline, of a checkpoint of ``spec``
-    whose BN sites have seen ``updates`` running-stat updates. A site
-    missing from ``updates`` gets null, which no written header holds."""
+    whose BN buffers have seen ``updates`` running-stat updates; every site
+    lists that one count."""
     plan = _step_plan(spec)
     return json.dumps({
         "magic": CHECKPOINT_MAGIC,
@@ -434,20 +453,18 @@ def _checkpoint_header(spec: ArchSpec, updates: dict[str, int]) -> bytes:
         "layout": [{"name": r.name, "shape": list(r.shape), "offset": r.offset}
                    for r in plan.layout.records],
         "param_count": plan.layout.total_size,
-        "bn": [{"name": layer.site, "channels": spec.channels, "updates": updates.get(layer.site)}
+        "bn": [{"name": layer.site, "channels": spec.channels, "updates": updates}
                for layer in plan.layers],
         "dtype": "<f8",
     }, sort_keys=True).encode("utf-8")
 
 
 def checkpoint_bytes(model: ResNetModel) -> bytes:
-    header = _checkpoint_header(model.spec, {n: st.updates for n, st in model.bn.items()})
-    arrays = [model.params.values]
-    for site in bn_site_names(model.spec):
-        arrays += [model.bn[site].mean, model.bn[site].var]
+    header = _checkpoint_header(model.spec, model.bn_updates)
     # join reads each array's buffer in place: the parameters are copied
     # once, into the result, and no 16 MB temporary is built on the way.
-    return b"".join([header, b"\n", *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)])
+    return b"".join([header, b"\n", *(np.ascontiguousarray(a, dtype="<f8")
+                                      for a in (model.params.values, model.bn))])
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -487,12 +504,13 @@ def load_checkpoint(path) -> ResNetModel:
     try:
         spec = ArchSpec.from_dict(header["arch"])
         records = len(header["layout"])
-        updates = {b["name"]: b["updates"] for b in header["bn"]}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        updates = header["bn"][0]["updates"]
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
     # A negative count would pass the infer-mode guard, which checks for 0.
-    if any(type(n) is not int or n < 0 for n in updates.values()):
-        raise CheckpointError(f"{path}: BN update counts must be non-negative integers")
+    # Another site's count is checked by the byte-for-byte header check.
+    if type(updates) is not int or updates < 0:
+        raise CheckpointError(f"{path}: the BN update count must be a non-negative integer")
     # Each conv layer has a record per filter length: reject a huge arch
     # before laying it out.
     if spec.conv_layers * len(spec.filter_lengths) > records:
@@ -514,13 +532,11 @@ def load_checkpoint(path) -> ResNetModel:
         record = next(r for r in layout.records if first < r.offset + r.size)
         raise CheckpointError(f"{path}: parameter record {record.name!r} holds a NaN or "
                               "infinite value")
-    stats = values[layout.total_size :].reshape(len(sites), 2, spec.channels)
-    bn: dict[str, BnState] = {}
-    for site, (mean, var) in zip(sites, stats):
+    bn = values[layout.total_size :].reshape(len(sites), 2, spec.channels)
+    for site, (mean, var) in zip(sites, bn):
         # A negative or NaN variance gives non-finite infer embeddings, and
         # an infinite one silently zeroes its channel.
         if not (np.isfinite(mean).all() and np.isfinite(var).all() and var.min() >= 0):
             raise CheckpointError(f"{path}: BN site {site!r} has a non-finite running mean "
                                   "or a negative or non-finite running variance")
-        bn[site] = BnState(mean, var, updates[site])
-    return ResNetModel(spec, ParamSet(layout, values[: layout.total_size]), bn)
+    return ResNetModel(spec, ParamSet(layout, values[: layout.total_size]), bn, updates)

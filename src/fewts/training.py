@@ -321,8 +321,8 @@ def _train_loop(
     # Nothing writes the parameter vector in place (inner_solve steps a copy,
     # and meta_update returns a new vector), so the loop starts from the
     # caller's vector; only the small BN buffers are copied.
-    work = ResNetModel(model.spec, model.params,
-                       {name: st.copy() for name, st in model.bn.items()}, model.frozen_layers)
+    work = ResNetModel(model.spec, model.params, model.bn.copy(), model.bn_updates,
+                       model.frozen_layers)
     writer = _RunWriter(run_dir)
     history: list[dict] = []
     best_checkpoint = None

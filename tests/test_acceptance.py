@@ -15,7 +15,6 @@ from fewts.baselines import DEFAULT_WINDOW_GRID, band_width, dtw_distance
 from fewts.data import LabeledSet, parse_ucr_file, sample_task, task_seed
 from fewts.gradcheck import gradient_check
 from fewts.kernels import (
-    BnState,
     batchnorm_backward,
     batchnorm_forward,
     conv1d_backward,
@@ -96,10 +95,10 @@ def test_gradient_correctness():
 
     def bn_loss(v, g=gamma, b=beta, inp=None):
         inp = xb if inp is None else inp
-        y, _, _ = batchnorm_forward(inp, g, b, BnState.fresh(4))
+        y, _, _ = batchnorm_forward(inp, g, b)
         return float((y * projb).sum())
 
-    y, _, cache = batchnorm_forward(xb, gamma, beta, BnState.fresh(4))
+    y, _, cache = batchnorm_forward(xb, gamma, beta)
     dxb, dgamma, dbeta = batchnorm_backward(projb, gamma, cache)
     assert max_rel_err(dxb, numeric_grad(lambda v: bn_loss(None, inp=v.reshape(xb.shape)),
                                          xb.ravel())) < 1e-5

@@ -8,7 +8,6 @@ from fewts import kernels
 from fewts.errors import ConfigError, UsageError
 from fewts.kernels import (
     BN_EPS,
-    BnState,
     batchnorm_backward,
     batchnorm_forward,
     conv1d_backward,
@@ -22,7 +21,7 @@ from fewts.kernels import (
     relu_backward,
     relu_forward,
 )
-from fewts.network import ArchSpec, build_layout
+from fewts.network import ArchSpec, build_layout, build_model, embed_batch
 
 from helpers import (
     FD_STEP,
@@ -368,8 +367,8 @@ def test_conv_and_bn_take_batched_input_only():
     with pytest.raises(ConfigError):
         conv1d_backward(x, w, np.zeros((3, 5)))
     with pytest.raises(ConfigError):
-        batchnorm_forward(x, np.ones(2), np.zeros(2), BnState.fresh(2), "train")
-    _, _, cache = batchnorm_forward(x[None], np.ones(2), np.zeros(2), BnState.fresh(2), "train")
+        batchnorm_forward(x, np.ones(2), np.zeros(2))
+    _, _, cache = batchnorm_forward(x[None], np.ones(2), np.zeros(2))
     with pytest.raises(ConfigError):
         batchnorm_backward(x, np.ones(2), cache)
 
@@ -416,29 +415,18 @@ def test_conv_gradients_batched_finite_difference():
 def test_bn_train_hand_example():
     # One channel holding {0, 2}: outputs approach -1 and +1.
     x = np.array([[[0.0]], [[2.0]]])  # batch 2, channel 1, T 1
-    y, state, _ = batchnorm_forward(x, np.ones(1), np.zeros(1), BnState.fresh(1), "train")
+    # Train mode returns the batch's [2, ch] mean and variance.
+    y, stats, _ = batchnorm_forward(x, np.ones(1), np.zeros(1))
     assert abs(y[0, 0, 0] + 1.0) < 1e-3
     assert abs(y[1, 0, 0] - 1.0) < 1e-3
-    assert state.updates == 1
-    assert np.allclose(state.mean, [1.0])
-    assert np.allclose(state.var, [1.0])
-
-
-def test_bn_running_stat_momentum():
-    state = BnState.fresh(1)
-    state = state.update(np.array([4.0]), np.array([2.0]))
-    # First update copies the batch statistics.
-    assert state.mean[0] == 4.0 and state.var[0] == 2.0
-    state = state.update(np.array([0.0]), np.array([1.0]))
-    assert np.isclose(state.mean[0], 0.9 * 4.0)
-    assert np.isclose(state.var[0], 0.9 * 2.0 + 0.1 * 1.0)
-    assert state.updates == 2
+    assert stats.shape == (2, 1)
+    assert np.allclose(stats, [[1.0], [1.0]])
 
 
 def test_bn_infer_uses_running_stats():
     x = np.array([[[1.0, 3.0]]])
-    state = BnState(np.array([1.0]), np.array([4.0]), updates=1)
-    y, _, _ = batchnorm_forward(x, np.array([2.0]), np.array([0.5]), state, "infer")
+    running = np.array([[1.0], [4.0]])  # mean, variance
+    y, _, _ = batchnorm_forward(x, np.array([2.0]), np.array([0.5]), running)
     expected = 2.0 * (x - 1.0) / np.sqrt(4.0 + BN_EPS) + 0.5
     assert np.allclose(y, expected, atol=1e-12)
 
@@ -451,23 +439,32 @@ def test_bn_infer_matches_normalize_then_scale_and_shift(shape):
     x = 3.0 * rng.standard_normal(shape) + 1.0
     gamma, beta, mean = rng.standard_normal((3, shape[1]))
     var = 4.0 * rng.random(shape[1]) + 0.01
-    state = BnState(mean, var, updates=1)
-    y, kept, cache = batchnorm_forward(x, gamma, beta, state, "infer")
+    running = np.stack([mean, var])
+    y, kept, cache = batchnorm_forward(x, gamma, beta, running)
     want = (x - mean[:, None]) / np.sqrt(var[:, None] + BN_EPS) * gamma[:, None] + beta[:, None]
     assert np.abs(y - want).max() < 1e-12
-    assert kept is state and cache is None
-    row = batchnorm_forward(x[1:2], gamma, beta, state, "infer")[0]
-    assert row.tobytes() == y[1:2].tobytes()
+    assert kept is running and cache is None
+    for i in range(shape[0]):
+        row = batchnorm_forward(x[i : i + 1], gamma, beta, running)[0]
+        assert row.tobytes() == y[i : i + 1].tobytes()
 
 
 def test_bn_infer_before_update_errors():
-    with pytest.raises(UsageError):
-        batchnorm_forward(np.ones((2, 1, 3)), np.ones(1), np.zeros(1), BnState.fresh(1), "infer")
+    # The kernel takes running statistics as an argument and counts no
+    # updates; infer on statistics no train forward has written is refused by
+    # the model that holds them, its copies included, until one update lands.
+    spec = ArchSpec(blocks=1, convs_per_block=2, filter_lengths=(2, 3), filters_per_length=2)
+    model = build_model(spec, np.random.default_rng(0))
+    for fresh in (model, model.copy()):
+        with pytest.raises(UsageError):
+            embed_batch(fresh, np.ones((2, 8)))
+    embed_batch(model, np.random.default_rng(1).standard_normal((4, 8)), mode="train")
+    assert np.isfinite(embed_batch(model, np.ones((2, 8)))).all()
 
 
 def test_bn_train_needs_two_elements():
     with pytest.raises(ConfigError):
-        batchnorm_forward(np.ones((1, 2, 1)), np.ones(2), np.zeros(2), BnState.fresh(2), "train")
+        batchnorm_forward(np.ones((1, 2, 1)), np.ones(2), np.zeros(2))
 
 
 def test_bn_gradients_finite_difference():
@@ -479,12 +476,10 @@ def test_bn_gradients_finite_difference():
     proj = rng.standard_normal((b, c, t))
 
     def loss_from(xv, gv, bv):
-        y, _, _ = batchnorm_forward(
-            xv.reshape(b, c, t), gv, bv, BnState.fresh(c), "train"
-        )
+        y, _, _ = batchnorm_forward(xv.reshape(b, c, t), gv, bv)
         return float((y * proj).sum())
 
-    y, _, cache = batchnorm_forward(x, gamma, beta, BnState.fresh(c), "train")
+    y, _, cache = batchnorm_forward(x, gamma, beta)
     dx, dgamma, dbeta = batchnorm_backward(proj, gamma, cache)
     assert max_rel_err(dx.ravel(), numeric_grad(lambda v: loss_from(v, gamma, beta), x.ravel())) < 1e-5
     assert max_rel_err(dgamma, numeric_grad(lambda v: loss_from(x.ravel(), v, beta), gamma)) < 1e-5

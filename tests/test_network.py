@@ -7,7 +7,6 @@ import pytest
 
 from fewts import kernels, network
 from fewts.errors import CheckpointError, ConfigError, UsageError
-from fewts.kernels import BnState
 from fewts.network import (
     ArchSpec,
     ResNetModel,
@@ -42,10 +41,8 @@ def tiny_model(seed=0):
 def set_bn_passthrough(model):
     """Initialized buffers with mean 0 / var 1, so infer-mode BN is a fixed
     near-identity rescaling."""
-    for name in model.bn:
-        model.bn[name] = BnState(
-            np.zeros(model.spec.channels), np.ones(model.spec.channels), updates=1
-        )
+    model.bn[:, 0], model.bn[:, 1] = 0.0, 1.0
+    model.bn_updates = 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +125,15 @@ def test_build_model_init_structure():
     assert np.array_equal(record_values(model.params, "b0.c0.beta"), np.zeros(4))
     w = record_values(model.params, "b0.c1.w2").reshape(2, 8)
     assert np.abs(w @ w.T - np.eye(2)).max() < 1e-10
-    assert all(st.updates == 0 for st in model.bn.values())
+    # Uninitialized BN buffers: mean 0 and variance 1 at each of the 3 sites.
+    assert model.bn_updates == 0
+    assert np.array_equal(model.bn, np.stack([np.zeros((3, 4)), np.ones((3, 4))], axis=1))
+
+
+def test_model_rejects_bn_buffers_of_another_shape():
+    model = tiny_model()
+    with pytest.raises(ConfigError, match=re.escape("BN buffers must be [3, 2, 4], got [2, 2, 4]")):
+        ResNetModel(TINY, model.params, model.bn[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,7 @@ def test_train_mode_rejects_mixed_lengths():
     series = [rng.standard_normal(7), rng.standard_normal(12), rng.standard_normal(7)]
     with pytest.raises(ValueError):
         embed_batch(model, series, mode="train")
-    assert all(st.updates == 0 for st in model.bn.values())
+    assert model.bn_updates == 0
 
 
 def test_train_mode_duplicated_series_identical_rows():
@@ -217,7 +222,12 @@ def test_time_reversal_changes_embedding():
 
 def test_infer_before_buffer_init_errors():
     model = tiny_model()
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="infer mode before any BN running-stat update"):
+        embed_batch(model, np.ones((1, 8)))
+    # A train forward that keeps the buffers does not initialize them.
+    embed_batch(model, np.random.default_rng(1).standard_normal((4, 8)), mode="train",
+                update_buffers=False)
+    with pytest.raises(UsageError, match="infer mode before any BN running-stat update"):
         embed_batch(model, np.ones((1, 8)))
 
 
@@ -231,10 +241,39 @@ def test_update_buffers_flag():
     model = tiny_model(11)
     rng = np.random.default_rng(12)
     series = [rng.standard_normal(8) for _ in range(4)]
+    fresh = model.bn.tobytes()
     embed_batch(model, series, mode="train", update_buffers=False)
-    assert all(st.updates == 0 for st in model.bn.values())
+    assert model.bn.tobytes() == fresh and model.bn_updates == 0
     embed_batch(model, series, mode="train")
-    assert all(st.updates == 1 for st in model.bn.values())
+    assert model.bn.tobytes() != fresh and model.bn_updates == 1
+    once = model.bn.tobytes()
+    embed_batch(model, series[::-1], mode="train", update_buffers=False)
+    assert model.bn.tobytes() == once and model.bn_updates == 1
+
+
+def test_bn_running_stat_momentum(monkeypatch):
+    # Each train forward folds every site's batch statistics into the
+    # buffers at once: the first adopts them, later ones blend 0.9 / 0.1.
+    model = tiny_model(13)
+    rng = np.random.default_rng(14)
+    seen = []
+
+    real = kernels.batchnorm_forward
+
+    def spy(*args):
+        out = real(*args)
+        seen.append(out[1].copy())
+        return out
+
+    monkeypatch.setattr(kernels, "batchnorm_forward", spy)
+    embed_batch(model, rng.standard_normal((4, 8)), mode="train")
+    assert model.bn.tobytes() == np.stack(seen).tobytes() and model.bn_updates == 1
+    first, seen[:] = model.bn.copy(), []
+    embed_batch(model, rng.standard_normal((4, 8)), mode="train")
+    # The batch's weight is 1 - 0.9 as a float, which is not 0.1.
+    assert model.bn.tobytes() == (0.9 * first + (1.0 - 0.9) * np.stack(seen)).tobytes()
+    assert model.bn_updates == 2
+    assert not np.array_equal(model.bn, first)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +549,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.spec == model.spec
     assert loaded.params.values.tobytes() == model.params.values.tobytes()
-    for name in model.bn:
-        assert loaded.bn[name].mean.tobytes() == model.bn[name].mean.tobytes()
-        assert loaded.bn[name].var.tobytes() == model.bn[name].var.tobytes()
-        assert loaded.bn[name].updates == model.bn[name].updates
+    assert loaded.bn.tobytes() == model.bn.tobytes()
+    assert loaded.bn_updates == model.bn_updates == 1
     # Saving the loaded model reproduces the file byte for byte.
     assert checkpoint_bytes(loaded) == path.read_bytes()
 
@@ -536,9 +573,10 @@ def test_checkpoint_body_is_params_then_bn_buffers_with_one_copy():
         tracemalloc.stop()
     head, body = blob.split(b"\n", 1)
     sites = bn_site_names(spec)
-    assert [entry["name"] for entry in json.loads(head)["bn"]] == sites
-    want = model.params.values.tobytes() + b"".join(
-        model.bn[name].mean.tobytes() + model.bn[name].var.tobytes() for name in sites)
+    assert [(entry["name"], entry["updates"]) for entry in json.loads(head)["bn"]] == [
+        (name, 1) for name in sites]
+    assert model.bn.shape == (len(sites), 2, spec.channels)
+    want = model.params.values.tobytes() + model.bn.tobytes()
     assert body == want
     assert peak <= len(blob) + 64 * 1024
 
@@ -609,6 +647,20 @@ def test_checkpoint_refuses_a_header_in_another_form(tmp_path, edit):
         load_checkpoint(path)
 
 
+def test_checkpoint_refuses_disagreeing_bn_update_counts(tmp_path):
+    # The model holds one update count; a header whose sites disagree on it
+    # has no model to load into.
+    model = tiny_model(52)
+    embed_batch(model, np.random.default_rng(53).standard_normal((4, 8)), mode="train")
+    head, body = checkpoint_bytes(model).split(b"\n", 1)
+    header = json.loads(head)
+    header["bn"][-1]["updates"] = 2
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: header does not match")):
+        load_checkpoint(path)
+
+
 # 40,000 distinct filter lengths would be 80,000 filter banks in the tiny
 # arch's two layers, against its 11 stored records.
 @pytest.mark.parametrize("key,value", [("blocks", 10 ** 9), ("convs_per_block", 10 ** 9),
@@ -639,7 +691,7 @@ def test_checkpoint_refuses_bad_bn_statistics(tmp_path, stat, value):
     rng = np.random.default_rng(49)
     embed_batch(model, rng.standard_normal((4, 8)), mode="train")
     site = bn_site_names(model.spec)[0]
-    getattr(model.bn[site], stat)[0] = value
+    model.bn[0, ("mean", "var").index(stat), 0] = value
     path = tmp_path / "bad_bn.ckpt"
     path.write_bytes(checkpoint_bytes(model))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: BN site {site!r}")):

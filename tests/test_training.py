@@ -135,11 +135,11 @@ def test_inner_solve_leaves_input_untouched():
     solved, report = inner_solve(model, train, k=3, batch_size=8, inner_lr=1e-3,
                                  margin=0.5, rng=np.random.default_rng(0))
     assert np.array_equal(model.params.values, before)
-    assert all(st.updates == 0 for st in model.bn.values())
+    assert model.bn_updates == 0
     assert not np.array_equal(solved.params.values, before)
     assert len(report.violations) == 3
-    # One train-mode embed per step updates every BN site once.
-    assert all(st.updates == 3 for st in solved.bn.values())
+    # One train-mode embed per step updates the BN buffers once.
+    assert solved.bn_updates == 3
 
 
 def test_inner_solve_matches_functional_adam_reference_bitwise():
@@ -154,10 +154,8 @@ def test_inner_solve_matches_functional_adam_reference_bitwise():
         rng=np.random.default_rng(4))
     assert solved.params.values.tobytes() == want.params.values.tobytes()
     assert not np.array_equal(solved.params.values, model.params.values)
-    for name, st in solved.bn.items():
-        assert st.mean.tobytes() == want.bn[name].mean.tobytes()
-        assert st.var.tobytes() == want.bn[name].var.tobytes()
-        assert st.updates == want.bn[name].updates == 3
+    assert solved.bn.tobytes() == want.bn.tobytes()
+    assert solved.bn_updates == want.bn_updates == 3
     assert (report.violations, report.final_loss) == (violations, loss)
 
 
@@ -444,17 +442,15 @@ def test_meta_training_shares_the_input_without_writing_it(train, monkeypatch):
     model = tiny_model(12)
     embed_batch(model, np.random.default_rng(13).standard_normal((4, 8)), mode="train")
     before = model.params.values.tobytes()
-    stats = {name: (st.mean.tobytes(), st.var.tobytes()) for name, st in model.bn.items()}
+    stats = model.bn.tobytes()
     monkeypatch.setattr(ParamSet, "copy", counting_copy)
     config = small_config(meta_iterations=2, meta_batch=2)
     result = train(model, config, meta_task_stream([toy_bundle()], 2, 0, 14))
     assert copies == [model.params.values.size] * 4
     assert model.params.values.tobytes() == before
-    assert {name: (st.mean.tobytes(), st.var.tobytes())
-            for name, st in model.bn.items()} == stats
-    mine = [model.params.values, *(a for st in model.bn.values() for a in (st.mean, st.var))]
-    theirs = [result.model.params.values,
-              *(a for st in result.model.bn.values() for a in (st.mean, st.var))]
+    assert model.bn.tobytes() == stats and model.bn_updates == 1
+    mine = [model.params.values, model.bn]
+    theirs = [result.model.params.values, result.model.bn]
     assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
     assert result.model.params.values.tobytes() != before
 
@@ -481,7 +477,7 @@ def test_fs2_step_accounting_and_buffer_carryover():
     k = iterations_for_task(2, 4, config.batch_size, config.epochs)
     assert result.total_inner_steps == 3 * 2 * k
     # The running model accumulates one buffer update per gradient step.
-    assert all(st.updates == 3 * 2 * k for st in result.model.bn.values())
+    assert result.model.bn_updates == 3 * 2 * k
 
 
 def test_fs2_is_deterministic():
@@ -503,8 +499,8 @@ def test_finetune_zero_epochs_estimates_buffers_only():
     train = level_task_set()
     tuned = finetune(model, train, FineTuneConfig(epochs=0))
     assert np.array_equal(tuned.params.values, model.params.values)
-    assert all(st.updates == 1 for st in tuned.bn.values())
-    assert all(st.updates == 0 for st in model.bn.values())
+    assert tuned.bn_updates == 1
+    assert model.bn_updates == 0
     # Buffers are freshly estimated, so infer mode now works.
     classify_1nn(tuned, train, train.values[:1])
 
@@ -514,7 +510,7 @@ def test_finetune_freeze_all_keeps_parameters_bitwise():
     train = level_task_set()
     tuned = finetune(model, train, FineTuneConfig(epochs=4, frozen_layers=TINY.conv_layers))
     assert tuned.params.values.tobytes() == model.params.values.tobytes()
-    assert all(st.updates > 0 for st in tuned.bn.values())
+    assert tuned.bn_updates > 0
 
 
 def test_finetune_partial_freeze_moves_only_unfrozen_entries():
@@ -568,7 +564,7 @@ def test_finetune_step_count_via_buffer_updates():
     train = noise_task_set(per_class=5)
     tuned = finetune(model, train, FineTuneConfig(epochs=16, batch_size=10),
                      rng=np.random.default_rng(0))
-    assert all(st.updates == 16 for st in tuned.bn.values())
+    assert tuned.bn_updates == 16
     assert not np.array_equal(tuned.params.values, model.params.values)
 
 
@@ -670,7 +666,7 @@ def test_validation_hook_is_read_only_and_deterministic():
     a = hook(model)
     b = hook(model)
     assert a == b and np.isfinite(a) and a >= 0.0
-    assert all(st.updates == 0 for st in model.bn.values())
+    assert model.bn_updates == 0
 
 
 def test_meta_task_stream_deterministic_and_covers_datasets():
