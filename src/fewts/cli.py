@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands map to the run modes: meta-train, evaluate, report, class-split,
-plus a gradcheck self-test. Each run mode accepts --config pointing at a JSON
-file plus the flags for the config keys it reads; flags override file
-values. Errors print a single machine-parsable line on stderr and exit
-nonzero.
+Each subcommand is a run mode: meta-train, evaluate or report, plus a
+gradcheck self-test. A run mode accepts --config pointing at a JSON file plus
+the flags for the config keys it reads; flags override file values. The
+subcommand is the only place that names a run mode; the config holds no mode.
+Errors print a single machine-parsable line on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np  # noqa: E402
 
 from . import __version__
 from .config import CONFIG_KEYS, ExperimentConfig, load_experiment_config
-from .data import load_dataset, split_classes, split_meta_sets
+from .data import load_dataset, split_meta_sets
 from .errors import FewtsError
 from .gradcheck import gradient_check
 from .network import build_model, load_checkpoint, write_atomic
@@ -50,7 +50,6 @@ _FLAGS = {
     "variant": dict(choices=CHECKPOINT_METHODS,
                     help="batched (fs1) or sequential (fs2) meta-training"),
     "records": dict(help="records file (default: out-dir/records.jsonl)"),
-    "dataset": dict(help="dataset name to partition"),
 }
 
 
@@ -66,9 +65,9 @@ def _add_mode(sub, mode: str, func, summary: str, *keys: str) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file plus this subcommand's flags, in its mode."""
+    """The config file plus this subcommand's flags."""
     overrides = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
-    return load_experiment_config(args.config, {**overrides, "mode": args.command})
+    return load_experiment_config(args.config, overrides)
 
 
 def _load_bundles(config: ExperimentConfig, names) -> list:
@@ -149,28 +148,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_class_split(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    name = config.require("dataset")
-    bundle = load_dataset(config.require("data_root"), name)
-    partition = split_classes(bundle.n_classes, np.random.default_rng(config.seed))
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"class_split_{name}.json"
-    payload = {
-        "dataset": name,
-        "seed": config.seed,
-        "n_classes": bundle.n_classes,
-        "train": list(partition.train),
-        "validation": list(partition.validation),
-        "test": list(partition.test),
-    }
-    write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
-    print(f"{name}: {bundle.n_classes} classes -> {len(partition.train)} train / "
-          f"{len(partition.validation)} validation / {len(partition.test)} test -> {path}")
-    return 0
-
-
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     error = gradient_check(h=args.step, seed=args.seed if args.seed is not None else 0)
     print(f"max relative gradient error: {error:.3e}")
@@ -192,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
               "tasks_per_dataset", "methods")
     _add_mode(sub, "report", cmd_report, "aggregate records into a report",
               "out_dir", "records")
-    _add_mode(sub, "class-split", cmd_class_split, "partition one dataset's classes",
-              "data_root", "out_dir", "seed", "dataset")
 
     p = sub.add_parser("gradcheck", help="finite-difference self-test")
     p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")

@@ -1,5 +1,5 @@
-"""Experiment configuration: a JSON file with sections mirroring the run
-modes, plus command-line overrides. Unknown keys are rejected so typos fail
+"""Experiment configuration: a JSON file of top-level keys and sections,
+plus command-line overrides. Unknown keys are rejected so typos fail
 loudly instead of silently using defaults."""
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from .network import ArchSpec
 from .protocol import CHECKPOINT_METHODS, DEFAULT_FINETUNE
 from .training import FineTuneConfig, MetaConfig
 
-MODES = ("meta-train", "evaluate", "report", "class-split")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str
     data_root: Path | None = None
     split_manifest: Path | None = None
     out_dir: Path = Path("runs/latest")
@@ -34,11 +32,8 @@ class ExperimentConfig:
     dtw: DTWConfig = DTWConfig()
     checkpoints: dict[str, Path] = field(default_factory=dict)
     records: Path | None = None
-    dataset: str | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
         # Triplet loss needs two instances of some class, so one-shot
         # support sets cannot be fine-tuned.
         if self.k < 2:
@@ -55,7 +50,7 @@ class ExperimentConfig:
     def require(self, name: str) -> object:
         value = getattr(self, name)
         if value is None:
-            raise ConfigError(f"mode {self.mode!r} needs {name!r} (config key or flag)")
+            raise ConfigError(f"{name} is required (config key or flag)")
         return value
 
 
@@ -77,7 +72,7 @@ _TOP_LEVEL_KINDS = {
     "seed": (int,), "k": (int,), "k_prime": (int,),
     "tasks_per_dataset": (int,), "methods": (str, list), "variant": (str,),
     "out_dir": (str,), "data_root": (str, type(None)), "split_manifest": (str, type(None)),
-    "records": (str, type(None)), "dataset": (str, type(None)),
+    "records": (str, type(None)),
 }
 
 # The value types a section key accepts, by the type of its default.
@@ -138,6 +133,8 @@ def load_experiment_config(
             raise ConfigError(f"config file not found: {path}")
         try:
             raw = json.loads(path.read_text())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -149,15 +146,13 @@ def load_experiment_config(
     unknown = set(raw) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "mode" not in raw:
-        raise ConfigError("mode is required (config key or subcommand)")
     for key, kinds in _TOP_LEVEL_KINDS.items():
         if key in raw and type(raw[key]) not in kinds:
             names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
             raise ConfigError(f"{key} is {raw[key]!r}, expected {names}")
 
-    kwargs: dict = {"mode": raw["mode"]}
-    for key in ("seed", "k", "k_prime", "tasks_per_dataset", "variant", "dataset"):
+    kwargs: dict = {}
+    for key in ("seed", "k", "k_prime", "tasks_per_dataset", "variant"):
         if key in raw:
             kwargs[key] = raw[key]
     if "out_dir" in raw:

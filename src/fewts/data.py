@@ -144,6 +144,8 @@ def parse_ucr_file(path, split: str, name: str) -> Dataset:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read file ({exc})", path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc})", path=str(path)) from exc
 
     rows: list[list[float]] = []
     raw_labels: list[str] = []
@@ -358,6 +360,8 @@ def split_meta_sets(manifest_path) -> MetaSetSplit:
         raise ConfigError(f"split manifest not found: {path}")
     try:
         raw = json.loads(path.read_text())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -387,33 +391,6 @@ def split_meta_sets(manifest_path) -> MetaSetSplit:
 
 
 # ---------------------------------------------------------------------------
-# Within-dataset class splits
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassPartition:
-    train: tuple[int, ...]
-    validation: tuple[int, ...]
-    test: tuple[int, ...]
-
-
-def split_classes(n_classes: int, rng: np.random.Generator) -> ClassPartition:
-    """Shuffle class ids and cut them into train/validation/test sections:
-    a half, a quarter, and the rest (both cuts rounded down)."""
-    if n_classes < 4:
-        raise ConfigError(f"class split needs at least 4 classes, got {n_classes}")
-    order = rng.permutation(n_classes)
-    n_tr = n_classes // 2
-    n_va = n_classes // 4
-    return ClassPartition(
-        tuple(sorted(int(c) for c in order[:n_tr])),
-        tuple(sorted(int(c) for c in order[n_tr : n_tr + n_va])),
-        tuple(sorted(int(c) for c in order[n_tr + n_va :])),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Task logs: one JSON record per task. A task is re-sampled from its logged
 # seed; its [split, row] pairs record which rows it drew, and equal log text
 # shows that a re-sampled task is the one logged.
@@ -440,8 +417,12 @@ def read_jsonl(path, what: str) -> list[dict]:
     """The JSON objects of a one-object-per-line log, skipping blank lines.
     A line that is not a JSON object, such as a torn last line, raises
     ParseError naming the path and line."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"bad {what} log: not UTF-8 text ({exc})", str(path)) from exc
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

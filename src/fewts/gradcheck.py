@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .network import ArchSpec, backward_batch, build_model, embed_batch
 from .params import ParamSet
 from .triplet import enumerate_valid_triplets, triplet_loss, triplet_loss_grad
@@ -24,7 +25,10 @@ def gradient_check(
     seed: int = 0,
 ) -> float:
     """Max over parameter records of the relative error between analytic
-    and numeric gradients of the batch-all triplet loss."""
+    and numeric gradients of the batch-all triplet loss; NaN when either
+    gradient holds a non-finite entry, so the check fails."""
+    if not 0.0 < h < float("inf"):
+        raise ConfigError(f"finite-difference step must be finite and > 0, got {h!r}")
     rng = np.random.default_rng(seed)
     model = build_model(spec, rng)
     series = [rng.standard_normal(length) for _ in range(batch_size)]
@@ -49,6 +53,11 @@ def gradient_check(
         down = base.copy()
         down[i] -= h
         numeric[i] = (loss_at(up) - loss_at(down)) / (2.0 * h)
+
+    # The max below would drop a NaN (Python's max keeps a number over it),
+    # and a NaN result passes no threshold.
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        return float("nan")
 
     # Normalize by each record's gradient scale, not per coordinate: a
     # central difference carries a roundoff error of about eps * |loss| / h

@@ -1,11 +1,12 @@
 """End-to-end runs of every CLI subcommand on a small on-disk corpus."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from fewts import training
+from fewts import gradcheck, training
 from fewts.cli import main
 from fewts.network import ArchSpec, build_model
 from fewts.synthetic import ar_coefficient_domain, sine_frequency_domain, square_duty_domain
@@ -177,42 +178,13 @@ def test_evaluate_runs_the_baselines_alone(corpus):
 
 
 @pytest.mark.parametrize("argv", [["meta-train", "--k", "5"], ["report", "--seed", "3"],
-                                  ["baseline"]], ids=["meta-train-k", "report-seed", "baseline"])
+                                  ["baseline"], ["class-split", "--dataset", "x"]],
+                         ids=["meta-train-k", "report-seed", "baseline", "class-split"])
 def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code != 0
     assert "error:" in capsys.readouterr().err
-
-
-def test_class_split_writes_partition(corpus, capsys):
-    out = corpus / "splits"
-    rc = main(["class-split", "--data-root", str(corpus / "data"),
-               "--dataset", "ar_coefficient", "--out-dir", str(out), "--seed", "2"])
-    assert rc == 0
-    payload = json.loads((out / "class_split_ar_coefficient.json").read_text())
-    ids = payload["train"] + payload["validation"] + payload["test"]
-    assert sorted(ids) == list(range(payload["n_classes"]))
-    assert payload["train"] and payload["test"]
-
-
-def test_class_split_failed_write_keeps_previous_file(corpus, monkeypatch, capsys):
-    out = corpus / "splits_atomic"
-    argv = ["class-split", "--data-root", str(corpus / "data"), "--dataset", "ar_coefficient",
-            "--out-dir", str(out)]
-    assert main(argv + ["--seed", "1"]) == 0
-    path = out / "class_split_ar_coefficient.json"
-    before = path.read_bytes()
-
-    def fail(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr("os.replace", fail)
-    capsys.readouterr()
-    assert main(argv + ["--seed", "2"]) == 1
-    assert capsys.readouterr().err == "error: disk full\n"
-    assert path.read_bytes() == before
-    assert not list(out.glob("*.tmp"))
 
 
 def test_gradcheck_prints_small_error(capsys):
@@ -221,6 +193,26 @@ def test_gradcheck_prints_small_error(capsys):
     assert rc == 0
     value = float(out.split(":")[1])
     assert value < 1e-4
+
+
+def test_gradcheck_fails_on_a_nan_gradient(monkeypatch, capsys):
+    real_backward = gradcheck.backward_batch
+
+    def backward(*args, **kwargs):
+        grad = real_backward(*args, **kwargs)
+        grad.values[0] = np.nan
+        return grad
+
+    monkeypatch.setattr(gradcheck, "backward_batch", backward)
+    assert main(["gradcheck"]) == 1
+    assert capsys.readouterr().out == "max relative gradient error: nan\n"
+
+
+@pytest.mark.parametrize("step", ["nan", "0", "-1", "inf"])
+def test_gradcheck_rejects_a_bad_step(step, capsys):
+    assert main(["gradcheck", "--step", step]) == 1
+    assert capsys.readouterr().err == (
+        f"error: finite-difference step must be finite and > 0, got {float(step)!r}\n")
 
 
 def test_errors_are_single_line_on_stderr(tmp_path, capsys):
@@ -290,3 +282,27 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     rc = main(["report", "--config", str(bad)])
     assert rc == 1
     assert "sedd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["config", "records", "manifest", "data"])
+def test_non_utf8_input_is_one_error_line_naming_the_file(corpus, tmp_path, capsys, bad):
+    data = tmp_path / "data"
+    shutil.copytree(corpus / "data" / "ar_coefficient", data / "ar_coefficient")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"train": [], "validation": [], "test": ["ar_coefficient"]}))
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps({"accuracy": 0.5, "dataset": "a", "method": "ed"}) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
+    target = {"config": config, "records": records, "manifest": manifest,
+              "data": next((data / "ar_coefficient").glob("*TEST*"))}[bad]
+    target.write_bytes(target.read_bytes() + b"\xff\n")
+    if bad in ("config", "records"):
+        argv = ["report", "--config", str(config), "--records", str(records)]
+    else:
+        argv = ["evaluate", "--data-root", str(data), "--split-manifest", str(manifest),
+                "--method", "ed", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}") or err.startswith(f"error: config file {target}")
+    assert "not UTF-8 text" in err and err.count("\n") == 1

@@ -1,6 +1,7 @@
 """Experiment config loading and override semantics."""
 
 import json
+import re
 
 import pytest
 
@@ -18,8 +19,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def test_defaults_and_mode_only():
-    config = load_experiment_config(None, {"mode": "report"})
-    assert config.mode == "report"
+    config = load_experiment_config(None, {})
     assert config.k == 5 and config.k_prime == 5
     assert config.methods == ("fs1",)
     assert config.variant == "fs1"
@@ -27,46 +27,45 @@ def test_defaults_and_mode_only():
 
 def test_file_plus_overrides(tmp_path):
     path = write_config(tmp_path, {"seed": 3, "k": 4, "out_dir": "a"})
-    config = load_experiment_config(path, {"mode": "report", "seed": 8, "out_dir": None})
+    config = load_experiment_config(path, {"seed": 8, "out_dir": None})
     # Flag overrides beat the file; None means the flag was not given.
     assert config.seed == 8
     assert config.k == 4
     assert str(config.out_dir) == "a"
 
 
-def test_mode_required(tmp_path):
-    path = write_config(tmp_path, {"seed": 3})
-    with pytest.raises(ConfigError, match="mode"):
-        load_experiment_config(path, {})
-
-
 def test_unknown_keys_rejected(tmp_path):
-    path = write_config(tmp_path, {"mode": "report", "sedd": 3})
-    with pytest.raises(ConfigError, match="sedd"):
-        load_experiment_config(path, {})
+    # The subcommand is the run mode: neither "mode" nor "dataset" is a key.
+    for key in ("sedd", "mode", "dataset"):
+        path = write_config(tmp_path, {key: "report"}, name=f"{key}.json")
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}$"):
+            load_experiment_config(path, {})
 
 
 def test_invalid_json_and_missing_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        load_experiment_config(bad, {"mode": "report"})
+        load_experiment_config(bad, {})
     with pytest.raises(ConfigError, match="not found"):
-        load_experiment_config(tmp_path / "absent.json", {"mode": "report"})
+        load_experiment_config(tmp_path / "absent.json", {})
     array = write_config(tmp_path, [1, 2])
     with pytest.raises(ConfigError, match="JSON object"):
-        load_experiment_config(array, {"mode": "report"})
+        load_experiment_config(array, {})
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"out_dir": "caf\xe9"}')
+    with pytest.raises(ConfigError, match=f"{re.escape(str(latin1))} is not UTF-8 text"):
+        load_experiment_config(latin1, {})
 
 
 def test_path_fields_must_exist(tmp_path):
-    path = write_config(tmp_path, {"mode": "evaluate", "data_root": str(tmp_path / "no")})
+    path = write_config(tmp_path, {"data_root": str(tmp_path / "no")})
     with pytest.raises(ConfigError, match="does not exist"):
         load_experiment_config(path, {})
 
 
 def test_sections_parse(tmp_path):
     payload = {
-        "mode": "evaluate",
         "arch": {"blocks": 1, "convs_per_block": 2, "filter_lengths": [3, 5],
                  "filters_per_length": 2},
         "meta": {"meta_iterations": 7, "k_train": 3},
@@ -85,8 +84,7 @@ def test_sections_parse(tmp_path):
 def test_finetune_entry_merges_over_the_method_default(tmp_path):
     # fs2 fine-tunes 8 epochs by default; setting only its learning rate
     # keeps them, rather than the dataclass's 16.
-    path = write_config(tmp_path, {"mode": "evaluate",
-                                   "finetune": {"fs2": {"inner_lr": 0.001}}})
+    path = write_config(tmp_path, {"finetune": {"fs2": {"inner_lr": 0.001}}})
     assert load_experiment_config(path, {}).finetune == {
         "fs2": FineTuneConfig(epochs=8, inner_lr=0.001)}
 
@@ -94,23 +92,23 @@ def test_finetune_entry_merges_over_the_method_default(tmp_path):
 def test_meta_takes_the_run_seed(tmp_path):
     # The inner mini-batch draws of meta-train use meta.seed, so it must be
     # the run seed, from the file or from --seed, with or without a meta section.
-    path = write_config(tmp_path, {"mode": "meta-train", "seed": 11, "meta": {"k_train": 3}})
+    path = write_config(tmp_path, {"seed": 11, "meta": {"k_train": 3}})
     assert load_experiment_config(path, {}).meta.seed == 11
     assert load_experiment_config(path, {"seed": 12}).meta.seed == 12
-    bare = write_config(tmp_path, {"mode": "meta-train"}, name="bare.json")
+    bare = write_config(tmp_path, {}, name="bare.json")
     assert load_experiment_config(bare, {"seed": 12}).meta.seed == 12
     assert load_experiment_config(bare, {}).meta.seed == 0
 
 
 def test_meta_seed_key_points_to_top_level_seed(tmp_path):
-    path = write_config(tmp_path, {"mode": "meta-train", "meta": {"seed": 3}})
+    path = write_config(tmp_path, {"meta": {"seed": 3}})
     with pytest.raises(ConfigError, match="top-level seed"):
         load_experiment_config(path, {})
 
 
 def test_meta_optimizer_is_not_a_key(tmp_path):
     # Meta-training's inner loop always steps with Adam.
-    path = write_config(tmp_path, {"mode": "meta-train", "meta": {"optimizer": "adam"}})
+    path = write_config(tmp_path, {"meta": {"optimizer": "adam"}})
     with pytest.raises(ConfigError, match="bad meta section: .*optimizer"):
         load_experiment_config(path, {})
 
@@ -118,24 +116,23 @@ def test_meta_optimizer_is_not_a_key(tmp_path):
 def test_bad_sections(tmp_path):
     with pytest.raises(ConfigError, match="meta"):
         load_experiment_config(
-            write_config(tmp_path, {"mode": "report", "meta": {"bogus_key": 1}}), {})
+            write_config(tmp_path, {"meta": {"bogus_key": 1}}), {})
     with pytest.raises(ConfigError, match="finetune"):
         load_experiment_config(
-            write_config(tmp_path, {"mode": "report", "finetune": {"fs1": {"nope": 1}}},
+            write_config(tmp_path, {"finetune": {"fs1": {"nope": 1}}},
                          name="c2.json"), {})
     with pytest.raises(ConfigError, match="dtw"):
         load_experiment_config(
-            write_config(tmp_path, {"mode": "report", "dtw": {"fraction": [0.5]}},
+            write_config(tmp_path, {"dtw": {"fraction": [0.5]}},
                          name="c3.json"), {})
     with pytest.raises(ConfigError, match="checkpoint"):
         load_experiment_config(
-            write_config(tmp_path, {"mode": "report",
-                                    "checkpoints": {"fs1": str(tmp_path / "no.ckpt")}},
+            write_config(tmp_path, {"checkpoints": {"fs1": str(tmp_path / "no.ckpt")}},
                          name="c4.json"), {})
 
 
 def test_partial_sections_take_defaults(tmp_path):
-    payload = {"mode": "report", "arch": {"blocks": 1}, "dtw": {}}
+    payload = {"arch": {"blocks": 1}, "dtw": {}}
     config = load_experiment_config(write_config(tmp_path, payload), {})
     assert config.arch == ArchSpec(blocks=1)
     assert config.dtw == DTWConfig()
@@ -157,7 +154,7 @@ def test_partial_sections_take_defaults(tmp_path):
         "not-an-object", "string-for-int", "float-filter-length", "string-filter-length",
         "bool-filter-length", "bool-fraction", "string-fraction"])
 def test_bad_section_keys_name_the_section(tmp_path, section, match):
-    path = write_config(tmp_path, {"mode": "report", **section})
+    path = write_config(tmp_path, section)
     with pytest.raises(ConfigError, match=match):
         load_experiment_config(path, {})
 
@@ -165,7 +162,7 @@ def test_bad_section_keys_name_the_section(tmp_path, section, match):
 @pytest.mark.parametrize("key, value", [("k", "5"), ("data_root", 3)],
                          ids=["string-for-int", "int-for-path"])
 def test_bad_top_level_values_name_the_key(tmp_path, key, value):
-    path = write_config(tmp_path, {"mode": "report", key: value})
+    path = write_config(tmp_path, {key: value})
     with pytest.raises(ConfigError, match=f"{key} is {value!r}"):
         load_experiment_config(path, {})
 
@@ -173,41 +170,39 @@ def test_bad_top_level_values_name_the_key(tmp_path, key, value):
 def test_checkpoints_resolve(tmp_path):
     ckpt = tmp_path / "m.ckpt"
     ckpt.write_bytes(b"x")
-    payload = {"mode": "evaluate", "checkpoints": {"fs1": str(ckpt)}}
+    payload = {"checkpoints": {"fs1": str(ckpt)}}
     config = load_experiment_config(write_config(tmp_path, payload), {})
     assert config.checkpoints == {"fs1": ckpt}
 
 
 def test_methods_string_is_promoted(tmp_path):
     config = load_experiment_config(
-        write_config(tmp_path, {"mode": "evaluate", "methods": "ed"}), {})
+        write_config(tmp_path, {"methods": "ed"}), {})
     assert config.methods == ("ed",)
 
 
 @pytest.mark.parametrize("methods", [[["ed"]], ["ed", 3], [None]])
 def test_methods_entries_must_be_strings(tmp_path, methods):
-    path = write_config(tmp_path, {"mode": "evaluate", "methods": methods})
+    path = write_config(tmp_path, {"methods": methods})
     with pytest.raises(ConfigError, match="methods"):
         load_experiment_config(path, {})
 
 
 def test_validation_rules():
     with pytest.raises(ConfigError):
-        ExperimentConfig(mode="dance")
+        ExperimentConfig(k=1)
     with pytest.raises(ConfigError):
-        ExperimentConfig(mode="evaluate", k=1)
+        ExperimentConfig(k_prime=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(mode="evaluate", k_prime=0)
+        ExperimentConfig(tasks_per_dataset=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(mode="evaluate", tasks_per_dataset=0)
+        ExperimentConfig(variant="fs3")
     with pytest.raises(ConfigError):
-        ExperimentConfig(mode="evaluate", variant="fs3")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(mode="evaluate", methods=())
+        ExperimentConfig(methods=())
 
 
 def test_require_reports_missing_field():
-    config = ExperimentConfig(mode="evaluate")
+    config = ExperimentConfig()
     with pytest.raises(ConfigError, match="data_root"):
         config.require("data_root")
     assert config.require("out_dir") == config.out_dir

@@ -21,7 +21,6 @@ from fewts.data import (
     parse_ucr_file,
     sample_task,
     sample_task_seeded,
-    split_classes,
     split_meta_sets,
     task_seed,
     znormalize,
@@ -167,6 +166,13 @@ def test_parse_empty_file(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_ucr_file(p, "train", "d")
     assert "no data rows" in str(err.value)
+
+
+def test_parse_non_utf8_file_names_the_file(tmp_path):
+    p = tmp_path / "l.csv"
+    p.write_bytes(b"1,0,0,0,0\n2,1,1,1,1\xff\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: not UTF-8 text"):
+        parse_ucr_file(p, "train", "d")
 
 
 def test_parse_length_bounds(tmp_path):
@@ -429,6 +435,10 @@ def test_split_meta_sets_missing_file_and_sections(tmp_path):
     bad.write_text(json.dumps({"train": []}))
     with pytest.raises(ConfigError):
         split_meta_sets(bad)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"train": ["caf\xe9"], "validation": [], "test": ["b"]}')
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(latin1))}: not UTF-8 text"):
+        split_meta_sets(latin1)
 
 
 def test_split_meta_sets_rejects_a_list_manifest(tmp_path):
@@ -441,31 +451,6 @@ def test_split_meta_sets_rejects_a_list_manifest(tmp_path):
 def test_shipped_manifest_has_archive_counts():
     split = split_meta_sets(REPO_ROOT / "splits" / "meta_split_65.json")
     assert (len(split.train), len(split.validation), len(split.test)) == (18, 6, 41)
-
-
-# ---------------------------------------------------------------------------
-# Class partitions
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n,expected", [(60, (30, 15, 15)), (37, (18, 9, 10)), (50, (25, 12, 13)),
-                                        (4, (2, 1, 1))])
-def test_split_classes_counts(n, expected):
-    part = split_classes(n, np.random.default_rng(0))
-    assert (len(part.train), len(part.validation), len(part.test)) == expected
-    everything = sorted(part.train + part.validation + part.test)
-    assert everything == list(range(n))
-
-
-def test_split_classes_needs_four_classes():
-    with pytest.raises(ConfigError, match="at least 4 classes, got 3"):
-        split_classes(3, np.random.default_rng(0))
-
-
-def test_split_classes_deterministic():
-    a = split_classes(10, np.random.default_rng(5))
-    b = split_classes(10, np.random.default_rng(5))
-    assert a == b
 
 
 # ---------------------------------------------------------------------------

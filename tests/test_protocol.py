@@ -78,6 +78,13 @@ def test_read_records_rejects_non_object_line(tmp_path):
         read_records(path)
 
 
+def test_read_records_rejects_a_non_utf8_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"accuracy": 0.5, "dataset": "caf\xe9", "method": "ed"}\n')
+    with pytest.raises(ParseError, match=re.escape(f"{path}: bad record log: not UTF-8 text")):
+        read_records(path)
+
+
 def test_run_protocol_record_grid(bundles, tmp_path):
     path = run_protocol(bundles, ["ed", "resnet"], 3, 2, 2, 5, tmp_path,
                         scratch_spec=TINY, finetune=FAST)
