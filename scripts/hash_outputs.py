@@ -22,15 +22,21 @@ values and labels, whatever architectures run. Under ``dtw``, for a task of
 each family at T = 37, 64 and 128, it holds the window ``dtw_loocv_window``
 selects on the train split, under the default 50-fraction grid and under
 the three-fraction grid (0.05, 0.25, 0.75), and the hash of the
-``dtw_1nn`` labels of the test split at that window.
+``dtw_1nn`` labels of the test split at that window. Under ``ucr`` it
+writes TRAIN and TEST files of two datasets under tab, comma and space
+delimiters, loads each with ``load_dataset``, and holds the hash of both
+splits' values and labels and the label names. The two files' label
+tokens differ: in the numeric dataset ``"3"`` is only in TEST and TRAIN's
+``"1"`` is TEST's ``"1.0"``; in the other, the tokens are text and ``"c"``
+is only in TEST.
 
 ``tiny`` and ``3x1`` run all of it at T = 32. ``default`` (the 2.03M
 parameter network) runs one fs1 meta-iteration of two one-step tasks at
 T = 64 and the fine-tune and train-mode parts, and skips fs2 and the
-protocol. Prints one JSON object, architecture (or ``synthetic`` or
-``dtw``) -> output -> the first 16 hex digits of its sha256, or the
-selected window. Equal objects from two trees on the same machine
-mean the outputs are bitwise equal.
+protocol. Prints one JSON object, architecture (or ``synthetic``, ``dtw``
+or ``ucr``) -> output -> the first 16 hex digits of its sha256, the
+selected window, or the label names. Equal objects from two trees on the
+same machine mean the outputs are bitwise equal.
 
 Run it against any checkout's sources:
 
@@ -54,6 +60,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from fewts.baselines import DTWConfig, dtw_1nn, dtw_loocv_window  # noqa: E402
+from fewts.data import load_dataset  # noqa: E402
 from fewts.network import (  # noqa: E402
     ArchSpec, backward_batch, build_model, checkpoint_bytes, embed_batch,
 )
@@ -84,6 +91,12 @@ SHAPES = {
 }
 DTW_LENGTHS = (37, 64, 128)
 DTW_GRIDS = {"default": DTWConfig(), "three": DTWConfig(fractions=(0.05, 0.25, 0.75))}
+# Each dataset's TRAIN and TEST row label tokens.
+UCR_TOKENS = {
+    "numeric": (["2", "1", "2", "1", "2"], ["1.0", "3", "2", "1.0", "3", "2"]),
+    "text": (["b", "a", "b", "a"], ["c", "a", "b", "c", "b"]),
+}
+UCR_DELIMITERS = {"tab": "\t", "comma": ",", "space": " "}
 
 
 def digest(data: bytes) -> str:
@@ -128,6 +141,30 @@ def hash_dtw() -> dict:
                 labels = dtw_1nn(bundle.train, bundle.test.values, window)
                 out[f"{family}/T{t}/{grid}/window"] = window
                 out[f"{family}/T{t}/{grid}/labels"] = digest(labels.tobytes())
+    return out
+
+
+def hash_ucr(workdir: Path) -> dict:
+    out = {}
+    rng = np.random.default_rng(6)
+    for dataset, splits in UCR_TOKENS.items():
+        rows = {tag: rng.standard_normal((len(tokens), 24)) * rng.uniform(0.01, 100.0)
+                for tag, tokens in zip(("TRAIN", "TEST"), splits)}
+        for delim_name, delim in UCR_DELIMITERS.items():
+            root = workdir / delim_name
+            (root / dataset).mkdir(parents=True)
+            for (tag, values), tokens in zip(rows.items(), splits):
+                lines = [delim.join([token] + [f"{v:.17g}" for v in row])
+                         for token, row in zip(tokens, values)]
+                (root / dataset / f"{dataset}_{tag}.txt").write_text("\n".join(lines) + "\n")
+            bundle = load_dataset(root, dataset)
+            arrays = (bundle.train.values, bundle.train.labels,
+                      bundle.test.values, bundle.test.labels)
+            out[f"{dataset}/{delim_name}/splits"] = digest(b"".join(a.tobytes() for a in arrays))
+            # Trees whose bundles do not hold the label names keep them on
+            # each split.
+            names = getattr(bundle, "label_names", None) or bundle.train.label_names
+            out[f"{dataset}/{delim_name}/label_names"] = list(names)
     return out
 
 
@@ -186,6 +223,8 @@ def hash_arch(name: str, workdir: Path) -> dict:
 
 def hash_outputs(arch_names) -> dict:
     result = {"synthetic": hash_synthetic(), "dtw": hash_dtw()}
+    with tempfile.TemporaryDirectory() as tmp:
+        result["ucr"] = hash_ucr(Path(tmp))
     for name in arch_names:
         with tempfile.TemporaryDirectory() as tmp:
             result[name] = hash_arch(name, Path(tmp))

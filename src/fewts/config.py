@@ -11,7 +11,7 @@ from pathlib import Path
 from .baselines import DTWConfig
 from .errors import ConfigError
 from .network import ArchSpec
-from .protocol import CHECKPOINT_METHODS, DEFAULT_FINETUNE
+from .protocol import CHECKPOINT_METHODS, DEFAULT_FINETUNE, KNOWN_METHODS
 from .training import FineTuneConfig, MetaConfig
 
 
@@ -46,6 +46,11 @@ class ExperimentConfig:
             raise ConfigError(f"variant must be one of {', '.join(CHECKPOINT_METHODS)}")
         if not self.methods:
             raise ConfigError("methods must not be empty")
+        for m in self.methods:
+            if m not in KNOWN_METHODS:
+                raise ConfigError(f"unknown method {m!r}; known: {', '.join(KNOWN_METHODS)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError("duplicate method names")
 
     def require(self, name: str) -> object:
         value = getattr(self, name)

@@ -3,6 +3,9 @@
 UCR-format files are one series per row: class label first, then the
 observations, separated by commas, tabs or whitespace (auto-detected).
 Series are z-normalized at ingestion and only lengths 4..512 are accepted.
+A loaded dataset is one ``DatasetBundle``: its name, its original-train and
+original-test pools as ``LabeledSet``s, and one label map over the label
+tokens of both files.
 
 A few-shot task is K train samples and K' test samples per class; train
 samples come from a dataset's original-train pool and test samples from its
@@ -17,7 +20,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,51 +55,29 @@ class LabeledSet:
 
 
 @dataclass
-class Dataset(LabeledSet):
-    """One provenance split (original train or original test) of a dataset."""
+class DatasetBundle:
+    """One dataset: its original-train and original-test pools, whose dense
+    labels index ``label_names``, the label tokens of its files."""
 
-    _: KW_ONLY
     name: str
-    split: str  # "train" | "test"
-    label_names: tuple[str, ...]  # dense id -> original label token
+    train: LabeledSet
+    test: LabeledSet
+    label_names: tuple[str, ...]
 
     def __post_init__(self):
-        super().__post_init__()
-        t = self.values.shape[1]
+        t = self.train.values.shape[1]
+        if self.test.values.shape[1] != t:
+            raise ConfigError(f"dataset {self.name!r}: splits have different series lengths")
         if not (MIN_LENGTH <= t <= MAX_LENGTH):
             raise ConfigError(
                 f"dataset {self.name!r}: series length {t} outside [{MIN_LENGTH}, {MAX_LENGTH}]"
             )
-        if self.split not in ("train", "test"):
-            raise ConfigError(f"split must be 'train' or 'test', got {self.split!r}")
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
-
-    def class_indices(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
-
-
-@dataclass
-class DatasetBundle:
-    """Both provenance splits of one dataset under a shared label mapping."""
-
-    name: str
-    train: Dataset
-    test: Dataset
-
-    def __post_init__(self):
-        if self.train.label_names != self.test.label_names:
-            raise ConfigError(f"dataset {self.name!r}: splits use different label maps")
-        if self.train.length != self.test.length:
-            raise ConfigError(f"dataset {self.name!r}: splits have different series lengths")
         if self.n_classes < 2:
             raise ConfigError(f"dataset {self.name!r}: needs at least 2 classes")
 
     @property
     def n_classes(self) -> int:
-        return len(self.train.label_names)
+        return len(self.label_names)
 
 
 def znormalize(x: np.ndarray) -> np.ndarray:
@@ -130,14 +111,12 @@ def _label_sort_key(labels: set[str]):
     return sorted(labels - nan, key=lambda s: (as_num[s], s)) + sorted(nan)
 
 
-def parse_ucr_file(path, split: str, name: str) -> Dataset:
-    """Parse one UCR-format file into the ``split`` Dataset of dataset
-    ``name``, rows raw (unnormalized).
+def parse_ucr_file(path) -> tuple[np.ndarray, list[str]]:
+    """Parse one UCR-format file into its raw (unnormalized) ``[n, T]`` rows
+    and each row's label token, the row's first field.
 
     Errors carry the 1-based line number: ragged rows, non-numeric fields and
-    missing values (NaN/inf) are reported distinctly. The label is the first
-    field of each row; labels are remapped to dense ids 0..N-1 with the
-    original tokens retained.
+    missing values (NaN/inf) are reported distinctly.
     """
     path = Path(path)
     try:
@@ -183,12 +162,9 @@ def parse_ucr_file(path, split: str, name: str) -> Dataset:
             f"series length {width} outside supported range [{MIN_LENGTH}, {MAX_LENGTH}]",
             path=str(path),
         )
-    names = tuple(_label_sort_key(set(raw_labels)))
-    if len(names) < 2:
+    if len(set(raw_labels)) < 2:
         raise ParseError("file contains a single class", path=str(path))
-    dense = {s: i for i, s in enumerate(names)}
-    labels = np.array([dense[s] for s in raw_labels], dtype=np.int64)
-    return Dataset(np.array(rows), labels, name=name, split=split, label_names=names)
+    return np.array(rows), raw_labels
 
 
 def _is_float(s: str) -> bool:
@@ -214,20 +190,18 @@ def _find_split_file(root: Path, name: str, tag: str) -> Path:
 
 
 def load_dataset(root, name: str) -> DatasetBundle:
-    """Load both splits of a dataset from a UCR archive directory, rebuild a
-    shared label map over their union and z-normalize rows."""
+    """Load both splits of a dataset from a UCR archive directory under one
+    label map over the union of their label tokens, rows z-normalized."""
     root = Path(root)
-    train = parse_ucr_file(_find_split_file(root, name, "TRAIN"), split="train", name=name)
-    test = parse_ucr_file(_find_split_file(root, name, "TEST"), split="test", name=name)
-    union = set(train.label_names) | set(test.label_names)
-    names = tuple(_label_sort_key(union))
+    train, train_tokens = parse_ucr_file(_find_split_file(root, name, "TRAIN"))
+    test, test_tokens = parse_ucr_file(_find_split_file(root, name, "TEST"))
+    names = tuple(_label_sort_key(set(train_tokens) | set(test_tokens)))
     dense = {s: i for i, s in enumerate(names)}
 
-    def remap(ds: Dataset) -> Dataset:
-        labels = np.array([dense[ds.label_names[l]] for l in ds.labels], dtype=np.int64)
-        return Dataset(znormalize(ds.values), labels, name=name, split=ds.split, label_names=names)
+    def pool(values: np.ndarray, tokens: list[str]) -> LabeledSet:
+        return LabeledSet(znormalize(values), [dense[s] for s in tokens])
 
-    return DatasetBundle(name, remap(train), remap(test))
+    return DatasetBundle(name, pool(train, train_tokens), pool(test, test_tokens), names)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +238,9 @@ def task_seed(run_seed: int, dataset: str, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _draw_for_class(pool: Dataset, label: int, count: int, rng: np.random.Generator) -> list[int]:
-    idx = pool.class_indices(label)
+def _draw_for_class(pool: LabeledSet, label: int, count: int,
+                    rng: np.random.Generator) -> list[int]:
+    idx = np.flatnonzero(pool.labels == label)
     if idx.size == 0:
         return []
     if idx.size <= count:
@@ -306,7 +281,7 @@ def sample_task(
     train_labels: list[int] = []
     test_labels: list[int] = []
     for task_label, c in enumerate(class_ids):
-        name = bundle.train.label_names[c]
+        name = bundle.label_names[c]
         tr = _draw_for_class(bundle.train, c, k, rng)
         if not tr:
             raise SamplingError(

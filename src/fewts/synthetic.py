@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import MAX_LENGTH, MIN_LENGTH, Dataset, DatasetBundle, znormalize
+from .data import MAX_LENGTH, MIN_LENGTH, DatasetBundle, LabeledSet, znormalize
 from .errors import ConfigError
 
 # Square waves run this many periods over the window.
@@ -53,14 +53,13 @@ def _phase_and_noise(rng: np.random.Generator, n: int, length: int, high: float)
 def _bundle(name: str, make_split, n_classes: int, train_per_class: int,
             test_per_class: int) -> DatasetBundle:
     """``make_split(labels)`` returns the raw ``[n, T]`` series of one split."""
-    label_names = tuple(str(c) for c in range(n_classes))
 
-    def pool(split: str, per_class: int) -> Dataset:
+    def pool(per_class: int) -> LabeledSet:
         labels = np.repeat(np.arange(n_classes), per_class)
-        return Dataset(znormalize(make_split(labels)), labels, name=name, split=split,
-                       label_names=label_names)
+        return LabeledSet(znormalize(make_split(labels)), labels)
 
-    return DatasetBundle(name, pool("train", train_per_class), pool("test", test_per_class))
+    return DatasetBundle(name, pool(train_per_class), pool(test_per_class),
+                         tuple(str(c) for c in range(n_classes)))
 
 
 def sine_frequency_domain(seed: int, n_classes: int = 8, length: int = 64,

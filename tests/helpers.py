@@ -113,7 +113,7 @@ def write_ucr(bundle, root, name=None):
     for tag, ds in (("TRAIN", bundle.train), ("TEST", bundle.test)):
         lines = []
         for row, label in zip(ds.values, ds.labels):
-            lines.append("\t".join([ds.label_names[label]] + [f"{v:.8f}" for v in row]))
+            lines.append("\t".join([bundle.label_names[label]] + [f"{v:.8f}" for v in row]))
         (directory / f"{name}_{tag}.tsv").write_text("\n".join(lines) + "\n")
     return directory
 

@@ -359,9 +359,9 @@ def test_format_round_trips(tmp_path):
     for sep, name in (("\t", "Fix_TRAIN.tsv"), (",", "Fix_TRAIN.csv"), (" ", "Fix_TRAIN.txt")):
         path = tmp_path / name
         path.write_text("\n".join(sep.join(row) for row in rows) + "\n")
-        parsed.append(parse_ucr_file(path, split="train", name="Fix"))
-    for other in parsed[1:]:
-        assert np.array_equal(parsed[0].values, other.values)
-        assert np.array_equal(parsed[0].labels, other.labels)
-        assert parsed[0].label_names == other.label_names
-    assert parsed[0].values.shape == (50, 20)
+        values, tokens = parse_ucr_file(path)
+        parsed.append((values, tokens))
+    for other_values, other_tokens in parsed[1:]:
+        assert np.array_equal(parsed[0][0], other_values)
+        assert parsed[0][1] == other_tokens
+    assert parsed[0][0].shape == (50, 20)

@@ -276,6 +276,20 @@ def test_evaluate_checks_frozen_layers_before_writing(corpus, capsys):
     assert not out.exists()
 
 
+def test_unknown_method_is_one_error_line_before_any_dataset_loads(tmp_path, capsys):
+    # The manifest names a dataset that does not exist: the method typo is
+    # reported, not the missing file, and nothing is written.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"train": [], "validation": [], "test": ["Missing"]}))
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--data-root", str(tmp_path), "--split-manifest", str(manifest),
+               "--method", "ed", "--method", "fs3", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: unknown method 'fs3'; known: fs1, fs2, resnet, ed, dtw\n")
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sedd": 1}))

@@ -201,6 +201,17 @@ def test_validation_rules():
         ExperimentConfig(methods=())
 
 
+def test_unknown_or_repeated_method_is_rejected():
+    # Caught when the config loads, before any dataset or checkpoint does.
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown method 'fs3'; known: fs1, fs2, resnet, ed, dtw")):
+        load_experiment_config(None, {"methods": ["ed", "fs3"]})
+    with pytest.raises(ConfigError, match="unknown method 'fs3'"):
+        load_experiment_config(None, {"methods": ["fs3", "fs3"]})
+    with pytest.raises(ConfigError, match="duplicate method names"):
+        load_experiment_config(None, {"methods": ["ed", "dtw", "ed"]})
+
+
 def test_require_reports_missing_field():
     config = ExperimentConfig()
     with pytest.raises(ConfigError, match="data_root"):

@@ -12,7 +12,6 @@ import pytest
 from fewts.baselines import euclidean_1nn
 from fewts.data import (
     STD_FLOOR,
-    Dataset,
     DatasetBundle,
     LabeledSet,
     MetaSetSplit,
@@ -93,42 +92,52 @@ def test_parse_three_delimiters_identical(tmp_path):
     for delim, fname in ((",", "a.csv"), ("\t", "b.tsv"), (" ", "c.txt")):
         path = tmp_path / fname
         path.write_text(rows_text(delim, rows))
-        parsed.append(parse_ucr_file(path, "train", "d"))
-    base = parsed[0]
-    for other in parsed[1:]:
-        assert other.values.tobytes() == base.values.tobytes()
-        assert np.array_equal(other.labels, base.labels)
-        assert other.label_names == base.label_names
+        parsed.append(parse_ucr_file(path))
+    base_values, base_tokens = parsed[0]
+    assert base_tokens == [str(row[0]) for row in rows]
+    for values, tokens in parsed[1:]:
+        assert values.tobytes() == base_values.tobytes()
+        assert tokens == base_tokens
+
+
+def write_split_files(root, name, train_lines, test_lines):
+    """<root>/<name>/<name>_{TRAIN,TEST}.csv holding the given lines."""
+    d = root / name
+    d.mkdir(parents=True)
+    for tag, lines in (("TRAIN", train_lines), ("TEST", test_lines)):
+        (d / f"{name}_{tag}.csv").write_text("".join(line + "\n" for line in lines))
 
 
 def test_parse_labels_numeric_sort(tmp_path):
     # Labels -1/1/10 must densify in numeric order, not lexical.
     lines = ["10,0,0,0,0", "-1,1,1,1,1", "1,2,2,2,2"]
-    p = tmp_path / "d.csv"
-    p.write_text("\n".join(lines))
-    ds = parse_ucr_file(p, "train", "d")
-    assert ds.label_names == ("-1", "1", "10")
-    assert list(ds.labels) == [2, 0, 1]
+    write_split_files(tmp_path, "d", lines, lines[::-1])
+    bundle = load_dataset(tmp_path, "d")
+    assert bundle.label_names == ("-1", "1", "10")
+    assert list(bundle.train.labels) == [2, 0, 1]
+    assert list(bundle.test.labels) == [1, 0, 2]
 
 
 def test_label_order_does_not_depend_on_hash_seed(tmp_path):
     # "1", "1.0" and "01" are equal numbers, and "nan" equals nothing; their
     # dense ids must not follow set iteration order, which changes with
-    # PYTHONHASHSEED. NaN tokens go after the numbers, in token order.
+    # PYTHONHASHSEED. NaN tokens go after the numbers, in token order. The
+    # tokens alternate between the TRAIN and the TEST file, so the order is
+    # the one over their union.
     cases = {
         "ties": (["1", "1.0", "01", "2", "02", "2.0"], ('01', '1', '1.0', '02', '2', '2.0')),
         "nan": (["nan", "1", "NaN", "2", "3"], ('1', '2', '3', 'NaN', 'nan')),
     }
-    script = ("import sys; from fewts.data import parse_ucr_file; "
-              "print(parse_ucr_file(sys.argv[1], 'train', 'd').label_names)")
+    script = ("import sys; from fewts.data import load_dataset; "
+              "print(load_dataset(sys.argv[1], sys.argv[2]).label_names)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     for name, (tokens, expected) in cases.items():
-        p = tmp_path / f"{name}.csv"
-        p.write_text("".join(f"{tok},0,1,2,3\n" for tok in tokens))
+        lines = [f"{tok},0,1,2,3" for tok in tokens]
+        write_split_files(tmp_path, name, lines[::2], lines[1::2])
         orders = []
         for hash_seed in ("1", "3"):
             env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
-            out = subprocess.run([sys.executable, "-c", script, str(p)], env=env,
+            out = subprocess.run([sys.executable, "-c", script, str(tmp_path), name], env=env,
                                  capture_output=True, text=True, check=True)
             orders.append(out.stdout)
         assert orders == [f"{expected}\n"] * 2, name
@@ -138,7 +147,7 @@ def test_parse_ragged_row_reports_line(tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("1,0,0,0,0\n2,1,1,1\n")
     with pytest.raises(ParseError) as err:
-        parse_ucr_file(p, "train", "d")
+        parse_ucr_file(p)
     assert err.value.line == 2
     assert "ragged" in str(err.value)
 
@@ -147,7 +156,7 @@ def test_parse_non_numeric_reports_line(tmp_path):
     p = tmp_path / "n.csv"
     p.write_text("1,0,0,0,0\n2,1,oops,1,1\n")
     with pytest.raises(ParseError) as err:
-        parse_ucr_file(p, "train", "d")
+        parse_ucr_file(p)
     assert err.value.line == 2
     assert "oops" in str(err.value)
 
@@ -156,7 +165,7 @@ def test_parse_rejects_missing_values(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,0,0,NaN,0\n2,1,1,1,1\n")
     with pytest.raises(ParseError) as err:
-        parse_ucr_file(p, "train", "d")
+        parse_ucr_file(p)
     assert err.value.line == 1
 
 
@@ -164,7 +173,7 @@ def test_parse_empty_file(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("\n\n")
     with pytest.raises(ParseError) as err:
-        parse_ucr_file(p, "train", "d")
+        parse_ucr_file(p)
     assert "no data rows" in str(err.value)
 
 
@@ -172,32 +181,32 @@ def test_parse_non_utf8_file_names_the_file(tmp_path):
     p = tmp_path / "l.csv"
     p.write_bytes(b"1,0,0,0,0\n2,1,1,1,1\xff\n")
     with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: not UTF-8 text"):
-        parse_ucr_file(p, "train", "d")
+        parse_ucr_file(p)
 
 
 def test_parse_length_bounds(tmp_path):
     short = tmp_path / "s.csv"
     short.write_text("1,0,0,0\n2,1,1,1\n")  # T = 3
     with pytest.raises(ParseError):
-        parse_ucr_file(short, "train", "d")
+        parse_ucr_file(short)
     long = tmp_path / "l.csv"
     row_a = "1," + ",".join(["0"] * 513)
     row_b = "2," + ",".join(["1"] * 513)
     long.write_text(row_a + "\n" + row_b + "\n")
     with pytest.raises(ParseError):
-        parse_ucr_file(long, "train", "d")
+        parse_ucr_file(long)
     edge = tmp_path / "edge.csv"
     row_a = "1," + ",".join(["0"] * 512)
     row_b = "2," + ",".join(["1"] * 512)
     edge.write_text(row_a + "\n" + row_b + "\n")
-    assert parse_ucr_file(edge, "train", "d").length == 512
+    assert parse_ucr_file(edge)[0].shape == (2, 512)
 
 
 def test_parse_single_class_rejected(tmp_path):
     p = tmp_path / "one.csv"
     p.write_text("1,0,0,0,0\n1,1,1,1,1\n")
     with pytest.raises(ParseError):
-        parse_ucr_file(p, "train", "d")
+        parse_ucr_file(p)
 
 
 def write_archive_dataset(root, name, n_train=8, n_test=6, t=10, seed=3):
@@ -216,13 +225,12 @@ def test_load_dataset_normalizes_and_unifies_labels(tmp_path):
     write_archive_dataset(tmp_path, "Toy")
     bundle = load_dataset(tmp_path, "Toy")
     assert bundle.name == "Toy"
-    assert bundle.n_classes == 2
-    assert bundle.train.split == "train" and bundle.test.split == "test"
+    assert bundle.n_classes == 2 and bundle.label_names == ("1", "2")
     for row in bundle.train.values:
         assert abs(row.mean()) < 1e-10
-    raw = parse_ucr_file(tmp_path / "Toy" / "Toy_TRAIN.tsv", "train", "Toy")
-    assert not np.allclose(raw.values[0].mean(), 0.0, atol=1e-10)
-    normalized = np.vstack([znormalize(row) for row in raw.values])
+    raw, _ = parse_ucr_file(tmp_path / "Toy" / "Toy_TRAIN.tsv")
+    assert not np.allclose(raw[0].mean(), 0.0, atol=1e-10)
+    normalized = np.vstack([znormalize(row) for row in raw])
     assert bundle.train.values.tobytes() == normalized.tobytes()
 
 
@@ -233,10 +241,28 @@ def test_load_dataset_bytes_match_row_by_row_normalization(tmp_path):
                                     test_per_class=5), tmp_path, name="Walk")
     bundle = load_dataset(tmp_path, "Walk")
     for split, tag in ((bundle.train, "TRAIN"), (bundle.test, "TEST")):
-        raw = parse_ucr_file(tmp_path / "Walk" / f"Walk_{tag}.tsv", split.split, "Walk")
-        want = np.vstack([znormalize_reference(row) for row in raw.values])
+        raw, tokens = parse_ucr_file(tmp_path / "Walk" / f"Walk_{tag}.tsv")
+        want = np.vstack([znormalize_reference(row) for row in raw])
         assert split.values.tobytes() == want.tobytes()
-        assert split.labels.tobytes() == raw.labels.tobytes()
+        assert [bundle.label_names[label] for label in split.labels] == tokens
+
+
+def test_load_dataset_labels_are_dense_over_both_files(tmp_path):
+    # "3" and "1.0" appear only in TEST. The one label map numbers the union,
+    # "1" before "1.0" (equal values, then the token), and both splits use it.
+    write_split_files(tmp_path, "Num", ["2,0,1,2,3", "1,1,2,3,4", "2,2,3,4,5"],
+                      ["1.0,0,1,2,3", "3,1,2,3,4", "1,2,3,4,5"])
+    bundle = load_dataset(tmp_path, "Num")
+    assert bundle.label_names == ("1", "1.0", "2", "3") and bundle.n_classes == 4
+    assert list(bundle.train.labels) == [2, 0, 2]
+    assert list(bundle.test.labels) == [1, 3, 0]
+    # A non-numeric token in one file orders the union as strings.
+    write_split_files(tmp_path, "Mixed", ["b,0,1,2,3", "10,1,2,3,4"],
+                      ["9,0,1,2,3", "b,1,2,3,4", "a,2,3,4,5"])
+    bundle = load_dataset(tmp_path, "Mixed")
+    assert bundle.label_names == ("10", "9", "a", "b")
+    assert list(bundle.train.labels) == [3, 0]
+    assert list(bundle.test.labels) == [1, 3, 2]
 
 
 def test_load_dataset_missing_file(tmp_path):
@@ -252,18 +278,34 @@ def test_load_dataset_missing_file(tmp_path):
 
 def toy_bundle(n_classes=4, per_class_train=6, per_class_test=5, t=10, seed=0):
     rng = np.random.default_rng(seed)
-    names = tuple(str(c) for c in range(n_classes))
 
-    def pool(split, per_class):
+    def pool(per_class):
         values, labels = [], []
         for c in range(n_classes):
             for _ in range(per_class):
                 values.append(rng.standard_normal(t))
                 labels.append(c)
-        return Dataset(np.vstack(values), np.array(labels), name="toy", split=split,
-                       label_names=names)
+        return LabeledSet(np.vstack(values), labels)
 
-    return DatasetBundle("toy", pool("train", per_class_train), pool("test", per_class_test))
+    return DatasetBundle("toy", pool(per_class_train), pool(per_class_test),
+                         tuple(str(c) for c in range(n_classes)))
+
+
+@pytest.mark.parametrize("t_train, t_test, names, message", [
+    (10, 12, ("a", "b"), "splits have different series lengths"),
+    (3, 3, ("a", "b"), "series length 3 outside [4, 512]"),
+    (513, 513, ("a", "b"), "series length 513 outside [4, 512]"),
+    (10, 10, ("a",), "needs at least 2 classes"),
+], ids=["unequal-T", "T3", "T513", "one-class"])
+def test_bundle_rejects_bad_splits_naming_the_dataset(t_train, t_test, names, message):
+    def pool(t):
+        return LabeledSet(np.zeros((2, t)), [0, 0])
+
+    with pytest.raises(ConfigError, match=re.escape(f"dataset 'Odd': {message}")):
+        DatasetBundle("Odd", pool(t_train), pool(t_test), names)
+    # The same pools at an accepted length and with two classes make a bundle.
+    for t in (4, 512):
+        assert DatasetBundle("Odd", pool(t), pool(t), ("a", "b")).n_classes == 2
 
 
 def test_sample_task_shapes_and_labels():
@@ -288,12 +330,14 @@ def test_labeled_set_values_must_be_n_by_t():
         LabeledSet(np.zeros(3), np.array([0, 1, 2]))
     with pytest.raises(ConfigError):
         LabeledSet(np.zeros((2, 1, 4)), np.array([0, 1]))
+    with pytest.raises(ConfigError, match="disagree on sample count"):
+        LabeledSet(np.zeros((2, 4)), np.array([0]))
 
 
 def test_sample_task_without_test_split_is_empty_n_by_t():
     bundle = toy_bundle()
     task = sample_task_seeded(bundle, 3, 0, seed=8)
-    assert task.test.values.shape == (0, bundle.train.length)
+    assert task.test.values.shape == (0, bundle.train.values.shape[1])
     assert task.test.values.dtype == np.float64
     assert task.test.labels.shape == (0,) and task.test_rows == []
 
@@ -312,8 +356,8 @@ def test_sample_task_empty_class_raises():
     bundle = DatasetBundle(
         "toy",
         bundle.train,
-        Dataset(bundle.test.values[keep], bundle.test.labels[keep], name="toy", split="test",
-                label_names=bundle.test.label_names),
+        LabeledSet(bundle.test.values[keep], bundle.test.labels[keep]),
+        bundle.label_names,
     )
     with pytest.raises(SamplingError) as err:
         sample_task(bundle, k=2, k_prime=2, rng=np.random.default_rng(3))
@@ -378,13 +422,6 @@ def test_bundle_split_is_a_labeled_set():
     copy = LabeledSet(bundle.train.values.copy(), bundle.train.labels.copy())
     queries = bundle.test.values
     assert np.array_equal(euclidean_1nn(bundle.train, queries), euclidean_1nn(copy, queries))
-    # Provenance fields are keyword-only, and the LabeledSet checks still run.
-    with pytest.raises(TypeError):
-        Dataset(bundle.train.values, bundle.train.labels, "toy", "train",
-                bundle.train.label_names)
-    with pytest.raises(ConfigError, match="disagree on sample count"):
-        Dataset(bundle.train.values, bundle.train.labels[1:], name="toy", split="train",
-                label_names=bundle.train.label_names)
 
 
 def test_task_seed_is_stable_and_distinct():

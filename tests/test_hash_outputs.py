@@ -1,6 +1,7 @@
 """``scripts/hash_outputs.py`` is a bitwise probe: two runs of its tiny part,
-its generated bundles and its DTW tasks in one process give the same hashes
-for the same outputs, a freshly built model's checkpoint among them."""
+its generated bundles, its DTW tasks and its loaded files in one process give
+the same hashes for the same outputs, a freshly built model's checkpoint among
+them."""
 
 import importlib.util
 from pathlib import Path
@@ -44,6 +45,18 @@ def test_tiny_outputs_hash_the_same_twice(monkeypatch):
     assert dtw["square/T128/three/window"] == window
     labels = module.dtw_1nn(task.train, task.test.values, window)
     assert dtw["square/T128/three/labels"] == module.digest(labels.tobytes())
+    # The loaded files: two datasets under three delimiters, each the hash of
+    # both splits and the label names, one map over both files' tokens.
+    ucr = first["ucr"]
+    delimiters = ("tab", "comma", "space")
+    assert set(ucr) == {f"{dataset}/{delim}/{part}" for dataset in ("numeric", "text")
+                        for delim in delimiters for part in ("splits", "label_names")}
+    for dataset, names in (("numeric", ["1", "1.0", "2", "3"]), ("text", ["a", "b", "c"])):
+        assert len({ucr[f"{dataset}/{delim}/splits"] for delim in delimiters}) == 1
+        assert len(ucr[f"{dataset}/tab/splits"]) == 16
+        for delim in delimiters:
+            assert ucr[f"{dataset}/{delim}/label_names"] == names
+    assert ucr["numeric/tab/splits"] != ucr["text/tab/splits"]
     hashes = first["tiny"]
     for key in ("fresh.ckpt", "fs1/iter_000003.ckpt", "fs2/model_selection.json",
                 "fs2/train_log.jsonl", "finetune/frozen2.ckpt", "finetune/frozen2.infer_z",

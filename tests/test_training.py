@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fewts import kernels
-from fewts.data import Dataset, DatasetBundle, LabeledSet, sample_task_seeded, task_seed
+from fewts.data import DatasetBundle, LabeledSet, sample_task_seeded, task_seed
 from fewts.errors import ConfigError, TaskDegenerateError
 from fewts.network import ArchSpec, backward_batch, build_layout, build_model, embed_batch
 from fewts.optim import sgd_step
@@ -53,19 +53,18 @@ def level_task_set(per_class=4, t=8, jitter=0.05, seed=0):
 
 def toy_bundle(n_classes=4, per_class_train=6, per_class_test=5, t=8, seed=0):
     rng = np.random.default_rng(seed)
-    names = tuple(str(c) for c in range(n_classes))
 
-    def pool(split, per_class):
+    def pool(per_class):
         values, labels = [], []
         for c in range(n_classes):
             center = np.sin(np.linspace(0.0, 2.0 * np.pi * (c + 1), t))
             for _ in range(per_class):
                 values.append(center + 0.1 * rng.standard_normal(t))
                 labels.append(c)
-        return Dataset(np.vstack(values), np.array(labels), name="toy", split=split,
-                       label_names=names)
+        return LabeledSet(np.vstack(values), labels)
 
-    return DatasetBundle("toy", pool("train", per_class_train), pool("test", per_class_test))
+    return DatasetBundle("toy", pool(per_class_train), pool(per_class_test),
+                         tuple(str(c) for c in range(n_classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +670,7 @@ def test_validation_hook_is_read_only_and_deterministic():
 
 def test_meta_task_stream_deterministic_and_covers_datasets():
     bundles = [toy_bundle(seed=0), toy_bundle(seed=1)]
-    bundles[1] = DatasetBundle("toy2", bundles[1].train, bundles[1].test)
+    bundles[1] = DatasetBundle("toy2", bundles[1].train, bundles[1].test, bundles[1].label_names)
     a = [t for t, _ in zip(meta_task_stream(bundles, 2, 1, 6), range(12))]
     b = [t for t, _ in zip(meta_task_stream(bundles, 2, 1, 6), range(12))]
     assert [t.train_rows for t in a] == [t.train_rows for t in b]
